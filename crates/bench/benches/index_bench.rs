@@ -1,5 +1,6 @@
-//! Micro-benchmarks for the hybrid hashtable/trie indexes: build time,
-//! O(1) prefix range lookups, O(1) sampling, and trie-cursor seeks.
+//! Micro-benchmarks for the trie indexes: build time, prefix range
+//! lookups (binary search per bound level), O(1) sampling, and
+//! trie-cursor seeks.
 
 use kgoa_bench::microbench::{black_box, Runner};
 use kgoa_datagen::{generate, KgConfig, Scale};

@@ -17,7 +17,7 @@
 //!   --tipping X                       AJ tipping threshold (default 1024)
 //!   --threads N                       cap on the scale thread sweep (default 8)
 //!   --batch N                         walks per SoA batch (default 256; 1 = legacy parity)
-//!   --layout rows|csr|compressed      index storage layout (default csr)
+//!   --layout csr|compressed           index storage layout (default csr)
 //!   --out PATH                        JSON output path (trace, bench-json, profile)
 //!   --baseline PATH                   baseline bench JSON (regress)
 //!   --candidate PATH                  candidate bench JSON (regress; default BENCH_PR10.json)
@@ -200,14 +200,14 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "index-bench",
-        help: "index layout A/B: rows vs CSR vs compressed, build + micro-ops + bytes/triple",
+        help: "index layout A/B: CSR vs compressed, build + micro-ops + bytes/triple",
         run: |c| ok(index_bench(c.cfg)),
         in_all: true,
         needs_workload: false,
     },
     Experiment {
         name: "layout-parity",
-        help: "rows/CSR/compressed exact+sampled parity gate (nonzero exit on fail)",
+        help: "CSR/compressed exact+sampled parity gate (nonzero exit on fail)",
         run: |c| layout_parity(c.cfg),
         in_all: true,
         needs_workload: false,
@@ -280,7 +280,7 @@ fn usage() -> ExitCode {
          --tipping X                       AJ tipping threshold (default 1024)\n  \
          --threads N                       cap on the scale thread sweep (default 8)\n  \
          --batch N                         walks per SoA batch (default 256; 1 = legacy parity)\n  \
-         --layout rows|csr|compressed      index storage layout (default csr)\n  \
+         --layout csr|compressed           index storage layout (default csr)\n  \
          --out PATH                        JSON output path (trace, bench-json, profile)\n  \
          --baseline PATH                   baseline bench JSON (regress)\n  \
          --candidate PATH                  candidate bench JSON (regress; default BENCH_PR10.json)\n  \

@@ -1,20 +1,20 @@
 //! Layout A/B experiments for the PR 4 columnar index and the PR 10
 //! compressed index.
 //!
-//! Two experiments compare the legacy row-oriented trie storage
-//! ([`Layout::Rows`]) against the CSR columnar layout ([`Layout::Csr`])
-//! and the bit-packed compressed layout ([`Layout::Compressed`]):
+//! Two experiments compare the CSR columnar layout ([`Layout::Csr`]) with
+//! the bit-packed compressed layout ([`Layout::Compressed`]):
 //!
-//! - `index-bench` builds all three layouts over the paper-shaped graphs
-//!   (at 10× the configured scale, where the space/speed trade-off is
+//! - `index-bench` builds both layouts over the paper-shaped graphs (at
+//!   10× the configured scale, where the space/speed trade-off is
 //!   visible) and times construction plus the three index hot paths (full
 //!   trie walks, galloped seeks, point containment) plus batched Wander
-//!   Join throughput, and reports storage bytes per stored triple — the
+//!   Join throughput, and reports index bytes per stored triple — the
 //!   micro-level evidence behind the BENCH macro numbers;
-//! - `layout-parity` is a gate: leaf positions, `pick` draws, exact
-//!   CTJ/LFTJ results and deterministic Wander Join runs must be
-//!   *identical* across all three layouts (leaf positions coincide by
-//!   construction, so even the sampled walks are bit-equal).
+//! - `layout-parity` is a gate: leaf positions and prefix ranges must
+//!   equal a naive scan of the sorted rows, and exact CTJ/LFTJ results
+//!   and deterministic Wander Join runs must be *identical* across both
+//!   layouts (leaf positions coincide by construction, so even the
+//!   sampled walks are bit-equal).
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -23,7 +23,7 @@ use kgoa_core::{run_walks_batched, WanderJoin};
 use kgoa_datagen::{generate_with_info, KgConfig};
 use kgoa_engine::{CountEngine, CtjEngine, LftjEngine, YannakakisEngine};
 use kgoa_explore::{generate_explorations, GeneratorConfig};
-use kgoa_index::{IndexOrder, IndexedGraph, Layout, TrieCursor};
+use kgoa_index::{IndexOrder, IndexedGraph, Layout, RowRange, TrieCursor};
 use kgoa_obs::Json;
 
 use crate::metrics::fmt_duration;
@@ -129,17 +129,6 @@ fn time_best<F: FnMut() -> u64>(mut f: F) -> (Duration, u64) {
     (best, sum)
 }
 
-/// Total index memory across all built orders (includes prefix hash maps).
-fn memory(ig: &IndexedGraph) -> usize {
-    ig.built_orders().into_iter().map(|o| ig.require(o).memory_bytes()).sum()
-}
-
-/// Layout-owned storage across all built orders (hash maps excluded) —
-/// the numerator of the bytes/triple comparison.
-fn storage(ig: &IndexedGraph) -> usize {
-    ig.built_orders().into_iter().map(|o| ig.require(o).storage_bytes()).sum()
-}
-
 /// One (dataset, layout) measurement from `index-bench`.
 pub struct IndexPoint {
     /// Dataset name, including the `-xN` scale suffix.
@@ -156,11 +145,9 @@ pub struct IndexPoint {
     pub seek: Duration,
     /// Point-containment storm time.
     pub contains: Duration,
-    /// Layout storage bytes across built orders.
-    pub storage: usize,
-    /// Total index memory (storage + hash maps) across built orders.
+    /// Index memory across built orders.
     pub memory: usize,
-    /// Storage bytes per stored triple copy (each order stores every
+    /// Index bytes per stored triple copy (each order stores every
     /// triple once, so this divides by orders × triples).
     pub bytes_per_triple: f64,
     /// Batched Wander Join throughput, walks/second.
@@ -222,7 +209,7 @@ pub fn index_points(cfg: &BenchConfig, mult: usize) -> Vec<IndexPoint> {
             let (contains, _) = time_best(|| contains_storm(spo, &mut rng));
             assert!(walked >= spo.len() as u64, "walk visited too few keys");
             let wj_walks_per_sec = wj_throughput(&ig, cfg);
-            let storage = storage(&ig);
+            let memory = ig.memory_bytes();
             let orders = ig.built_orders().len().max(1);
             let triples = info.triples;
             out.push(IndexPoint {
@@ -233,9 +220,8 @@ pub fn index_points(cfg: &BenchConfig, mult: usize) -> Vec<IndexPoint> {
                 walk,
                 seek,
                 contains,
-                storage,
-                memory: memory(&ig),
-                bytes_per_triple: storage as f64 / (orders * triples.max(1)) as f64,
+                memory,
+                bytes_per_triple: memory as f64 / (orders * triples.max(1)) as f64,
                 wj_walks_per_sec,
             });
         }
@@ -246,19 +232,20 @@ pub fn index_points(cfg: &BenchConfig, mult: usize) -> Vec<IndexPoint> {
 /// Render the `index-bench` report from measured points.
 fn render_index_report(points: &[IndexPoint]) -> String {
     let mut out = String::new();
-    writeln!(out, "## Index layout A/B — rows vs CSR vs compressed (PR 4 / PR 10)\n").unwrap();
+    writeln!(out, "## Index layout A/B — CSR vs compressed\n").unwrap();
     writeln!(
         out,
         "{} probes per micro-op; walk = full trie DFS (CTJ enumeration), seek = \
          per-attribute galloped descent (LFTJ/WJ navigation), contains = point lookup, \
-         wj/s = batched Wander Join walks per second.\n",
+         B/triple = index bytes per stored triple copy, wj/s = batched Wander Join \
+         walks per second.\n",
         PROBES
     )
     .unwrap();
     writeln!(
         out,
-        "{:<18} {:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>10}",
-        "dataset", "layout", "build", "walk", "seek", "contains", "B/triple", "mem(MB)", "wj/s"
+        "{:<24} {:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
+        "dataset", "layout", "build", "walk", "seek", "contains", "B/triple", "wj/s"
     )
     .unwrap();
     let mut datasets: Vec<&str> = Vec::new();
@@ -272,7 +259,7 @@ fn render_index_report(points: &[IndexPoint]) -> String {
         for p in &ds {
             writeln!(
                 out,
-                "{:<18} {:<10} {:>9} {:>9} {:>9} {:>9} {:>9.2} {:>8.1} {:>10.0}",
+                "{:<24} {:<10} {:>9} {:>9} {:>9} {:>9} {:>9.2} {:>10.0}",
                 p.dataset,
                 p.layout.name(),
                 fmt_duration(p.build),
@@ -280,35 +267,27 @@ fn render_index_report(points: &[IndexPoint]) -> String {
                 fmt_duration(p.seek),
                 fmt_duration(p.contains),
                 p.bytes_per_triple,
-                p.memory as f64 / (1024.0 * 1024.0),
                 p.wj_walks_per_sec,
             )
             .unwrap();
         }
         let by = |l: Layout| ds.iter().find(|p| p.layout == l).expect("all layouts measured");
-        let (rows, csr, comp) = (by(Layout::Rows), by(Layout::Csr), by(Layout::Compressed));
-        let tr = |a: &IndexPoint, b: &IndexPoint, f: fn(&IndexPoint) -> Duration| {
-            f(a).as_secs_f64() / f(b).as_secs_f64().max(1e-9)
+        let (csr, comp) = (by(Layout::Csr), by(Layout::Compressed));
+        let tr = |f: fn(&IndexPoint) -> Duration| {
+            f(csr).as_secs_f64() / f(comp).as_secs_f64().max(1e-9)
         };
         writeln!(
             out,
-            "{:<18} {:<10} {:>8.2}x {:>8.2}x {:>8.2}x {:>8.2}x   (rows/csr; >1 ⇒ CSR faster)",
+            "{:<24} {:<10} {:>8.2}x {:>8.2}x {:>8.2}x {:>8.2}x {:>8.2}x {:>9.2}x   \
+             (time: csr/compressed, >1 ⇒ compressed faster; B/triple: ×smaller; \
+             wj/s: ×csr speed; gates: space ≥1.8, seek ≥0.7, wj ≥0.8)\n",
             name,
             "ratio",
-            tr(rows, csr, |p| p.build),
-            tr(rows, csr, |p| p.walk),
-            tr(rows, csr, |p| p.seek),
-            tr(rows, csr, |p| p.contains),
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "{:<18} {:<10} space {:.2}x smaller than csr, seek {:.2}x, wj {:.2}x csr speed \
-             (gates: ≥1.8 / ≥0.7 / ≥0.8)\n",
-            name,
-            "compressed",
+            tr(|p| p.build),
+            tr(|p| p.walk),
+            tr(|p| p.seek),
+            tr(|p| p.contains),
             csr.bytes_per_triple / comp.bytes_per_triple.max(1e-9),
-            tr(csr, comp, |p| p.seek),
             comp.wj_walks_per_sec / csr.wj_walks_per_sec.max(1e-9),
         )
         .unwrap();
@@ -316,8 +295,8 @@ fn render_index_report(points: &[IndexPoint]) -> String {
     out
 }
 
-/// `index-bench`: build + micro-op timings + bytes/triple, all three
-/// layouts, per dataset, at [`INDEX_SCALE_MULT`]× the configured scale.
+/// `index-bench`: build + micro-op timings + bytes/triple, both layouts,
+/// per dataset, at [`INDEX_SCALE_MULT`]× the configured scale.
 pub fn index_bench(cfg: &BenchConfig) -> String {
     render_index_report(&index_points(cfg, INDEX_SCALE_MULT))
 }
@@ -344,7 +323,7 @@ pub fn index_points_json(points: &[IndexPoint]) -> Json {
                     ("walk_ms".into(), Json::Num(p.walk.as_secs_f64() * 1e3)),
                     ("seek_ms".into(), Json::Num(p.seek.as_secs_f64() * 1e3)),
                     ("contains_ms".into(), Json::Num(p.contains.as_secs_f64() * 1e3)),
-                    ("storage_bytes".into(), Json::Num(p.storage as f64)),
+                    ("memory_bytes".into(), Json::Num(p.memory as f64)),
                     ("bytes_per_triple".into(), Json::Num(p.bytes_per_triple)),
                     ("wj_walks_per_sec".into(), Json::Num(p.wj_walks_per_sec)),
                 ])
@@ -376,17 +355,33 @@ pub fn index_points_json(points: &[IndexPoint]) -> Json {
     ])
 }
 
-/// Number of sampled prefix ranges checked for `pick` draw parity.
-const PICK_PROBES: usize = 256;
+/// Number of sampled prefixes whose ranges are checked against the naive
+/// scan.
+const RANGE_PROBES: usize = 256;
 
-/// Structural parity between two same-graph indexes: leaf positions
-/// (row order) per built order, and `pick_keyed` draws over sampled 1-
-/// and 2-attribute prefix ranges. These are the invariants the sampled
-/// estimators depend on — if they hold, WJ/AJ RNG streams are identical.
+/// The range of rows starting with `prefix`, by `partition_point` over
+/// the sorted rows — the reference the layouts' point lookups must match.
+fn naive_range(rows: &[[u32; 3]], prefix: &[u32]) -> RowRange {
+    let k = prefix.len();
+    let lo = rows.partition_point(|r| &r[..k] < prefix);
+    let hi = rows.partition_point(|r| &r[..k] <= prefix);
+    if lo < hi {
+        RowRange { start: lo as u32, end: hi as u32 }
+    } else {
+        RowRange::EMPTY
+    }
+}
+
+/// Structural parity between the two layouts of one graph and the naive
+/// reference: leaf positions (row order) per built order against the
+/// sorted permuted triples, and the ranges of sampled 1- and 2-attribute
+/// prefixes (every other probe perturbed to a mostly-absent key) against
+/// [`naive_range`]. These are the invariants the sampled estimators
+/// depend on — `pick` draws are a function of the range alone, so if they
+/// hold, WJ/AJ RNG streams are identical.
 fn structural_parity(
     out: &mut String,
     name: &str,
-    other: Layout,
     a: &IndexedGraph,
     b: &IndexedGraph,
     seed: u64,
@@ -394,109 +389,102 @@ fn structural_parity(
     let mut checks = 0usize;
     let mut mismatches = 0usize;
     for order in a.built_orders() {
+        let mut reference: Vec<[u32; 3]> =
+            a.graph().triples().iter().map(|t| order.permute(*t)).collect();
+        reference.sort_unstable();
         checks += 1;
-        if a.require(order).to_rows() != b.require(order).to_rows() {
+        if a.require(order).to_rows() != reference || b.require(order).to_rows() != reference {
             mismatches += 1;
-            writeln!(out, "MISMATCH {name}/{order:?}: {} leaf positions differ", other.name())
+            writeln!(out, "MISMATCH {name}/{order:?}: leaf positions differ from sorted rows")
                 .unwrap();
         }
     }
     let spo_a = a.require(IndexOrder::Spo);
     let spo_b = b.require(IndexOrder::Spo);
+    let rows = spo_a.to_rows();
     let mut rng = Lcg(seed ^ 0x00C0_FFEE);
-    let mut pick_ok = true;
-    for _ in 0..PICK_PROBES {
-        let pos = (rng.next() % spo_a.len() as u64) as u32;
-        let [s, p, _] = spo_a.row(pos);
-        let raw = rng.next();
-        let (r1a, r1b) = (spo_a.range1(s), spo_b.range1(s));
-        let (r2a, r2b) = (spo_a.range2(s, p), spo_b.range2(s, p));
-        pick_ok &= r1a == r1b
-            && r2a == r2b
-            && r1a.pick_keyed(raw) == r1b.pick_keyed(raw)
-            && r2a.pick_keyed(raw) == r2b.pick_keyed(raw);
+    let mut ranges_ok = true;
+    for i in 0..RANGE_PROBES {
+        let [mut s, mut p, _] = rows[(rng.next() % rows.len() as u64) as usize];
+        match i % 4 {
+            1 => p = p.wrapping_add(1 + (rng.next() % 7) as u32),
+            3 => s = s.wrapping_add(1 + (rng.next() % 7) as u32),
+            _ => {}
+        }
+        let (r1, r2) = (naive_range(&rows, &[s]), naive_range(&rows, &[s, p]));
+        ranges_ok &= spo_a.range1(s) == r1
+            && spo_b.range1(s) == r1
+            && spo_a.range2(s, p) == r2
+            && spo_b.range2(s, p) == r2;
     }
     checks += 1;
-    if !pick_ok {
+    if !ranges_ok {
         mismatches += 1;
-        writeln!(out, "MISMATCH {name}: {} pick draws differ", other.name()).unwrap();
+        writeln!(out, "MISMATCH {name}: prefix ranges differ from the naive scan").unwrap();
     }
     (checks, mismatches)
 }
 
 /// `layout-parity`: exact and sampled results must be identical across
-/// all three layouts. Returns the report and whether the gate passed.
+/// both layouts. Returns the report and whether the gate passed.
 pub fn layout_parity(cfg: &BenchConfig) -> (String, bool) {
     let mut out = String::new();
-    writeln!(out, "## Layout parity gate — rows vs CSR vs compressed must agree exactly\n")
-        .unwrap();
-    let rows_ds = load_datasets_in(cfg.scale, Layout::Rows);
+    writeln!(out, "## Layout parity gate — CSR vs compressed must agree exactly\n").unwrap();
+    let csr_ds = load_datasets_in(cfg.scale, Layout::Csr);
+    let comp_ds = load_datasets_in(cfg.scale, Layout::Compressed);
     let gen_cfg = GeneratorConfig { runs: cfg.runs, max_steps: cfg.max_steps, seed: cfg.seed };
     let mut checks = 0usize;
     let mut mismatches = 0usize;
-    for other in [Layout::Csr, Layout::Compressed] {
-        let other_ds = load_datasets_in(cfg.scale, other);
-        for (r, c) in rows_ds.iter().zip(&other_ds) {
-            // Physical invariants first: identical leaf positions and
-            // sampling draws are what make everything below bit-equal.
-            let (sc, sm) = structural_parity(&mut out, r.name, other, &r.ig, &c.ig, cfg.seed);
-            checks += sc;
-            mismatches += sm;
-            // The generator samples through the index; identical leaf
-            // positions must reproduce the identical query workload.
-            let qs_rows = generate_explorations(&r.ig, &YannakakisEngine, gen_cfg)
-                .expect("generator over rows layout");
-            let qs_other = generate_explorations(&c.ig, &YannakakisEngine, gen_cfg)
-                .expect("generator over other layout");
-            if qs_rows.len() != qs_other.len()
-                || qs_rows.iter().zip(&qs_other).any(|(a, b)| a.query != b.query)
-            {
+    for (r, c) in csr_ds.iter().zip(&comp_ds) {
+        // Physical invariants first: identical leaf positions and prefix
+        // ranges are what make everything below bit-equal.
+        let (sc, sm) = structural_parity(&mut out, r.name, &r.ig, &c.ig, cfg.seed);
+        checks += sc;
+        mismatches += sm;
+        // The generator samples through the index; identical leaf
+        // positions must reproduce the identical query workload.
+        let qs_csr = generate_explorations(&r.ig, &YannakakisEngine, gen_cfg)
+            .expect("generator over csr layout");
+        let qs_comp = generate_explorations(&c.ig, &YannakakisEngine, gen_cfg)
+            .expect("generator over compressed layout");
+        if qs_csr.len() != qs_comp.len()
+            || qs_csr.iter().zip(&qs_comp).any(|(a, b)| a.query != b.query)
+        {
+            writeln!(out, "MISMATCH {}: generated workloads differ between layouts", r.name)
+                .unwrap();
+            mismatches += 1;
+            continue;
+        }
+        for (qi, g) in qs_comp.iter().enumerate() {
+            let q = &g.query;
+            let ctj_r = CtjEngine.evaluate(&r.ig, q).expect("ctj csr");
+            let ctj_c = CtjEngine.evaluate(&c.ig, q).expect("ctj compressed");
+            let lftj_r = LftjEngine.evaluate(&r.ig, q).expect("lftj csr");
+            let lftj_c = LftjEngine.evaluate(&c.ig, q).expect("lftj compressed");
+            // Deterministic sampled runs: same seed + same leaf-position
+            // space ⇒ the RNG draws, walks, and estimates are bit-equal.
+            let (mae_r, st_r) = run_fixed_walks(&r.ig, q, &ctj_r, Algo::Wj, 256, cfg);
+            let (mae_c, st_c) = run_fixed_walks(&c.ig, q, &ctj_c, Algo::Wj, 256, cfg);
+            checks += 1;
+            let exact_ok = ctj_r == ctj_c && lftj_r == lftj_c && ctj_r == lftj_r;
+            let sampled_ok = mae_r.to_bits() == mae_c.to_bits() && st_r == st_c;
+            if !exact_ok || !sampled_ok {
+                mismatches += 1;
                 writeln!(
                     out,
-                    "MISMATCH {}: generated workloads differ between rows and {}",
-                    r.name,
-                    other.name()
+                    "MISMATCH {}/q{:02}/step{}: exact_ok={} sampled_ok={}",
+                    r.name, qi, g.step, exact_ok, sampled_ok
                 )
                 .unwrap();
-                mismatches += 1;
-                continue;
-            }
-            for (qi, g) in qs_other.iter().enumerate() {
-                let q = &g.query;
-                let ctj_r = CtjEngine.evaluate(&r.ig, q).expect("ctj rows");
-                let ctj_c = CtjEngine.evaluate(&c.ig, q).expect("ctj other");
-                let lftj_r = LftjEngine.evaluate(&r.ig, q).expect("lftj rows");
-                let lftj_c = LftjEngine.evaluate(&c.ig, q).expect("lftj other");
-                // Deterministic sampled runs: same seed + same leaf-position
-                // space ⇒ the RNG draws, walks, and estimates are bit-equal.
-                let (mae_r, st_r) = run_fixed_walks(&r.ig, q, &ctj_r, Algo::Wj, 256, cfg);
-                let (mae_c, st_c) = run_fixed_walks(&c.ig, q, &ctj_c, Algo::Wj, 256, cfg);
-                checks += 1;
-                let exact_ok = ctj_r == ctj_c && lftj_r == lftj_c && ctj_r == lftj_r;
-                let sampled_ok = mae_r.to_bits() == mae_c.to_bits() && st_r == st_c;
-                if !exact_ok || !sampled_ok {
-                    mismatches += 1;
-                    writeln!(
-                        out,
-                        "MISMATCH {}/{}/q{:02}/step{}: exact_ok={} sampled_ok={}",
-                        r.name,
-                        other.name(),
-                        qi,
-                        g.step,
-                        exact_ok,
-                        sampled_ok
-                    )
-                    .unwrap();
-                }
             }
         }
     }
     writeln!(
         out,
-        "{} checks across {} datasets × {{csr, compressed}} (leaf positions, pick draws, \
-         CTJ + LFTJ exact, 256-walk WJ): {}",
+        "{} checks across {} datasets × {{csr, compressed}} (leaf positions and prefix ranges \
+         vs naive scan, CTJ + LFTJ exact, 256-walk WJ): {}",
         checks,
-        rows_ds.len(),
+        csr_ds.len(),
         if mismatches == 0 { "all identical" } else { "LAYOUTS DISAGREE" }
     )
     .unwrap();
@@ -538,7 +526,6 @@ mod tests {
         // INDEX_SCALE_MULT.
         let points = index_points(&tiny_cfg(), 1);
         let report = render_index_report(&points);
-        assert!(report.contains("rows"), "missing rows row:\n{report}");
         assert!(report.contains("csr"), "missing csr row:\n{report}");
         assert!(report.contains("compressed"), "missing compressed row:\n{report}");
         assert!(report.contains("ratio"));
@@ -556,7 +543,7 @@ mod tests {
                     .expect("point")
             };
             assert!(
-                by(Layout::Compressed).storage < by(Layout::Csr).storage,
+                by(Layout::Compressed).memory < by(Layout::Csr).memory,
                 "compressed not smaller than csr on {name}"
             );
         }

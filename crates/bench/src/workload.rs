@@ -35,8 +35,8 @@ pub struct BenchConfig {
     /// Wander Join walk-order trial budget (0 = canonical order). The
     /// paper selects the best WJ order per query (§V-B).
     pub wj_order_trials: u64,
-    /// Physical index layout to build datasets with (CSR by default; the
-    /// `--layout rows` flag A/Bs the legacy row-oriented storage).
+    /// Physical index layout to build datasets with (CSR by default;
+    /// `--layout compressed` selects the bit-packed tier).
     pub layout: Layout,
     /// Cap on the `repro scale` thread sweep (the sweep visits
     /// {1, 2, 4, 8} ∩ [1, threads]; `--threads 2` makes a CI smoke run).

@@ -31,7 +31,7 @@ pub struct WanderJoin<'g> {
     /// lookup out of the walk loop).
     step_index: Vec<&'g TrieIndex>,
     /// Per-step constant range for steps with no in-variable (their access
-    /// prefix is fully ground, so the hash lookup happens once here).
+    /// prefix is fully ground, so the prefix lookup happens once here).
     fixed_ranges: Vec<Option<LiveRange>>,
     distinct: bool,
     alpha: usize,

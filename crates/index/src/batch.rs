@@ -2,25 +2,25 @@
 //! batched walk runner.
 //!
 //! A batched walk step resolves one prefix range per live walk. Issuing
-//! the probes in sorted key order turns per-walk hash lookups into a
-//! near-sequential scan of the CSR level arrays: a cursor carried from
-//! the previous hit makes each gallop start where the last one ended, so
-//! a batch of B probes touches each cache line of `l0_keys`/`l1_keys` at
-//! most once instead of B random hash-bucket lines. An optional software
-//! prefetch pulls the window ahead of the cursor while the current probe
-//! resolves.
+//! the probes in sorted key order turns per-walk binary searches into a
+//! near-sequential scan of the level arrays: a cursor carried from the
+//! previous hit makes each gallop start where the last one ended, so a
+//! batch of B probes touches each cache line of `l0_keys`/`l1_keys` at
+//! most once instead of B independent root-to-leaf search paths. An
+//! optional software prefetch pulls the window ahead of the cursor while
+//! the current probe resolves.
 //!
 //! Probes are `(key, slot)` pairs **sorted by key**; results land in
 //! `out[slot]`, so the caller keeps walk order while the index sees key
-//! order. The CSR and compressed layouts on a delta-free index take the
-//! galloping fast path (compressed seeks additionally skip whole
-//! bit-packed blocks via the per-block directory); the row layout and
-//! overlaid indexes fall back to the O(1) hash lookups per probe (still
-//! counted in `index.trie.seek_batch`). All paths derive from the same
-//! sorted rows, so the ranges they return are identical —
-//! `batch_seeks_agree_with_hash_lookups` checks exactly that.
+//! order. A delta-free index takes the galloping sweep (compressed seeks
+//! additionally skip whole bit-packed blocks via the per-block
+//! directory); an overlaid index resolves each probe with the scalar
+//! [`TrieIndex::range1_live`] / [`TrieIndex::range2_live`] (still counted
+//! in `index.trie.seek_batch`). Both derive from the same level arrays,
+//! so the ranges they return are identical —
+//! `batch_seeks_agree_with_scalar_lookups` checks exactly that.
 
-use crate::columnar::GALLOP_LINEAR_SPAN;
+use crate::columnar::{gallop_lower_bound, GALLOP_LINEAR_SPAN};
 use crate::delta::LiveRange;
 use crate::store::{Storage, TrieIndex};
 
@@ -48,14 +48,6 @@ fn prefetch_key(keys: &[u32], i: usize) {
     }
 }
 
-/// First index in `lo..hi` where `keys[i] >= v` — the columnar gallop over
-/// a plain slice, outcome dropped (batch seeks are not attributed to the
-/// per-variable LFTJ stats).
-#[inline]
-fn gallop(keys: &[u32], lo: usize, hi: usize, v: u32) -> usize {
-    crate::columnar::gallop_lower_bound(lo, hi, v, |i| keys[i]).0
-}
-
 impl TrieIndex {
     /// Resolve a batch of 1-value prefix probes, sorted by key ascending
     /// (duplicate keys allowed). `out[slot]` receives the live range of
@@ -66,12 +58,18 @@ impl TrieIndex {
             "seek1_batch probes must be key-sorted"
         );
         kgoa_obs::metrics::TRIE_SEEK_BATCH.add(probes.len() as u64);
-        if !self.has_delta() {
-            if let Storage::Csr(t) = self.storage() {
+        if self.has_delta() {
+            for &(key, slot) in probes {
+                out[slot as usize] = self.range1_live(key);
+            }
+            return;
+        }
+        match self.storage() {
+            Storage::Csr(t) => {
                 let keys = t.l0_key_slice();
                 let mut cur = 0usize;
                 for &(key, slot) in probes {
-                    let pos = gallop(keys, cur, keys.len(), key);
+                    let (pos, _) = gallop_lower_bound(keys, cur, keys.len(), key);
                     cur = pos;
                     prefetch_key(keys, pos + GALLOP_LINEAR_SPAN);
                     out[slot as usize] = if pos < keys.len() && keys[pos] == key {
@@ -80,9 +78,8 @@ impl TrieIndex {
                         LiveRange::EMPTY
                     };
                 }
-                return;
             }
-            if let Storage::Compressed(t) = self.storage() {
+            Storage::Compressed(t) => {
                 // Same carried-cursor discipline; the seek skips whole
                 // bit-packed blocks via the directory's first keys, and
                 // the carried block cache means each block the sorted
@@ -99,11 +96,7 @@ impl TrieIndex {
                         LiveRange::EMPTY
                     };
                 }
-                return;
             }
-        }
-        for &(key, slot) in probes {
-            out[slot as usize] = self.range1_live(key);
         }
     }
 
@@ -117,22 +110,28 @@ impl TrieIndex {
             "seek2_batch probes must be key-sorted"
         );
         kgoa_obs::metrics::TRIE_SEEK_BATCH.add(probes.len() as u64);
-        if !self.has_delta() {
-            if let Storage::Csr(t) = self.storage() {
+        if self.has_delta() {
+            for &(packed, slot) in probes {
+                out[slot as usize] = self.range2_live((packed >> 32) as u32, packed as u32);
+            }
+            return;
+        }
+        // Level-1 cursor and parent window, valid while the probe stream
+        // stays on the same level-0 key.
+        let mut cur0 = 0usize;
+        let mut last_a = None;
+        let mut a_found = false;
+        let mut win = (0usize, 0usize);
+        let mut cur1 = 0usize;
+        match self.storage() {
+            Storage::Csr(t) => {
                 let k0 = t.l0_key_slice();
                 let k1 = t.l1_key_slice();
-                let mut cur0 = 0usize;
-                // Level-1 cursor and parent window, valid while the probe
-                // stream stays on the same level-0 key.
-                let mut last_a = None;
-                let mut a_found = false;
-                let mut win = (0usize, 0usize);
-                let mut cur1 = 0usize;
                 for &(packed, slot) in probes {
                     let a = (packed >> 32) as u32;
                     let b = packed as u32;
                     if last_a != Some(a) {
-                        let pos = gallop(k0, cur0, k0.len(), a);
+                        let (pos, _) = gallop_lower_bound(k0, cur0, k0.len(), a);
                         cur0 = pos;
                         a_found = pos < k0.len() && k0[pos] == a;
                         if a_found {
@@ -144,7 +143,7 @@ impl TrieIndex {
                         last_a = Some(a);
                     }
                     out[slot as usize] = if a_found {
-                        let pos1 = gallop(k1, cur1, win.1, b);
+                        let (pos1, _) = gallop_lower_bound(k1, cur1, win.1, b);
                         cur1 = pos1;
                         prefetch_key(k1, pos1 + GALLOP_LINEAR_SPAN);
                         if pos1 < win.1 && k1[pos1] == b {
@@ -156,17 +155,11 @@ impl TrieIndex {
                         LiveRange::EMPTY
                     };
                 }
-                return;
             }
-            if let Storage::Compressed(t) = self.storage() {
+            Storage::Compressed(t) => {
                 let n0 = t.l0_len();
                 let mut cache0 = crate::compressed::BlockCache::new();
                 let mut cache1 = crate::compressed::BlockCache::new();
-                let mut cur0 = 0usize;
-                let mut last_a = None;
-                let mut a_found = false;
-                let mut win = (0usize, 0usize);
-                let mut cur1 = 0usize;
                 for &(packed, slot) in probes {
                     let a = (packed >> 32) as u32;
                     let b = packed as u32;
@@ -193,11 +186,7 @@ impl TrieIndex {
                         LiveRange::EMPTY
                     };
                 }
-                return;
             }
-        }
-        for &(packed, slot) in probes {
-            out[slot as usize] = self.range2_live((packed >> 32) as u32, packed as u32);
         }
     }
 }
@@ -235,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_seeks_agree_with_hash_lookups() {
+    fn batch_seeks_agree_with_scalar_lookups() {
         for layout in Layout::ALL {
             for idx in variants(layout) {
                 // 1-prefix probes: present, absent, duplicated, unsorted
@@ -284,7 +273,7 @@ mod tests {
     fn batch_seeks_cross_block_boundaries() {
         // A multi-block index (> 128 distinct l0 keys and > 128-wide l1
         // windows) with probes pinned to block edges: the compressed fast
-        // path must agree with the hash lookups exactly where directory
+        // path must agree with the scalar lookups exactly where directory
         // skips engage.
         let blk = crate::compressed::KEYS_PER_BLOCK as u32;
         let triples: Vec<Triple> = (0..4 * blk)

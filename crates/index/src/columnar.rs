@@ -1,10 +1,9 @@
 //! Columnar CSR trie storage — one sorted key array per trie level plus
 //! `u32` child-range offsets.
 //!
-//! The row layout ([`crate::store::Layout::Rows`]) pays 12 bytes per
-//! comparison on every seek and extracts full `[u32; 3]` rows even when a
-//! caller only needs the suffix attribute. The CSR layout stores each
-//! level's keys contiguously:
+//! A sorted array of `[u32; 3]` rows pays 12 bytes per comparison on every
+//! seek and extracts full rows even when a caller only needs the suffix
+//! attribute. The CSR layout stores each level's keys contiguously:
 //!
 //! ```text
 //! level 0   l0_keys:    [a0 a1 a2 ...]                 (distinct, sorted)
@@ -17,10 +16,12 @@
 //! Node `i`'s children occupy `offsets[i]..offsets[i + 1]` in the next
 //! level's arrays, so a seek scans a contiguous `&[u32]` (4-byte stride, 16
 //! keys per cache line) and `next` is `pos + 1` — no run recomputation.
-//! Leaf positions coincide with row positions in the old layout, which
-//! preserves the hash-prefix [`RowRange`] entry points and O(1) sampling
-//! untouched. The reverse maps `l1_of` (leaf → level-1 node) and `l0_of`
-//! (level-1 node → level-0 node) make full-row reconstruction O(1).
+//! Leaf positions coincide with positions in the sorted row array, so a
+//! bound prefix is a contiguous [`RowRange`] of leaves: [`ColumnarTrie::find0`]
+//! and [`ColumnarTrie::find1`] reach it by binary search (O(log fan-out),
+//! no side table), and sampling inside it stays O(1). The reverse maps
+//! `l1_of` (leaf → level-1 node) and `l0_of` (level-1 node → level-0 node)
+//! make full-row reconstruction O(1).
 
 use crate::store::RowRange;
 
@@ -41,20 +42,20 @@ pub enum SeekOutcome {
     Gallop,
 }
 
-/// First index in `lo..hi` where `key(i) >= v`, assuming `key` is
+/// First index in `lo..hi` where `keys[i] >= v`, assuming `keys` is
 /// non-decreasing over the range: linear fast path, then exponential
 /// probing, then binary search inside the probed window.
 #[inline]
 pub(crate) fn gallop_lower_bound(
+    keys: &[u32],
     lo: usize,
     hi: usize,
     v: u32,
-    key: impl Fn(usize) -> u32,
 ) -> (usize, SeekOutcome) {
     let lin_hi = hi.min(lo + GALLOP_LINEAR_SPAN);
     let mut i = lo;
     while i < lin_hi {
-        if key(i) >= v {
+        if keys[i] >= v {
             return (i, SeekOutcome::Linear);
         }
         i += 1;
@@ -71,7 +72,7 @@ pub(crate) fn gallop_lower_bound(
         if probe >= hi {
             break hi;
         }
-        if key(probe) >= v {
+        if keys[probe] >= v {
             break probe;
         }
         l = probe + 1;
@@ -82,7 +83,7 @@ pub(crate) fn gallop_lower_bound(
     let (mut l, mut r) = (l, r);
     while l < r {
         let m = l + (r - l) / 2;
-        if key(m) < v {
+        if keys[m] < v {
             l = m + 1;
         } else {
             r = m;
@@ -106,7 +107,7 @@ pub struct ColumnarTrie {
     /// `l1_offsets[j]..l1_offsets[j+1]` — leaf positions under level-1
     /// node `j`. Length `l1_keys.len() + 1`.
     l1_offsets: Vec<u32>,
-    /// Leaf keys; leaf position == row position in the row layout.
+    /// Leaf keys; leaf position == position in the sorted row array.
     l2_keys: Vec<u32>,
     /// Reverse map: leaf position → its level-1 node id.
     l1_of: Vec<u32>,
@@ -231,6 +232,22 @@ impl ColumnarTrie {
     pub fn l1_leaf_range(&self, j: u32) -> RowRange {
         let (lo, hi) = self.l1_children(j);
         RowRange { start: lo, end: hi }
+    }
+
+    /// The level-0 node whose key is `a`, if present: a binary search over
+    /// the sorted level-0 keys.
+    #[inline]
+    pub fn find0(&self, a: u32) -> Option<u32> {
+        self.l0_keys.binary_search(&a).ok().map(|i| i as u32)
+    }
+
+    /// The level-1 node with key `b` under level-0 node `l0`, if present:
+    /// a binary search confined to that node's child window.
+    #[inline]
+    pub fn find1(&self, l0: u32, b: u32) -> Option<u32> {
+        let (lo, hi) = self.l0_children(l0);
+        let window = &self.l1_keys[lo as usize..hi as usize];
+        window.binary_search(&b).ok().map(|i| lo + i as u32)
     }
 
     /// The leaf keys of a contiguous leaf range — the hot suffix slice CTJ
@@ -374,20 +391,20 @@ mod tests {
         let keys: Vec<u32> = (0..200u32).map(|i| (i / 3) * 2).collect();
         for v in 0..140u32 {
             let expect = keys.partition_point(|k| *k < v);
-            let (got, _) = gallop_lower_bound(0, keys.len(), v, |i| keys[i]);
+            let (got, _) = gallop_lower_bound(&keys, 0, keys.len(), v);
             assert_eq!(got, expect, "target {v}");
             // From a mid-range start position.
             let expect_mid = 50 + keys[50..].partition_point(|k| *k < v);
-            let (got_mid, _) = gallop_lower_bound(50, keys.len(), v, |i| keys[i]);
+            let (got_mid, _) = gallop_lower_bound(&keys, 50, keys.len(), v);
             assert_eq!(got_mid, expect_mid, "target {v} from 50");
         }
         // Nearby targets resolve on the linear path; distant ones gallop.
-        let (_, near) = gallop_lower_bound(0, keys.len(), keys[2], |i| keys[i]);
+        let (_, near) = gallop_lower_bound(&keys, 0, keys.len(), keys[2]);
         assert_eq!(near, SeekOutcome::Linear);
-        let (_, far) = gallop_lower_bound(0, keys.len(), keys[150], |i| keys[i]);
+        let (_, far) = gallop_lower_bound(&keys, 0, keys.len(), keys[150]);
         assert_eq!(far, SeekOutcome::Gallop);
         // Empty range.
-        let (got, out) = gallop_lower_bound(7, 7, 3, |_| unreachable!());
+        let (got, out) = gallop_lower_bound(&[], 7, 7, 3);
         assert_eq!((got, out), (7, SeekOutcome::Linear));
     }
 }

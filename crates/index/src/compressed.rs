@@ -4,7 +4,7 @@
 //! The CSR layout ([`crate::columnar::ColumnarTrie`]) stores every key as
 //! a full `u32` plus 8 bytes of reverse maps per leaf. This tier keeps the
 //! *same position space* — child-range offsets stay `u32` CSR-style, so
-//! leaf positions, hash [`RowRange`] entry points, `RowRange::pick`
+//! leaf positions, the [`RowRange`] of every bound prefix, `RowRange::pick`
 //! sampling, CTJ cache keys and WJ/AJ RNG streams are bit-identical — but
 //! swaps each level's key array for fixed-width blocks:
 //!
@@ -359,8 +359,17 @@ impl PackedColumn {
         (pos, outcome)
     }
 
+    /// Position of key `v` within `lo..hi` (keys sorted over the range),
+    /// if present — the point lookup behind prefix resolution and
+    /// containment. An empty window touches neither directory nor payload.
+    fn find(&self, inv: &[u32], lo: usize, hi: usize, v: u32) -> Option<usize> {
+        let mut cache = BlockCache::new();
+        let (pos, key, _) = self.lower_bound_in(inv, &mut cache, lo, hi, v);
+        (key == Some(v)).then_some(pos)
+    }
+
     /// Heap bytes: payload words plus the directory.
-    fn storage_bytes(&self) -> usize {
+    fn memory_bytes(&self) -> usize {
         self.words.len() * 8 + self.blocks.len() * std::mem::size_of::<BlockDir>()
     }
 
@@ -371,7 +380,7 @@ impl PackedColumn {
 }
 
 /// One order's triples as three compressed key columns plus `u32`
-/// CSR-style child-range offsets. Drop-in third storage tier behind
+/// CSR-style child-range offsets. Drop-in second storage tier behind
 /// [`crate::TrieIndex`] — see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct CompressedTrie {
@@ -603,15 +612,25 @@ impl CompressedTrie {
         (pos, key)
     }
 
+    /// The level-0 node whose key is `a`, if present: a block-skipping
+    /// seek over the level-0 keys.
+    #[inline]
+    pub fn find0(&self, a: u32) -> Option<u32> {
+        self.l0.find(&self.inv, 0, self.l0.len, a).map(|i| i as u32)
+    }
+
+    /// The level-1 node with key `b` under level-0 node `l0`, if present:
+    /// a block-skipping seek from the start of that node's child window.
+    #[inline]
+    pub fn find1(&self, l0: u32, b: u32) -> Option<u32> {
+        let (lo, hi) = self.l0_children(l0);
+        self.l1.find(&self.inv, lo as usize, hi as usize, b).map(|i| i as u32)
+    }
+
     /// Position of leaf key `c` within leaf range `r`, if present — the
     /// compressed counterpart of binary-searching the CSR `l2_slice`.
     pub fn l2_search(&self, r: RowRange, c: u32) -> Option<u32> {
-        let (pos, _) = self.seek2(r.start as usize, r.end as usize, c);
-        if pos < r.end as usize && self.l2.get(&self.inv, pos) == c {
-            Some(pos as u32)
-        } else {
-            None
-        }
+        self.l2.find(&self.inv, r.start as usize, r.end as usize, c).map(|i| i as u32)
     }
 
     /// Reconstruct the full row at `pos` — two offset binary searches plus
@@ -656,19 +675,13 @@ impl CompressedTrie {
         rows
     }
 
-    /// Approximate heap memory, in bytes (== storage bytes; the
-    /// compressed tier has no auxiliary heap structures).
-    pub fn memory_bytes(&self) -> usize {
-        self.storage_bytes()
-    }
-
-    /// Physical storage bytes: packed payloads, block directories, offset
+    /// Heap memory, in bytes: packed payloads, block directories, offset
     /// arrays, rank hints and the inverse hot prefix. The basis for the
     /// bytes/triple comparison in `repro index-bench`.
-    pub fn storage_bytes(&self) -> usize {
-        self.l0.storage_bytes()
-            + self.l1.storage_bytes()
-            + self.l2.storage_bytes()
+    pub fn memory_bytes(&self) -> usize {
+        self.l0.memory_bytes()
+            + self.l1.memory_bytes()
+            + self.l2.memory_bytes()
             + 4 * (self.l0_offsets.len()
                 + self.l1_offsets.len()
                 + self.inv.len()
@@ -827,7 +840,7 @@ mod tests {
             assert_eq!(comp.key2(pos as u32), r[2], "pos {pos}");
         }
         // The packed l2 column beats 4 bytes/key by a wide margin.
-        let l2_bytes = comp.l2.storage_bytes() + 4 * comp.inv.len();
+        let l2_bytes = comp.l2.memory_bytes() + 4 * comp.inv.len();
         assert!(
             l2_bytes * 2 < rows.len() * 4,
             "l2 {} bytes for {} keys",
@@ -880,9 +893,9 @@ mod tests {
         let csr = ColumnarTrie::from_sorted_rows(&rows);
         let comp = CompressedTrie::from_sorted_rows(&rows);
         assert!(
-            comp.storage_bytes() < csr.memory_bytes(),
+            comp.memory_bytes() < csr.memory_bytes(),
             "compressed {} vs csr {}",
-            comp.storage_bytes(),
+            comp.memory_bytes(),
             csr.memory_bytes()
         );
     }

@@ -14,12 +14,13 @@
 //! [`TrieIndex::triple`] dispatch on this space, so a walk plan's
 //! extraction path works unchanged on sampled live positions.
 //!
-//! **Live ranges.** Hash-prefix lookups return a [`LiveRange`]: the main
-//! range, the matching adds range, and the number of tombstones inside the
-//! main range. `len` is exact in O(1) (given the two `partition_point`
-//! calls that computed `dead`), preserving the paper's O(1) fan-out
-//! lookups that Wander/Audit Join weights and the CTJ suffix collapse
-//! rely on. Uniform sampling over a live range costs O(log |tomb|)
+//! **Live ranges.** Prefix lookups return a [`LiveRange`]: the main
+//! range, the matching adds range (each resolved by the trie's own point
+//! lookups), and the number of tombstones inside the main range. `len` is
+//! exact in O(1) once resolved (given the two `partition_point` calls
+//! that computed `dead`), which is what Wander/Audit Join weights and the
+//! CTJ suffix collapse rely on. Uniform sampling over a live range costs
+//! O(log |tomb|)
 //! (rank-select over the tombstone array) instead of O(1) — the price of
 //! reading one consistent snapshot while writers append.
 
@@ -28,8 +29,8 @@ use rand::Rng;
 
 use crate::store::{Layout, RowRange, TrieIndex};
 
-/// The mutable overlay of a [`TrieIndex`]: inserted rows as a small trie
-/// in the same attribute order and layout, plus tombstoned main positions.
+/// The mutable overlay of a [`TrieIndex`]: inserted rows as a small CSR
+/// trie in the same attribute order, plus tombstoned main positions.
 #[derive(Debug)]
 pub(crate) struct DeltaPart {
     /// Inserted rows not present in main, indexed like the main trie.
@@ -182,14 +183,11 @@ impl TrieIndex {
         add_rows.sort_unstable();
         add_rows.dedup();
         add_rows.retain(|r| self.locate(r[0], r[1], r[2]).is_none());
-        // Deltas are small and short-lived: a compressed main keeps its
-        // adds trie uncompressed (CSR) so appends never pay a re-pack —
-        // the background merge re-packs when it folds the delta in.
-        let adds_layout = match self.layout() {
-            Layout::Compressed => Layout::Csr,
-            other => other,
-        };
-        let adds = TrieIndex::from_sorted_rows_in(order, add_rows, adds_layout);
+        // Deltas are small and short-lived: the adds trie is always
+        // uncompressed (CSR), so appends over a compressed main never pay
+        // a re-pack — the background merge re-packs when it folds the
+        // delta in.
+        let adds = TrieIndex::from_sorted_rows_in(order, add_rows, Layout::Csr);
         let mut tomb: Vec<u32> = deletes
             .iter()
             .filter_map(|t| {
@@ -237,16 +235,6 @@ impl TrieIndex {
                 delta: d.adds.range2(a, b),
                 dead: tombs_within(&d.tomb, main),
             },
-        }
-    }
-
-    /// Live range lookup for a prefix of 0, 1 or 2 values.
-    pub fn range_prefix_live(&self, prefix: &[u32]) -> LiveRange {
-        match prefix.len() {
-            0 => self.full_live(),
-            1 => self.range1_live(prefix[0]),
-            2 => self.range2_live(prefix[0], prefix[1]),
-            n => panic!("prefix length {n} out of range (0..=2)"),
         }
     }
 
@@ -435,7 +423,7 @@ mod tests {
             assert_eq!(idx.range2_live(1, 10).len(), 2);
             assert_eq!(idx.range1_live(3).len(), 0); // fully tombstoned
             assert_eq!(idx.range1_live(4).len(), 1); // pure delta
-            assert_eq!(idx.range_prefix_live(&[4, 13]).len(), 1);
+            assert_eq!(idx.range2_live(4, 13).len(), 1);
         }
     }
 
@@ -579,11 +567,8 @@ mod tests {
         assert_eq!(d.layout(), Layout::Compressed, "main stays compressed");
         let adds_layout = d.delta_part().expect("delta").adds.layout();
         assert_eq!(adds_layout, Layout::Csr, "adds trie must stay uncompressed");
-        // Other layouts keep their own layout for the adds trie.
-        for layout in [Layout::Rows, Layout::Csr] {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &base(), layout);
-            let d = idx.with_delta(&[t(9, 9, 9)], &[]);
-            assert_eq!(d.delta_part().expect("delta").adds.layout(), layout);
-        }
+        let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &base(), Layout::Csr);
+        let d = idx.with_delta(&[t(9, 9, 9)], &[]);
+        assert_eq!(d.delta_part().expect("delta").adds.layout(), Layout::Csr);
     }
 }

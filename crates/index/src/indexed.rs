@@ -221,8 +221,8 @@ impl IndexedGraph {
         self.graph.is_empty()
     }
 
-    /// True if the graph contains the triple (O(1) via the SPO hash maps +
-    /// O(log n) third level).
+    /// True if the graph contains the triple: one binary search per level
+    /// of the SPO trie.
     pub fn contains(&self, t: Triple) -> bool {
         self.require(IndexOrder::Spo).contains_row(t.s.raw(), t.p.raw(), t.o.raw())
     }
@@ -267,25 +267,18 @@ mod tests {
     #[test]
     fn explicit_layout_builds_agree() {
         use crate::store::Layout;
-        let rows = IndexedGraph::build_with_layout(graph(), Layout::Rows);
         let csr = IndexedGraph::build_with_layout(graph(), Layout::Csr);
         let comp = IndexedGraph::build_with_layout(graph(), Layout::Compressed);
-        assert_eq!(rows.layout(), Layout::Rows);
         assert_eq!(csr.layout(), Layout::Csr);
         assert_eq!(comp.layout(), Layout::Compressed);
         for order in IndexOrder::PAPER_DEFAULT {
             assert_eq!(
-                rows.require(order).to_rows(),
-                csr.require(order).to_rows(),
-                "order {order}"
-            );
-            assert_eq!(
                 csr.require(order).to_rows(),
                 comp.require(order).to_rows(),
-                "order {order} (compressed)"
+                "order {order}"
             );
         }
-        assert_eq!(rows.stats().triples, csr.stats().triples);
+        assert_eq!(csr.stats().triples, comp.stats().triples);
     }
 
     #[test]

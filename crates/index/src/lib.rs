@@ -1,17 +1,20 @@
 //! # kgoa-index
 //!
-//! Hybrid hashtable/trie indexes for the `kgoa` workspace.
+//! Sorted trie indexes for the `kgoa` workspace.
 //!
 //! The paper's engines (§V-A) share one physical design: each of four
-//! attribute orders (SPO, OPS, PSO, POS) stores the graph's triples in a
-//! sorted array, with hash tables mapping 1- and 2-attribute prefixes to
-//! contiguous ranges. The hash side gives **O(1) uniform sampling** for
-//! Wander Join / Audit Join random walks; the sorted side gives **O(log n)
-//! seeks** for the worst-case-optimal trie joins (LFTJ / CTJ).
+//! attribute orders (SPO, OPS, PSO, POS) stores the graph's triples in
+//! sorted order, so every 1- and 2-attribute prefix is a contiguous range.
+//! Where the paper reaches that range through hash tables beside the
+//! array, this crate enters through the trie's own level arrays — one
+//! binary search per bound level, no side table — and keeps what the
+//! engines need from the range: **O(1) uniform sampling** inside it for
+//! Wander Join / Audit Join random walks, and **O(log n) seeks** for the
+//! worst-case-optimal trie joins (LFTJ / CTJ).
 //!
 //! Provided here:
-//! - [`TrieIndex`] — one order's sorted trie + prefix hash maps, behind a
-//!   runtime [`Layout`] (row-oriented, columnar CSR, or compressed),
+//! - [`TrieIndex`] — one order's sorted trie, behind a runtime [`Layout`]
+//!   (columnar CSR or compressed),
 //! - [`ColumnarTrie`] — the CSR per-level key/offset arrays,
 //! - [`CompressedTrie`] — bit-packed key blocks with a per-block directory
 //!   and frequency-ordered dense-id re-encoding,
@@ -19,7 +22,8 @@
 //!   range, with galloping seeks on either layout,
 //! - [`IndexedGraph`] — a graph with all its indexes and statistics,
 //! - [`GraphStats`] — PostgreSQL-style cardinalities for the tipping point,
-//! - [`FxHashMap`]/[`FxHasher`] — the fast integer hasher used throughout.
+//! - [`FxHashMap`]/[`FxHasher`] — the fast integer hasher the engines'
+//!   memo tables and the statistics use (the index itself holds no map).
 
 #![warn(missing_docs)]
 

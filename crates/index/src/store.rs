@@ -1,13 +1,16 @@
-//! A single-order trie index: hash prefix maps over either row-oriented or
-//! columnar CSR storage.
+//! A single-order trie index over columnar CSR or compressed storage.
 //!
-//! This is the paper's *hybrid hashtable/trie* structure (§V-A): "the
-//! hashtable indexes point to a sorted array, allowing O(1)-time sampling
-//! for WJ and O(log n)-time search for CTJ". Hash maps give O(1) access to
-//! the contiguous range of any 1- or 2-value prefix; galloping search
-//! handles the third level. Three physical layouts sit behind the same
-//! position space (see [`Layout`]): leaf positions are identical in all
-//! of them, so ranges, sampling and cache keys carry over unchanged.
+//! The paper's §V-A keeps hash tables beside the sorted array so that a
+//! bound prefix reaches its contiguous range in O(1). Here the trie is its
+//! own index: the level arrays already encode the range of every 1- and
+//! 2-value prefix, so [`TrieIndex::range1`] / [`TrieIndex::range2`] enter
+//! by one point lookup per bound level (`find0`, then `find1` inside the
+//! child window — O(log fan-out)) and no side table is built, stored or
+//! rebuilt on merge. Sampling *inside* the range stays O(1)
+//! ([`RowRange::pick`]); galloping search handles the third level. Two
+//! physical layouts sit behind the same position space (see [`Layout`]):
+//! leaf positions are identical in both, so ranges, sampling and cache
+//! keys carry over unchanged.
 
 use std::sync::Arc;
 
@@ -16,7 +19,6 @@ use kgoa_rdf::Triple;
 use crate::columnar::ColumnarTrie;
 use crate::compressed::CompressedTrie;
 use crate::delta::DeltaPart;
-use crate::hash::{pack2, FxHashMap};
 use crate::order::IndexOrder;
 
 /// A half-open range of row positions within a [`TrieIndex`].
@@ -87,8 +89,6 @@ impl RowRange {
 /// tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Layout {
-    /// Sorted `[u32; 3]` rows; seeks compare 12-byte rows.
-    Rows,
     /// Columnar CSR: per-level key arrays + child offsets (the default).
     #[default]
     Csr,
@@ -100,12 +100,11 @@ pub enum Layout {
 
 impl Layout {
     /// Every layout, for layout-generic tests and A/B benches.
-    pub const ALL: [Layout; 3] = [Layout::Rows, Layout::Csr, Layout::Compressed];
+    pub const ALL: [Layout; 2] = [Layout::Csr, Layout::Compressed];
 
-    /// Parse a CLI name ("rows" / "csr" / "compressed").
+    /// Parse a CLI name ("csr" / "compressed").
     pub fn parse(s: &str) -> Option<Layout> {
         match s {
-            "rows" => Some(Layout::Rows),
             "csr" => Some(Layout::Csr),
             "compressed" => Some(Layout::Compressed),
             _ => None,
@@ -115,7 +114,6 @@ impl Layout {
     /// The CLI / report name.
     pub fn name(self) -> &'static str {
         match self {
-            Layout::Rows => "rows",
             Layout::Csr => "csr",
             Layout::Compressed => "compressed",
         }
@@ -131,8 +129,6 @@ impl std::fmt::Display for Layout {
 /// The physical storage behind a [`TrieIndex`].
 #[derive(Debug, Clone)]
 pub(crate) enum Storage {
-    /// Sorted permuted rows.
-    Rows(Vec<[u32; 3]>),
     /// Columnar CSR arrays.
     Csr(ColumnarTrie),
     /// Bit-packed compressed blocks.
@@ -146,12 +142,19 @@ pub(crate) struct IndexCore {
     order: IndexOrder,
     len: u32,
     storage: Storage,
-    l1: FxHashMap<u32, RowRange>,
-    l2: FxHashMap<u64, RowRange>,
-    /// Number of distinct level-1 values under each level-0 value
-    /// (e.g. for PSO: distinct subjects per predicate). Used by the
-    /// PostgreSQL-style join-size estimates that drive the tipping point.
-    l1_children: FxHashMap<u32, u32>,
+}
+
+/// Run `$body` with `$t` bound to whichever trie backs `$storage`: both
+/// expose the same node/offset vocabulary (`find0`, `find1`, `key0`,
+/// `l0_children`, `l0_leaf_range`, …), so every accessor below is written
+/// once.
+macro_rules! with_trie {
+    ($storage:expr, $t:ident => $body:expr) => {
+        match $storage {
+            Storage::Csr($t) => $body,
+            Storage::Compressed($t) => $body,
+        }
+    };
 }
 
 /// A sorted trie over all triples of a graph in one attribute order.
@@ -192,47 +195,15 @@ impl TrieIndex {
         Self::from_sorted_rows_in(order, rows, Layout::default())
     }
 
-    /// Build from sorted rows in an explicit [`Layout`]. Debug-asserts
-    /// sortedness.
+    /// Build from sorted rows in an explicit [`Layout`] — one linear pass
+    /// into the level arrays (which debug-assert sortedness).
     pub fn from_sorted_rows_in(order: IndexOrder, rows: Vec<[u32; 3]>, layout: Layout) -> Self {
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be sorted+distinct");
-        let mut l1 = FxHashMap::default();
-        let mut l2 = FxHashMap::default();
-        let mut l1_children = FxHashMap::default();
-        let n = rows.len();
-        let mut i = 0usize;
-        while i < n {
-            let a = rows[i][0];
-            let mut j = i;
-            let mut children = 0u32;
-            while j < n && rows[j][0] == a {
-                let b = rows[j][1];
-                let mut k = j;
-                while k < n && rows[k][0] == a && rows[k][1] == b {
-                    k += 1;
-                }
-                l2.insert(pack2(a, b), RowRange { start: j as u32, end: k as u32 });
-                children += 1;
-                j = k;
-            }
-            l1.insert(a, RowRange { start: i as u32, end: j as u32 });
-            l1_children.insert(a, children);
-            i = j;
-        }
         let storage = match layout {
             Layout::Csr => Storage::Csr(ColumnarTrie::from_sorted_rows(&rows)),
             Layout::Compressed => Storage::Compressed(CompressedTrie::from_sorted_rows(&rows)),
-            Layout::Rows => Storage::Rows(rows),
         };
         TrieIndex {
-            core: Arc::new(IndexCore {
-                order,
-                len: n as u32,
-                storage,
-                l1,
-                l2,
-                l1_children,
-            }),
+            core: Arc::new(IndexCore { order, len: rows.len() as u32, storage }),
             delta: None,
         }
     }
@@ -265,7 +236,6 @@ impl TrieIndex {
     #[inline]
     pub fn layout(&self) -> Layout {
         match self.core.storage {
-            Storage::Rows(_) => Layout::Rows,
             Storage::Csr(_) => Layout::Csr,
             Storage::Compressed(_) => Layout::Compressed,
         }
@@ -278,10 +248,9 @@ impl TrieIndex {
     }
 
     /// Materialize all rows in the sorted, permuted layout (used by the
-    /// incremental merge path and tests; O(n) for the CSR layout).
+    /// incremental merge path and tests; O(n)).
     pub fn to_rows(&self) -> Vec<[u32; 3]> {
         match &self.core.storage {
-            Storage::Rows(rows) => rows.clone(),
             Storage::Csr(c) => (0..self.core.len).map(|pos| c.row(pos)).collect(),
             Storage::Compressed(c) => c.to_rows(),
         }
@@ -305,31 +274,29 @@ impl TrieIndex {
         RowRange { start: 0, end: self.core.len }
     }
 
-    /// O(1): the range of rows whose first attribute equals `a`.
+    /// The range of rows whose first attribute equals `a`: one level-0
+    /// point lookup, O(log distinct level-0 keys).
     #[inline]
     pub fn range1(&self, a: u32) -> RowRange {
-        self.core.l1.get(&a).copied().unwrap_or(RowRange::EMPTY)
+        with_trie!(&self.core.storage, t => {
+            t.find0(a).map_or(RowRange::EMPTY, |n| t.l0_leaf_range(n))
+        })
     }
 
-    /// O(1): the range of rows whose first two attributes equal `(a, b)`.
+    /// The range of rows whose first two attributes equal `(a, b)`: a
+    /// level-0 lookup, then a level-1 lookup inside that node's child
+    /// window (never consulted when `a` is absent).
     #[inline]
     pub fn range2(&self, a: u32, b: u32) -> RowRange {
-        self.core.l2.get(&pack2(a, b)).copied().unwrap_or(RowRange::EMPTY)
-    }
-
-    /// Range lookup for a prefix of 0, 1 or 2 values.
-    pub fn range_prefix(&self, prefix: &[u32]) -> RowRange {
-        match prefix.len() {
-            0 => self.full_range(),
-            1 => self.range1(prefix[0]),
-            2 => self.range2(prefix[0], prefix[1]),
-            n => panic!("prefix length {n} out of range (0..=2)"),
-        }
+        with_trie!(&self.core.storage, t => {
+            let node = t.find0(a).and_then(|n| t.find1(n, b));
+            node.map_or(RowRange::EMPTY, |j| t.l1_leaf_range(j))
+        })
     }
 
     /// Position of the row `(a, b, c)` (in this order's layout), if
-    /// present: O(1) prefix hash + binary search over the contiguous
-    /// level-2 key slice.
+    /// present: the `(a, b)` prefix range, then a binary search over its
+    /// contiguous level-2 keys.
     pub fn locate(&self, a: u32, b: u32, c: u32) -> Option<u32> {
         let r = self.range2(a, b);
         match &self.core.storage {
@@ -337,9 +304,6 @@ impl TrieIndex {
                 Some(r.start + t.l2_slice(r).binary_search(&c).ok()? as u32)
             }
             Storage::Compressed(t) => t.l2_search(r, c),
-            Storage::Rows(rows) => Some(
-                r.start + rows[r.as_usize()].binary_search_by_key(&c, |row| row[2]).ok()? as u32,
-            ),
         }
     }
 
@@ -356,11 +320,7 @@ impl TrieIndex {
     #[inline]
     pub fn row(&self, pos: u32) -> [u32; 3] {
         if pos < self.core.len {
-            match &self.core.storage {
-                Storage::Rows(rows) => rows[pos as usize],
-                Storage::Csr(t) => t.row(pos),
-                Storage::Compressed(t) => t.row(pos),
-            }
+            with_trie!(&self.core.storage, t => t.row(pos))
         } else {
             let d = self.delta.as_deref().expect("position beyond main without a delta");
             d.adds.row(pos - self.core.len)
@@ -374,11 +334,7 @@ impl TrieIndex {
     #[inline]
     pub fn row_from(&self, pos: u32, from: usize) -> [u32; 3] {
         if pos < self.core.len {
-            match &self.core.storage {
-                Storage::Rows(rows) => rows[pos as usize],
-                Storage::Csr(t) => t.row_from(pos, from),
-                Storage::Compressed(t) => t.row_from(pos, from),
-            }
+            with_trie!(&self.core.storage, t => t.row_from(pos, from))
         } else {
             let d = self.delta.as_deref().expect("position beyond main without a delta");
             d.adds.row_from(pos - self.core.len, from)
@@ -394,76 +350,39 @@ impl TrieIndex {
     /// Number of distinct level-0 values.
     #[inline]
     pub fn distinct_l0(&self) -> usize {
-        self.core.l1.len()
+        with_trie!(&self.core.storage, t => t.l0_len())
     }
 
-    /// Number of distinct level-1 values under level-0 value `a`.
+    /// Number of distinct level-1 values under level-0 value `a` (e.g.
+    /// for PSO: distinct subjects per predicate) — the width of the node's
+    /// child window. Feeds the PostgreSQL-style join-size estimates that
+    /// drive the tipping point.
     #[inline]
     pub fn children_of(&self, a: u32) -> u32 {
-        self.core.l1_children.get(&a).copied().unwrap_or(0)
+        with_trie!(&self.core.storage, t => {
+            t.find0(a).map_or(0, |n| {
+                let (lo, hi) = t.l0_children(n);
+                hi - lo
+            })
+        })
     }
 
     /// Iterate over all distinct level-0 values with their ranges, in
     /// sorted order of the value.
     pub fn iter_l0(&self) -> impl Iterator<Item = (u32, RowRange)> + '_ {
-        let mut node = 0u32;
-        let mut row_pos = 0u32;
-        std::iter::from_fn(move || match &self.core.storage {
-            Storage::Csr(t) => {
-                if node as usize >= t.l0_len() {
-                    return None;
-                }
-                let item = (t.key0(node), t.l0_leaf_range(node));
-                node += 1;
-                Some(item)
-            }
-            Storage::Compressed(t) => {
-                if node as usize >= t.l0_len() {
-                    return None;
-                }
-                let item = (t.key0(node), t.l0_leaf_range(node));
-                node += 1;
-                Some(item)
-            }
-            Storage::Rows(rows) => {
-                if row_pos >= self.core.len {
-                    return None;
-                }
-                let a = rows[row_pos as usize][0];
-                let range = self.range1(a);
-                row_pos = range.end;
-                Some((a, range))
-            }
+        (0..self.distinct_l0() as u32).map(move |n| {
+            with_trie!(&self.core.storage, t => (t.key0(n), t.l0_leaf_range(n)))
         })
     }
 
-    /// Physical storage bytes of the main part only — the layout-specific
-    /// arrays, excluding the (layout-independent) hash prefix maps and any
-    /// delta overlay. The basis for the bytes/triple comparison in
-    /// `repro index-bench`.
-    pub fn storage_bytes(&self) -> usize {
-        match &self.core.storage {
-            Storage::Rows(rows) => rows.len() * std::mem::size_of::<[u32; 3]>(),
-            Storage::Csr(t) => t.memory_bytes(),
-            Storage::Compressed(t) => t.storage_bytes(),
-        }
-    }
-
-    /// Approximate heap memory used by this index, in bytes.
+    /// Heap memory used by this index, in bytes: the layout's level arrays
+    /// plus any delta overlay (its adds trie and tombstone array). The
+    /// basis for the bytes/triple comparison in `repro index-bench`.
     pub fn memory_bytes(&self) -> usize {
-        let storage = match &self.core.storage {
-            Storage::Rows(rows) => rows.len() * std::mem::size_of::<[u32; 3]>(),
-            Storage::Csr(t) => t.memory_bytes(),
-            Storage::Compressed(t) => t.memory_bytes(),
-        };
         let delta = self.delta.as_deref().map_or(0, |d| {
             d.adds.memory_bytes() + d.tomb.capacity() * std::mem::size_of::<u32>()
         });
-        storage
-            + delta
-            + self.core.l1.capacity() * (4 + std::mem::size_of::<RowRange>() + 8)
-            + self.core.l2.capacity() * (8 + std::mem::size_of::<RowRange>() + 8)
-            + self.core.l1_children.capacity() * (4 + 4 + 8)
+        with_trie!(&self.core.storage, t => t.memory_bytes()) + delta
     }
 }
 
@@ -492,8 +411,8 @@ mod tests {
     #[test]
     fn layouts_materialize_identical_rows() {
         for order in IndexOrder::ALL {
-            let a = TrieIndex::build_with_layout(order, &sample_triples(), Layout::Rows);
-            let b = TrieIndex::build_with_layout(order, &sample_triples(), Layout::Csr);
+            let a = TrieIndex::build_with_layout(order, &sample_triples(), Layout::Csr);
+            let b = TrieIndex::build_with_layout(order, &sample_triples(), Layout::Compressed);
             assert_eq!(a.to_rows(), b.to_rows(), "order {order}");
             for pos in 0..a.len() as u32 {
                 assert_eq!(a.row(pos), b.row(pos), "order {order} pos {pos}");
@@ -512,14 +431,6 @@ mod tests {
             assert_eq!(idx.range2(1, 11).len(), 1);
             assert_eq!(idx.range2(1, 99).len(), 0);
         }
-    }
-
-    #[test]
-    fn range_prefix_dispatch() {
-        let idx = TrieIndex::build(IndexOrder::Pso, &sample_triples());
-        assert_eq!(idx.range_prefix(&[]).len(), 5);
-        assert_eq!(idx.range_prefix(&[10]).len(), 3); // predicate 10
-        assert_eq!(idx.range_prefix(&[10, 1]).len(), 2); // p=10, s=1
     }
 
     #[test]
@@ -553,6 +464,130 @@ mod tests {
                         assert_eq!(located.is_some(), naive);
                         if let Some(pos) = located {
                             assert_eq!(idx.row(pos), [a, b, c]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `k - 1`, `k`, `k + 1` around every key, plus the domain extremes.
+    fn probes_around(keys: impl Iterator<Item = u32>) -> Vec<u32> {
+        let mut out = vec![0, 1, u32::MAX - 1, u32::MAX];
+        for k in keys {
+            out.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn point_lookups_agree_with_naive_scan_at_the_edges() {
+        let blk = crate::compressed::KEYS_PER_BLOCK as u32;
+        // Gapped keys (2i + 1), so every key has an absent neighbour on
+        // both sides and "between two keys" is always probed.
+        let l0_of = |n: u32| (0..n).map(|i| [2 * i + 1, 7, 7]).collect::<Vec<_>>();
+        let table: Vec<(&str, Vec<[u32; 3]>)> = vec![
+            ("empty", vec![]),
+            ("one triple", vec![[5, 6, 7]]),
+            ("one triple at u32::MAX", vec![[u32::MAX; 3]]),
+            ("gaps", vec![[10, 1, 1], [10, 3, 1], [10, 3, 2], [20, 5, 1], [30, 1, 9]]),
+            ("l0 of exactly one block", l0_of(blk)),
+            ("l0 of one block plus one", l0_of(blk + 1)),
+            (
+                // Level-1 windows of 128 and 129 keys: the first fills
+                // block 0 exactly, the second starts on a block edge and
+                // spills one key into block 2.
+                "l1 windows on block edges",
+                (0..blk)
+                    .map(|j| [1, 2 * j + 1, 9])
+                    .chain((0..=blk).map(|j| [3, 2 * j + 1, 9]))
+                    .collect(),
+            ),
+        ];
+        // A scanned `lo..hi` as the range the index must return.
+        let range_of = |lo: usize, hi: usize| {
+            if lo < hi {
+                RowRange { start: lo as u32, end: hi as u32 }
+            } else {
+                RowRange::EMPTY
+            }
+        };
+        for (name, rows) in &table {
+            let triples: Vec<Triple> = rows.iter().copied().map(Triple::from).collect();
+            // Overlay: tombstone every third main row (the first included),
+            // add a row under an existing 2-prefix, a new level-1 key under
+            // an existing level-0 key, and new level-0 keys at both ends.
+            let deletes: Vec<Triple> = triples.iter().step_by(3).copied().collect();
+            let mut inserts = vec![t(0, 0, 0), t(u32::MAX, 1, 1)];
+            if let Some(&[a, b, c]) = rows.last() {
+                inserts.extend([t(a, b, c.wrapping_add(1)), t(a, b.wrapping_add(1), c)]);
+            }
+            for layout in Layout::ALL {
+                let main = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, layout);
+                for idx in [main.clone(), main.with_delta(&inserts, &deletes)] {
+                    let ctx = format!("{name} / {layout} / delta={}", idx.has_delta());
+                    // The main part against a naive scan of its own rows:
+                    // exact ranges, node ids and child counts.
+                    let base = idx.to_rows();
+                    let mut l0: Vec<u32> = base.iter().map(|r| r[0]).collect();
+                    l0.dedup();
+                    assert_eq!(idx.distinct_l0(), l0.len(), "{ctx}");
+                    for a in probes_around(l0.iter().copied()) {
+                        let lo = base.partition_point(|r| r[0] < a);
+                        let hi = base.partition_point(|r| r[0] <= a);
+                        assert_eq!(idx.range1(a), range_of(lo, hi), "{ctx}: range1({a})");
+                        let node = l0.binary_search(&a).ok().map(|i| i as u32);
+                        assert_eq!(
+                            with_trie!(idx.storage(), trie => trie.find0(a)),
+                            node,
+                            "{ctx}: find0({a})"
+                        );
+                        let mut l1: Vec<u32> = base[lo..hi].iter().map(|r| r[1]).collect();
+                        l1.dedup();
+                        assert_eq!(idx.children_of(a) as usize, l1.len(), "{ctx}: children_of({a})");
+                        for b in probes_around(l1.iter().copied()) {
+                            let lo2 = base.partition_point(|r| (r[0], r[1]) < (a, b));
+                            let hi2 = base.partition_point(|r| (r[0], r[1]) <= (a, b));
+                            assert_eq!(
+                                idx.range2(a, b),
+                                range_of(lo2, hi2),
+                                "{ctx}: range2({a},{b})"
+                            );
+                            if let Some(n) = node {
+                                let found = with_trie!(idx.storage(), trie => trie.find1(n, b));
+                                assert_eq!(found.is_some(), lo2 < hi2, "{ctx}: find1({n},{b})");
+                            }
+                            for c in [0, 1, 7, 9, 10, u32::MAX] {
+                                let pos = base.binary_search(&[a, b, c]).ok().map(|p| p as u32);
+                                assert_eq!(idx.locate(a, b, c), pos, "{ctx}: locate({a},{b},{c})");
+                            }
+                        }
+                    }
+                    // The logical trie against a naive scan of its live rows.
+                    let live = idx.to_rows_live();
+                    let rows_of = |r: crate::LiveRange| {
+                        let mut got: Vec<[u32; 3]> = idx.positions(r).map(|p| idx.row(p)).collect();
+                        got.sort_unstable();
+                        got
+                    };
+                    for a in probes_around(live.iter().map(|r| r[0])) {
+                        let naive: Vec<[u32; 3]> =
+                            live.iter().filter(|r| r[0] == a).copied().collect();
+                        assert_eq!(rows_of(idx.range1_live(a)), naive, "{ctx}: range1_live({a})");
+                        for b in probes_around(naive.iter().map(|r| r[1])) {
+                            let naive2: Vec<[u32; 3]> =
+                                naive.iter().filter(|r| r[1] == b).copied().collect();
+                            let got = idx.range2_live(a, b);
+                            assert_eq!(rows_of(got), naive2, "{ctx}: range2_live({a},{b})");
+                            for c in [0, 1, 7, 9, 10, u32::MAX] {
+                                assert_eq!(
+                                    idx.contains_row(a, b, c),
+                                    naive2.contains(&[a, b, c]),
+                                    "{ctx}: contains_row({a},{b},{c})"
+                                );
+                            }
                         }
                     }
                 }
@@ -612,6 +647,8 @@ mod tests {
             assert_eq!(Layout::parse(layout.name()), Some(layout));
         }
         assert_eq!(Layout::parse("btree"), None);
+        assert_eq!(Layout::parse("rows"), None, "the row layout is gone, not hidden");
+        assert_eq!(Layout::ALL.len(), 2);
         assert_eq!(Layout::default(), Layout::Csr);
     }
 

@@ -1,15 +1,14 @@
 //! Trie iterators over [`TrieIndex`] ranges — the access interface required
 //! by LeapFrog Trie Join (Veldhuizen 2014).
 //!
-//! One public cursor type fronts all three physical layouts. On
-//! [`Layout::Rows`](crate::Layout) levels are row windows and a key's run
-//! must be recomputed after each move; on [`Layout::Csr`](crate::Layout)
-//! levels are node windows over the contiguous per-level key arrays, so
-//! `next_key` is `node + 1` and a run is an `offsets[i]..offsets[i+1]`
-//! lookup; on [`Layout::Compressed`](crate::Layout) the same node windows
-//! apply but keys decode from bit-packed blocks and seeks skip by the
-//! block directory. Seeks gallop: a short linear scan (LFTJ seeks usually
-//! land nearby), then exponential probing, then binary search — see
+//! One public cursor type fronts both physical layouts. On
+//! [`Layout::Csr`](crate::Layout) levels are node windows over the
+//! contiguous per-level key arrays, so `next_key` is `node + 1` and a run
+//! is an `offsets[i]..offsets[i+1]` lookup; on
+//! [`Layout::Compressed`](crate::Layout) the same node windows apply but
+//! keys decode from bit-packed blocks and seeks skip by the block
+//! directory. Seeks gallop: a short linear scan (LFTJ seeks usually land
+//! nearby), then exponential probing, then binary search — see
 //! [`gallop_lower_bound`].
 
 use crate::columnar::{gallop_lower_bound, ColumnarTrie};
@@ -17,20 +16,6 @@ pub use crate::columnar::SeekOutcome;
 use crate::compressed::CompressedTrie;
 use crate::delta::tombs_within;
 use crate::store::{RowRange, Storage, TrieIndex};
-
-/// One opened trie level of a row-layout cursor: the cached window of the
-/// current key's run. Seeks and run lookups reuse this window instead of
-/// re-deriving bounds from the parent level.
-#[derive(Debug, Clone, Copy)]
-struct RowLevel {
-    /// Upper bound of the parent's range: the level is exhausted once
-    /// `run_lo` reaches it.
-    parent_hi: u32,
-    /// Start of the current key's run (== `parent_hi` when exhausted).
-    run_lo: u32,
-    /// One past the end of the current key's run.
-    run_hi: u32,
-}
 
 /// One opened trie level of a CSR cursor: a cached window of node ids in
 /// the level's key array. Distinct keys per node, so no run tracking.
@@ -47,8 +32,9 @@ struct CsrLevel {
 /// [`TrieIndex`].
 ///
 /// The cursor may start below the trie root: a pattern with leading
-/// constants resolves the constants to a [`RowRange`] via the index's hash
-/// prefix maps and then exposes only the remaining levels. `prefix_len` is
+/// constants resolves the constants to a [`RowRange`] via
+/// [`TrieIndex::range1`] / [`TrieIndex::range2`] and then exposes only the
+/// remaining levels. `prefix_len` is
 /// the number of attributes already fixed by that prefix.
 #[derive(Debug, Clone)]
 pub struct TrieCursor<'a> {
@@ -58,7 +44,6 @@ pub struct TrieCursor<'a> {
 
 #[derive(Debug, Clone)]
 enum Repr<'a> {
-    Rows(RowsCursor<'a>),
     Csr(CsrCursor<'a>),
     Comp(CompCursor<'a>),
     /// Overlay view: a main-side cursor merged with a cursor over the
@@ -77,12 +62,6 @@ impl<'a> TrieCursor<'a> {
     pub fn new(index: &'a TrieIndex, base: RowRange, prefix_len: usize) -> Self {
         assert!(prefix_len <= 2, "prefix_len {prefix_len} out of range");
         let repr = match index.storage() {
-            Storage::Rows(rows) => Repr::Rows(RowsCursor {
-                rows,
-                base,
-                prefix_len,
-                levels: Vec::with_capacity(3),
-            }),
             Storage::Csr(csr) => Repr::Csr(CsrCursor {
                 csr,
                 base,
@@ -127,7 +106,6 @@ impl<'a> TrieCursor<'a> {
     #[inline]
     pub fn depth(&self) -> usize {
         match &self.repr {
-            Repr::Rows(c) => c.levels.len(),
             Repr::Csr(c) => c.levels.len(),
             Repr::Comp(c) => c.levels.len(),
             Repr::Merged(c) => c.levels.len(),
@@ -141,7 +119,6 @@ impl<'a> TrieCursor<'a> {
     pub fn open(&mut self) {
         assert!(self.depth() < self.max_depth(), "open() past leaf level");
         match &mut self.repr {
-            Repr::Rows(c) => c.open(),
             Repr::Csr(c) => c.open(),
             Repr::Comp(c) => c.open(),
             Repr::Merged(c) => c.open(),
@@ -151,7 +128,6 @@ impl<'a> TrieCursor<'a> {
     /// Ascend one level.
     pub fn up(&mut self) {
         match &mut self.repr {
-            Repr::Rows(c) => c.up(),
             Repr::Csr(c) => c.up(),
             Repr::Comp(c) => c.up(),
             Repr::Merged(c) => c.up(),
@@ -162,7 +138,6 @@ impl<'a> TrieCursor<'a> {
     #[inline]
     pub fn at_end(&self) -> bool {
         match &self.repr {
-            Repr::Rows(c) => c.at_end(),
             Repr::Csr(c) => c.at_end(),
             Repr::Comp(c) => c.at_end(),
             Repr::Merged(c) => c.at_end(),
@@ -173,7 +148,6 @@ impl<'a> TrieCursor<'a> {
     #[inline]
     pub fn key(&self) -> u32 {
         match &self.repr {
-            Repr::Rows(c) => c.key(),
             Repr::Csr(c) => c.key(),
             Repr::Comp(c) => c.key(),
             Repr::Merged(c) => c.key(),
@@ -188,7 +162,6 @@ impl<'a> TrieCursor<'a> {
     #[inline]
     pub fn run(&self) -> RowRange {
         match &self.repr {
-            Repr::Rows(c) => c.run(),
             Repr::Csr(c) => c.run(),
             Repr::Comp(c) => c.run(),
             Repr::Merged(_) => {
@@ -202,7 +175,6 @@ impl<'a> TrieCursor<'a> {
     #[inline]
     pub fn fanout(&self) -> usize {
         match &self.repr {
-            Repr::Rows(c) => c.run().len(),
             Repr::Csr(c) => c.run().len(),
             Repr::Comp(c) => c.run().len(),
             Repr::Merged(c) => c.fanout(),
@@ -212,7 +184,6 @@ impl<'a> TrieCursor<'a> {
     /// Advance to the next distinct key at this level.
     pub fn next_key(&mut self) {
         match &mut self.repr {
-            Repr::Rows(c) => c.next_key(),
             Repr::Csr(c) => c.next_key(),
             Repr::Comp(c) => c.next_key(),
             Repr::Merged(c) => c.next_key(),
@@ -236,7 +207,6 @@ impl<'a> TrieCursor<'a> {
     /// counted once.
     fn seek_raw(&mut self, v: u32) -> SeekOutcome {
         match &mut self.repr {
-            Repr::Rows(c) => c.seek(v),
             Repr::Csr(c) => c.seek(v),
             Repr::Comp(c) => c.seek(v),
             Repr::Merged(c) => c.seek(v),
@@ -401,108 +371,6 @@ impl MergedCursor<'_> {
     }
 }
 
-/// Row-layout cursor: binary/galloping search over `[u32; 3]` row slices.
-#[derive(Debug, Clone)]
-struct RowsCursor<'a> {
-    rows: &'a [[u32; 3]],
-    base: RowRange,
-    prefix_len: usize,
-    levels: Vec<RowLevel>,
-}
-
-impl RowsCursor<'_> {
-    /// The row-attribute index addressed by the top level.
-    #[inline]
-    fn attr(&self) -> usize {
-        self.prefix_len + self.levels.len() - 1
-    }
-
-    fn open(&mut self) {
-        let (parent_lo, parent_hi) = match self.levels.last() {
-            None => (self.base.start, self.base.end),
-            Some(top) => {
-                assert!(top.run_lo < top.parent_hi, "open() on exhausted level");
-                (top.run_lo, top.run_hi)
-            }
-        };
-        self.levels.push(RowLevel { parent_hi, run_lo: parent_lo, run_hi: parent_lo });
-        self.recompute_run_hi();
-    }
-
-    fn up(&mut self) {
-        self.levels.pop().expect("up() at root");
-    }
-
-    #[inline]
-    fn at_end(&self) -> bool {
-        let top = self.levels.last().expect("at_end() requires an open level");
-        top.run_lo >= top.parent_hi
-    }
-
-    #[inline]
-    fn key(&self) -> u32 {
-        let top = self.levels.last().expect("key() requires an open level");
-        debug_assert!(top.run_lo < top.parent_hi, "key() at end");
-        self.rows[top.run_lo as usize][self.attr()]
-    }
-
-    #[inline]
-    fn run(&self) -> RowRange {
-        let top = self.levels.last().expect("run() requires an open level");
-        RowRange { start: top.run_lo, end: top.run_hi }
-    }
-
-    fn next_key(&mut self) {
-        let top = self.levels.last_mut().expect("next_key() requires an open level");
-        debug_assert!(top.run_lo < top.parent_hi, "next_key() at end");
-        top.run_lo = top.run_hi;
-        self.recompute_run_hi();
-    }
-
-    fn seek(&mut self, v: u32) -> SeekOutcome {
-        let attr = self.attr();
-        let rows = self.rows;
-        let top = self.levels.last_mut().expect("seek() requires an open level");
-        // The level window (run_lo, run_hi, parent_hi) is cached in the
-        // level itself; a seek starts from it rather than re-deriving
-        // bounds from the parent.
-        if top.run_lo >= top.parent_hi || rows[top.run_lo as usize][attr] >= v {
-            return SeekOutcome::Linear;
-        }
-        let before = top.run_lo;
-        let (pos, outcome) = gallop_lower_bound(
-            top.run_lo as usize,
-            top.parent_hi as usize,
-            v,
-            |i| rows[i][attr],
-        );
-        top.run_lo = pos as u32;
-        debug_assert!(top.run_lo >= before, "seek must be monotone");
-        self.recompute_run_hi();
-        outcome
-    }
-
-    /// Recompute `run_hi` as the end of the run of the key at `run_lo`.
-    fn recompute_run_hi(&mut self) {
-        let attr = self.attr();
-        let rows = self.rows;
-        let top = self.levels.last_mut().expect("level present");
-        if top.run_lo >= top.parent_hi {
-            top.run_hi = top.parent_hi;
-            return;
-        }
-        let key = rows[top.run_lo as usize][attr];
-        // First row past the run: gallop for `key + 1` (keys sorted).
-        let (pos, _) = gallop_lower_bound(
-            top.run_lo as usize,
-            top.parent_hi as usize,
-            key + 1,
-            |i| rows[i][attr],
-        );
-        top.run_hi = pos as u32;
-    }
-}
-
 /// CSR cursor: node windows over the contiguous per-level key arrays.
 #[derive(Debug, Clone)]
 struct CsrCursor<'a> {
@@ -519,7 +387,7 @@ impl CsrCursor<'_> {
         self.prefix_len + self.levels.len() - 1
     }
 
-    /// Node window at absolute level `prefix_len` covering `base`. Hash
+    /// Node window at absolute level `prefix_len` covering `base`. Prefix
     /// ranges are node-aligned, so window ends can be derived from the
     /// last leaf of the base range.
     fn root_window(&self) -> (u32, u32) {
@@ -609,7 +477,7 @@ impl CsrCursor<'_> {
         }
         let before = top.cur;
         let (pos, outcome) =
-            gallop_lower_bound(top.cur as usize, top.hi as usize, v, |i| keys[i]);
+            gallop_lower_bound(keys, top.cur as usize, top.hi as usize, v);
         top.cur = pos as u32;
         debug_assert!(top.cur >= before, "seek must be monotone");
         outcome
@@ -952,42 +820,39 @@ mod tests {
 
     #[test]
     fn layouts_agree_on_full_walk() {
-        // Walk every layout through an identical open/seek/next script and
-        // require identical keys and runs at every point (Rows is the
-        // reference).
+        // Walk both layouts through an identical open/seek/next script and
+        // require identical keys and runs at every point.
         let triples: Vec<Triple> = (0..40u32)
             .map(|i| Triple::from([i % 5, 10 + (i % 3), 100 + i]))
             .collect();
-        let rows_idx = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, Layout::Rows);
-        for other in [Layout::Csr, Layout::Compressed] {
-            let other_idx = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, other);
-            let mut a = TrieCursor::over_index(&rows_idx);
-            let mut b = TrieCursor::over_index(&other_idx);
+        let csr = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, Layout::Csr);
+        let comp = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, Layout::Compressed);
+        let mut a = TrieCursor::over_index(&csr);
+        let mut b = TrieCursor::over_index(&comp);
+        a.open();
+        b.open();
+        while !a.at_end() {
+            assert!(!b.at_end());
+            assert_eq!(a.key(), b.key());
+            assert_eq!(a.run(), b.run());
             a.open();
             b.open();
+            a.seek(11);
+            b.seek(11);
             while !a.at_end() {
-                assert!(!b.at_end(), "layout {other}");
-                assert_eq!(a.key(), b.key(), "layout {other}");
-                assert_eq!(a.run(), b.run(), "layout {other}");
-                a.open();
-                b.open();
-                a.seek(11);
-                b.seek(11);
-                while !a.at_end() {
-                    assert!(!b.at_end(), "layout {other}");
-                    assert_eq!(a.key(), b.key(), "layout {other}");
-                    assert_eq!(a.run(), b.run(), "layout {other}");
-                    a.next_key();
-                    b.next_key();
-                }
-                assert!(b.at_end(), "layout {other}");
-                a.up();
-                b.up();
+                assert!(!b.at_end());
+                assert_eq!(a.key(), b.key());
+                assert_eq!(a.run(), b.run());
                 a.next_key();
                 b.next_key();
             }
-            assert!(b.at_end(), "layout {other}");
+            assert!(b.at_end());
+            a.up();
+            b.up();
+            a.next_key();
+            b.next_key();
         }
+        assert!(b.at_end());
     }
 
     /// Exhaustively walk a cursor, returning (depth, key, fanout) tuples
@@ -1098,17 +963,6 @@ mod tests {
     #[should_panic(expected = "open() past leaf level")]
     fn open_past_leaf_panics() {
         let idx = index_in(Layout::Csr);
-        let mut c = TrieCursor::over_index(&idx);
-        c.open();
-        c.open();
-        c.open();
-        c.open();
-    }
-
-    #[test]
-    #[should_panic(expected = "open() past leaf level")]
-    fn open_past_leaf_panics_rows() {
-        let idx = index_in(Layout::Rows);
         let mut c = TrieCursor::over_index(&idx);
         c.open();
         c.open();

@@ -4,8 +4,8 @@
 //! Rebuilding a trie index from scratch costs a full O(n log n) sort per
 //! order. When a batch of new triples arrives, the existing rows are
 //! already sorted, so each order can instead sort only the (small) batch
-//! and merge — O(n + m log m) — and rebuild its prefix hash maps in the
-//! same linear pass it would need anyway. Deletions are handled in the
+//! and merge — O(n + m log m) — and lay the merged rows back out as
+//! level arrays in one more linear pass. Deletions are handled in the
 //! same merge (set difference), so a batch can mix inserts and removes.
 
 use kgoa_rdf::Triple;

@@ -3,8 +3,9 @@
 //! LeapFrog Trie Join fixes a global variable order and, for each pattern,
 //! needs a trie whose level sequence is compatible: the pattern's variables
 //! must appear at consecutive-or-later levels in increasing global order.
-//! Constants may occupy any level — leading constants are resolved through
-//! the hash prefix maps, embedded constants by a `seek` at their level.
+//! Constants may occupy any level — leading constants are resolved to a
+//! prefix range by the index's point lookups, embedded constants by a
+//! `seek` at their level.
 
 use kgoa_index::IndexOrder;
 use kgoa_rdf::TermId;

@@ -101,8 +101,9 @@ impl WalkAccess {
     /// Resolve the candidate row range for this access within `index`
     /// (which must be the index for [`WalkAccess::order`]).
     ///
-    /// O(1) for prefixes of length ≤ 2 (hash maps); O(log n) for the
-    /// fully-bound existence check.
+    /// One binary search per bound level: O(log fan-out) for prefixes of
+    /// length ≤ 2, one more over the leaf keys for the fully-bound
+    /// existence check. Sampling inside the returned range is O(1).
     pub fn resolve(&self, index: &TrieIndex, in_value: Option<u32>) -> RowRange {
         let vals = self.prefix_values(in_value);
         match self.prefix.len() {

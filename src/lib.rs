@@ -3,8 +3,8 @@
 //! A from-scratch Rust implementation of *"Exploration of Knowledge Graphs
 //! via Online Aggregation"* (Kalinsky, Hogan, Mishali, Etsion, Kimelfeld;
 //! ICDE 2022): the **Audit Join** online-aggregation algorithm together
-//! with every substrate it depends on — an RDF store with hybrid
-//! hashtable/trie indexes, worst-case-optimal joins (LeapFrog / Cached
+//! with every substrate it depends on — an RDF store with sorted trie
+//! indexes, worst-case-optimal joins (LeapFrog / Cached
 //! Trie Join), Wander Join, a visual exploration model, synthetic
 //! knowledge-graph generators, and a benchmark harness that regenerates
 //! the paper's evaluation.

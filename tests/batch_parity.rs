@@ -4,8 +4,8 @@
 //!
 //! 1. **Batch-1 compatibility is bit-identical** to the legacy sequential
 //!    runner — same estimates, same half-widths, same walk and per-step
-//!    counters, and the same RNG stream position afterwards — on all
-//!    three index layouts and with and without distinct semantics.
+//!    counters, and the same RNG stream position afterwards — on both
+//!    index layouts and with and without distinct semantics.
 //! 2. **Larger batches stay unbiased**: on seeded fuzz graphs the batched
 //!    estimators converge to the exact answer.
 //! 3. **Adaptive tipping converges** within the static threshold's error

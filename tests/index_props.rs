@@ -6,7 +6,9 @@
 //! from `SmallRng::seed_from_u64(BASE + i)`, so a failure report's case
 //! number reproduces exactly.
 
-use kgoa_index::{IndexOrder, IndexedGraph, Layout, TrieCursor, TrieIndex};
+use kgoa_index::{
+    pack2, IndexOrder, IndexedGraph, Layout, LiveRange, RowRange, TrieCursor, TrieIndex,
+};
 use kgoa_rdf::{subclass_closure, GraphBuilder, TermId, Triple};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -32,6 +34,19 @@ fn build(triples: &[(u8, u8, u8)]) -> Vec<Triple> {
     ts
 }
 
+/// The rows starting with `prefix`, as a position range of the sorted
+/// `rows` — the naive reference for every prefix lookup.
+fn scan(rows: &[[u32; 3]], prefix: &[u32]) -> RowRange {
+    let k = prefix.len();
+    let lo = rows.partition_point(|r| &r[..k] < prefix);
+    let hi = rows.partition_point(|r| &r[..k] <= prefix);
+    if lo < hi {
+        RowRange { start: lo as u32, end: hi as u32 }
+    } else {
+        RowRange::EMPTY
+    }
+}
+
 #[test]
 fn ranges_agree_with_scan() {
     for case in 0..CASES {
@@ -41,22 +56,52 @@ fn ranges_agree_with_scan() {
         let layout = Layout::ALL[(case % 2) as usize];
         let idx = TrieIndex::build_with_layout(order, &triples, layout);
         assert_eq!(idx.len(), triples.len(), "case {case}");
-        let [a_pos, b_pos, _] = order.positions();
-        // Every 1-prefix range matches a scan count.
-        for t in &triples {
-            let a = t.get(a_pos).raw();
-            let expect = triples.iter().filter(|x| x.get(a_pos).raw() == a).count();
-            assert_eq!(idx.range1(a).len(), expect, "case {case}");
-            let b = t.get(b_pos).raw();
-            let expect2 = triples
-                .iter()
-                .filter(|x| x.get(a_pos).raw() == a && x.get(b_pos).raw() == b)
-                .count();
-            assert_eq!(idx.range2(a, b).len(), expect2, "case {case}");
+        let mut rows: Vec<[u32; 3]> = triples.iter().map(|t| order.permute(*t)).collect();
+        rows.sort_unstable();
+        assert_eq!(idx.to_rows(), rows, "case {case}");
+        let distinct = |keys: &mut Vec<u32>| {
+            keys.sort_unstable();
+            keys.dedup();
+            keys.len()
+        };
+        assert_eq!(
+            idx.distinct_l0(),
+            distinct(&mut rows.iter().map(|r| r[0]).collect()),
+            "case {case}"
+        );
+        // Every id any attribute takes, plus ids no triple uses: present
+        // and absent keys at every level, in sorted order for the batches.
+        let ids: Vec<u32> = (0..16).chain(98..108).chain(198..218).chain([99_999]).collect();
+        let mut probes1 = Vec::new();
+        let mut probes2 = Vec::new();
+        for &a in &ids {
+            let r1 = scan(&rows, &[a]);
+            assert_eq!(idx.range1(a), r1, "case {case}: range1({a})");
+            let mut l1: Vec<u32> = rows[r1.as_usize()].iter().map(|r| r[1]).collect();
+            assert_eq!(idx.children_of(a) as usize, distinct(&mut l1), "case {case}: {a}");
+            probes1.push((a, probes1.len() as u32));
+            for &b in &ids {
+                let r2 = scan(&rows, &[a, b]);
+                assert_eq!(idx.range2(a, b), r2, "case {case}: range2({a},{b})");
+                probes2.push((pack2(a, b), probes2.len() as u32));
+                for c in rows[r2.as_usize()].iter().map(|r| r[2]).chain([0, 99_999]) {
+                    let pos = rows.binary_search(&[a, b, c]).ok().map(|p| p as u32);
+                    assert_eq!(idx.locate(a, b, c), pos, "case {case}: locate({a},{b},{c})");
+                }
+            }
         }
-        // Missing keys yield empty ranges.
-        assert!(idx.range1(99_999).is_empty(), "case {case}");
-        assert!(idx.range2(99_999, 1).is_empty(), "case {case}");
+        // The sorted batch sweeps return what the scalar lookups do.
+        let mut out1 = vec![LiveRange::EMPTY; probes1.len()];
+        idx.seek1_batch(&probes1, &mut out1);
+        for (&(a, _), got) in probes1.iter().zip(&out1) {
+            assert_eq!(*got, LiveRange::solid(scan(&rows, &[a])), "case {case}: batch1({a})");
+        }
+        let mut out2 = vec![LiveRange::EMPTY; probes2.len()];
+        idx.seek2_batch(&probes2, &mut out2);
+        for (&(packed, _), got) in probes2.iter().zip(&out2) {
+            let (a, b) = ((packed >> 32) as u32, packed as u32);
+            assert_eq!(*got, LiveRange::solid(scan(&rows, &[a, b])), "case {case}: batch2({a},{b})");
+        }
     }
 }
 
