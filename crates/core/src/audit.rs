@@ -24,7 +24,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::accum::{GroupAccumulator, WalkStats};
 use crate::online::OnlineAggregator;
-use crate::pinned::PrAb;
+use crate::pinned::{PrAb, PrAbStats};
 
 /// The paper's static tipping threshold (§V-B), and the starting point of
 /// the adaptive controller.
@@ -105,7 +105,6 @@ struct TipCtl {
 
 /// An Audit Join run over one query.
 pub struct AuditJoin<'g> {
-    ig: &'g IndexedGraph,
     /// Shared so parallel workers reuse one plan instead of deep-cloning.
     plan: std::sync::Arc<WalkPlan>,
     /// Per-step index, resolved once at construction (hoists the order
@@ -141,8 +140,10 @@ pub struct AuditJoin<'g> {
     // Per-walk scratch buffers (cleared each walk, reused to avoid
     // allocation on the hot path).
     masses: FxHashMap<u64, f64>,
+    /// A tipped walk's `(pack2(a, b), M(a,b) / Pr(a,b))` terms in key
+    /// order, so a group's sum never depends on the hasher.
+    terms: Vec<(u64, f64)>,
     group_counts: FxHashMap<u32, u64>,
-    group_sums: FxHashMap<u32, f64>,
     /// SoA scratch for the batched runner (empty until the first batch).
     batch: crate::batch::BatchScratch,
 }
@@ -170,14 +171,7 @@ impl<'g> AuditJoin<'g> {
         let counter = CtjCounter::new(ig, std::sync::Arc::clone(&plan));
         let prab = PrAb::new(ig, query.clone(), std::sync::Arc::clone(&plan));
         let n = plan.len();
-        let step_index: Vec<&TrieIndex> =
-            plan.steps().iter().map(|s| ig.require(s.access.order)).collect();
-        let fixed_ranges: Vec<Option<LiveRange>> = plan
-            .steps()
-            .iter()
-            .zip(&step_index)
-            .map(|(s, idx)| s.in_var.is_none().then(|| s.access.resolve_live(idx, None)))
-            .collect();
+        let (step_index, fixed_ranges) = resolve_steps(ig, &plan);
         let first_range = plan.steps()[0].access.resolve_live(step_index[0], None);
         let threshold = config.tipping.initial_threshold();
         let ctl = (config.tipping == Tipping::Adaptive).then(|| TipCtl {
@@ -188,7 +182,6 @@ impl<'g> AuditJoin<'g> {
         });
         kgoa_obs::metrics::AJ_TIP_THRESHOLD.set(threshold as i64);
         Ok(AuditJoin {
-            ig,
             step_index,
             fixed_ranges,
             first_range,
@@ -209,8 +202,8 @@ impl<'g> AuditJoin<'g> {
             step_tips: vec![0; n],
             rng: SmallRng::seed_from_u64(config.seed),
             masses: FxHashMap::default(),
+            terms: Vec::new(),
             group_counts: FxHashMap::default(),
-            group_sums: FxHashMap::default(),
             batch: crate::batch::BatchScratch::default(),
         })
     }
@@ -272,9 +265,9 @@ impl<'g> AuditJoin<'g> {
         self.counter.cache_stats()
     }
 
-    /// Number of cached `Pr(a, b)` pairs.
-    pub fn cached_pairs(&self) -> usize {
-        self.prab.cached_pairs()
+    /// Work counters of the `Pr(a, b)` layer.
+    pub fn prab_stats(&self) -> PrAbStats {
+        self.prab.stats()
     }
 
     /// Per-step `(visits, dead_ends, tips)` counters, indexed by
@@ -287,8 +280,9 @@ impl<'g> AuditJoin<'g> {
 
     /// Emit this run's walk-phase attribution into the active profile
     /// scope (no-op when none): one `aj.walks` span with per-step
-    /// accept/reject/tip leaves, and an `aj.exact_suffix` child carrying
-    /// the per-node cache stats of the CTJ substrate the tipped walks
+    /// accept/reject/tip leaves, an `aj.pr_ab` leaf with the `Pr(a, b)`
+    /// layer's counters, and an `aj.exact_suffix` child carrying the
+    /// per-node cache stats of the CTJ substrate the tipped walks
     /// delegated to.
     pub fn profile_emit(&self) {
         if !kgoa_obs::profile::active() {
@@ -309,6 +303,17 @@ impl<'g> AuditJoin<'g> {
                 ],
             );
         }
+        let pr = self.prab.stats();
+        kgoa_obs::profile::leaf(
+            "aj.pr_ab",
+            &[
+                ("plans", pr.plans),
+                ("pairs", pr.pairs),
+                ("hits", pr.hits),
+                ("rows", pr.rows),
+                ("seeks", pr.seeks),
+            ],
+        );
         {
             let suffix = kgoa_obs::profile::span("aj.exact_suffix");
             self.counter.profile_emit();
@@ -359,14 +364,13 @@ impl<'g> AuditJoin<'g> {
                 kgoa_obs::metrics::WALKS_FULL.inc();
                 return Ok(());
             }
-            let next_step = &self.plan.steps()[i + 1];
-            let next = match self.fixed_ranges[i + 1] {
-                Some(r) => r,
-                None => {
-                    let in_value = next_step.in_var.map(|(v, _)| self.assignment[v.index()]);
-                    next_step.access.resolve_live(self.step_index[i + 1], in_value)
-                }
-            };
+            let next = step_range(
+                &self.plan,
+                &self.step_index,
+                &self.fixed_ranges,
+                i + 1,
+                &self.assignment,
+            );
             // Tipping point (Fig. 7 line 11): estimated completions of the
             // remaining suffix, using the exact next fan-out.
             let est_rem = self.est.remaining(i + 1, next.len() as u64);
@@ -423,8 +427,9 @@ impl<'g> AuditJoin<'g> {
         if self.distinct {
             self.masses.clear();
             try_suffix_masses(
-                self.ig,
                 &self.plan,
+                &self.step_index,
+                &self.fixed_ranges,
                 &mut self.counter,
                 self.alpha,
                 self.beta,
@@ -437,26 +442,35 @@ impl<'g> AuditJoin<'g> {
             if self.masses.is_empty() {
                 return Ok(false);
             }
+            self.terms.clear();
+            self.terms.extend(self.masses.iter().map(|(&key, &m)| (key, m)));
+            self.terms.sort_unstable_by_key(|&(key, _)| key);
+            for (key, m) in &mut self.terms {
+                let pr = self.prab.try_pr((*key >> 32) as u32, *key as u32, &mut meter)?;
+                debug_assert!(pr > 0.0);
+                *m /= pr;
+            }
             // One accumulator sample per group: sum the per-(a, b) terms
             // first so the confidence-interval bookkeeping sees a single
-            // sample per walk.
-            self.group_sums.clear();
-            for (&key, &m) in self.masses.iter() {
+            // sample per walk. Sorted keys keep a group's terms adjacent.
+            let mut rest = self.terms.as_slice();
+            while let Some(&(key, _)) = rest.first() {
                 let a = (key >> 32) as u32;
-                let b = key as u32;
-                let pr = self.prab.try_pr(a, b, &mut meter)?;
-                debug_assert!(pr > 0.0);
-                *self.group_sums.entry(a).or_insert(0.0) += m / pr;
-            }
-            for (&a, &x) in self.group_sums.iter() {
+                let run = rest.partition_point(|&(k, _)| (k >> 32) as u32 == a);
+                let mut x = 0.0;
+                for &(_, t) in &rest[..run] {
+                    x += t;
+                }
                 self.accum.add(a, x);
+                rest = &rest[run..];
             }
             Ok(true)
         } else {
             self.group_counts.clear();
             try_suffix_group_counts(
-                self.ig,
                 &self.plan,
+                &self.step_index,
+                &self.fixed_ranges,
                 &mut self.counter,
                 self.alpha,
                 step,
@@ -665,6 +679,39 @@ impl OnlineAggregator for AuditJoin<'_> {
     }
 }
 
+/// Per plan step, the index of its access order and — for a step without
+/// in-variable — its constant range: everything about a step's range that
+/// can be resolved before any walk starts.
+fn resolve_steps<'g>(
+    ig: &'g IndexedGraph,
+    plan: &WalkPlan,
+) -> (Vec<&'g TrieIndex>, Vec<Option<LiveRange>>) {
+    plan.steps()
+        .iter()
+        .map(|s| {
+            let index = ig.require(s.access.order);
+            (index, s.in_var.is_none().then(|| s.access.resolve_live(index, None)))
+        })
+        .unzip()
+}
+
+/// The live range of plan step `step` under `assignment`, given the
+/// tables of [`resolve_steps`].
+#[inline]
+fn step_range(
+    plan: &WalkPlan,
+    step_index: &[&TrieIndex],
+    fixed_ranges: &[Option<LiveRange>],
+    step: usize,
+    assignment: &[u32],
+) -> LiveRange {
+    fixed_ranges[step].unwrap_or_else(|| {
+        let s = &plan.steps()[step];
+        let in_value = s.in_var.map(|(v, _)| assignment[v.index()]);
+        s.access.resolve_live(step_index[step], in_value)
+    })
+}
+
 /// Exact per-(a, b) suffix probability masses `M_δ(a, b)` of a walk prefix
 /// δ ending before `step`: enumerate the suffix until both α and β are
 /// bound, then close with the cached walk-success mass. Public because the
@@ -682,19 +729,32 @@ pub fn suffix_masses(
     out: &mut FxHashMap<u64, f64>,
 ) {
     let mut meter = ExecBudget::unlimited().meter();
+    let (step_index, fixed_ranges) = resolve_steps(ig, plan);
     try_suffix_masses(
-        ig, plan, counter, alpha, beta, step, weight, assignment, out, &mut meter,
+        plan,
+        &step_index,
+        &fixed_ranges,
+        counter,
+        alpha,
+        beta,
+        step,
+        weight,
+        assignment,
+        out,
+        &mut meter,
     )
     .expect("unlimited budget cannot trip")
 }
 
-/// [`suffix_masses`] under a cooperative budget: the enumeration ticks the
-/// meter per recursion node and aborts (with `out` partially filled) when
-/// it trips.
+/// [`suffix_masses`] under a cooperative budget, over the per-step index
+/// and constant-range tables the caller resolved once for `plan`: the
+/// enumeration ticks the meter per recursion node and aborts (with `out`
+/// partially filled) when it trips.
 #[allow(clippy::too_many_arguments)]
 pub fn try_suffix_masses(
-    ig: &IndexedGraph,
     plan: &WalkPlan,
+    step_index: &[&TrieIndex],
+    fixed_ranges: &[Option<LiveRange>],
     counter: &mut CtjCounter<'_>,
     alpha: Var,
     beta: Var,
@@ -714,10 +774,8 @@ pub fn try_suffix_masses(
         return Ok(());
     }
     debug_assert!(step < plan.len(), "all variables bound at plan end");
-    let s = &plan.steps()[step];
-    let index = ig.require(s.access.order);
-    let in_value = s.in_var.map(|(v, _)| assignment[v.index()]);
-    let range = s.access.resolve_live(index, in_value);
+    let index = step_index[step];
+    let range = step_range(plan, step_index, fixed_ranges, step, assignment);
     if range.is_empty() {
         return Ok(());
     }
@@ -726,8 +784,9 @@ pub fn try_suffix_masses(
         meter.tick()?;
         plan.extract_at(index, step, pos, assignment);
         try_suffix_masses(
-            ig,
             plan,
+            step_index,
+            fixed_ranges,
             counter,
             alpha,
             beta,
@@ -754,17 +813,30 @@ pub fn suffix_group_counts(
     out: &mut FxHashMap<u32, u64>,
 ) {
     let mut meter = ExecBudget::unlimited().meter();
-    try_suffix_group_counts(ig, plan, counter, alpha, step, assignment, out, &mut meter)
-        .expect("unlimited budget cannot trip")
+    let (step_index, fixed_ranges) = resolve_steps(ig, plan);
+    try_suffix_group_counts(
+        plan,
+        &step_index,
+        &fixed_ranges,
+        counter,
+        alpha,
+        step,
+        assignment,
+        out,
+        &mut meter,
+    )
+    .expect("unlimited budget cannot trip")
 }
 
-/// [`suffix_group_counts`] under a cooperative budget: the enumeration
-/// ticks the meter per recursion node and aborts (with `out` partially
-/// filled) when it trips.
+/// [`suffix_group_counts`] under a cooperative budget, over the same
+/// per-step tables as [`try_suffix_masses`]: the enumeration ticks the
+/// meter per recursion node and aborts (with `out` partially filled) when
+/// it trips.
 #[allow(clippy::too_many_arguments)]
 pub fn try_suffix_group_counts(
-    ig: &IndexedGraph,
     plan: &WalkPlan,
+    step_index: &[&TrieIndex],
+    fixed_ranges: &[Option<LiveRange>],
     counter: &mut CtjCounter<'_>,
     alpha: Var,
     step: usize,
@@ -780,14 +852,22 @@ pub fn try_suffix_group_counts(
         return Ok(());
     }
     debug_assert!(step < plan.len(), "α is bound by the end of the plan");
-    let s = &plan.steps()[step];
-    let index = ig.require(s.access.order);
-    let in_value = s.in_var.map(|(v, _)| assignment[v.index()]);
-    let range = s.access.resolve_live(index, in_value);
+    let index = step_index[step];
+    let range = step_range(plan, step_index, fixed_ranges, step, assignment);
     for pos in index.positions(range) {
         meter.tick()?;
         plan.extract_at(index, step, pos, assignment);
-        try_suffix_group_counts(ig, plan, counter, alpha, step + 1, assignment, out, meter)?;
+        try_suffix_group_counts(
+            plan,
+            step_index,
+            fixed_ranges,
+            counter,
+            alpha,
+            step + 1,
+            assignment,
+            out,
+            meter,
+        )?;
     }
     Ok(())
 }
@@ -1082,7 +1162,72 @@ mod tests {
         let stats = aj.cache_stats();
         assert!(stats.misses > 0, "cache stats {stats:?}");
         assert!(stats.hits > 0, "cache stats {stats:?}");
-        assert!(aj.cached_pairs() > 0);
+        assert!(aj.prab_stats().pairs > 0);
+    }
+
+    #[test]
+    fn tipped_walk_sums_a_group_in_key_order() {
+        // Sources -p-> objects -q-> mids -r-> class, with sources sharing
+        // objects and objects sharing mids unevenly. Grouping by source
+        // and counting mids binds β after the tip, so one tipped walk
+        // holds several (a, b) terms of one group, each with its own
+        // Pr(a, b); their sum must be the fold in ascending key order,
+        // whatever order the masses map iterates in.
+        let mut b = GraphBuilder::new();
+        let [p, q, r, class] = ["u:p", "u:q", "u:r", "u:c"].map(|n| b.dict_mut().intern_iri(n));
+        let mids: Vec<TermId> =
+            (0..23).map(|i| b.dict_mut().intern_iri(format!("u:m{i}"))).collect();
+        for oi in 0..6usize {
+            let o = b.dict_mut().intern_iri(format!("u:o{oi}"));
+            for si in 0..=oi {
+                let s = b.dict_mut().intern_iri(format!("u:s{si}"));
+                b.add(Triple::new(s, p, o));
+            }
+            for k in 0..7 + oi {
+                b.add(Triple::new(o, q, mids[(3 * oi + k) % mids.len()]));
+            }
+        }
+        for m in &mids {
+            b.add(Triple::new(*m, r, class));
+        }
+        let ig = IndexedGraph::build(b.build());
+        let (alpha, beta) = (Var(0), Var(2));
+        let query = ExplorationQuery::new(
+            vec![
+                TriplePattern::new(Var(0), p, Var(1)),
+                TriplePattern::new(Var(1), q, Var(2)),
+                TriplePattern::new(Var(2), r, Var(3)),
+            ],
+            alpha,
+            beta,
+            true,
+        )
+        .unwrap();
+        for seed in 0..8 {
+            let config = AuditJoinConfig { tipping: Tipping::Static(f64::INFINITY), seed };
+            let mut aj = AuditJoin::new(&ig, &query, config).unwrap();
+            aj.walk();
+            assert_eq!(aj.stats().tipped, 1);
+            // Step 0's bindings survive the suffix enumeration.
+            let mut assignment = aj.assignment.clone();
+            let mut counter = CtjCounter::new(&ig, std::sync::Arc::clone(&aj.plan));
+            let mut masses = FxHashMap::default();
+            suffix_masses(
+                &ig, &aj.plan, &mut counter, alpha, beta, 1, 1.0, &mut assignment, &mut masses,
+            );
+            let mut terms: Vec<(u64, f64)> = masses.into_iter().collect();
+            assert!(terms.len() >= 7, "an object has at least seven mids");
+            terms.sort_unstable_by_key(|&(key, _)| key);
+            let mut prab = PrAb::new(&ig, query.clone(), std::sync::Arc::clone(&aj.plan));
+            let x = terms
+                .iter()
+                .fold(0.0, |x, &(key, m)| x + m / prab.pr((key >> 32) as u32, key as u32));
+            let sums: Vec<(u32, f64, f64)> = aj.accumulator().iter().collect();
+            assert_eq!(sums.len(), 1);
+            assert_eq!(sums[0].0, assignment[alpha.index()]);
+            assert_eq!(sums[0].1.to_bits(), x.to_bits(), "seed {seed}");
+            assert_eq!(sums[0].2.to_bits(), (x * x).to_bits(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -67,5 +67,5 @@ pub use supervisor::{
     supervise, DegradeReason, Degraded, SupervisedResult, SupervisorConfig, SupervisorError,
 };
 pub use order::{score_orders, select_plan, select_plan_audit, OrderScore, OrderSelection};
-pub use pinned::PrAb;
+pub use pinned::{PrAb, PrAbStats};
 pub use wander::WanderJoin;

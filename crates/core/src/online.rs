@@ -111,7 +111,13 @@ pub fn mean_ci_half_width(est: &GroupedEstimates) -> f64 {
     }
 }
 
-/// Step the aggregator until its budget trips, and report why it stopped.
+/// Walks per [`OnlineAggregator::step_batch_governed`] call of
+/// [`run_governed`]: the batch size the streaming parallel runner defaults to.
+const GOVERNED_BATCH: u64 = 256;
+
+/// Step the aggregator in governed batches until its budget trips, and
+/// report why it stopped. A batch the walk cap admits only in part is
+/// followed by one that admits nothing, which is the trip.
 ///
 /// The budget **must** be bounded (a deadline, walk limit, or eventual
 /// cancellation) — with a truly unlimited budget this would spin forever,
@@ -128,7 +134,7 @@ pub fn run_governed<A: OnlineAggregator + ?Sized>(
         };
     }
     loop {
-        if let Err(stop) = agg.step_governed(budget) {
+        if let Err(stop) = agg.step_batch_governed(budget, GOVERNED_BATCH) {
             return stop;
         }
     }
