@@ -1,10 +1,10 @@
 //! Micro-benchmarks for the online-aggregation hot path: Wander Join and
 //! Audit Join walk throughput (the paper reports ≈2.5 µs per sample for
-//! both, §V-C).
+//! both, §V-C), as time per walk in the 256-walk batches production steps.
 
 use kgoa_bench::microbench::Runner;
 use kgoa_bench::{load_datasets, prepare_workload, BenchConfig};
-use kgoa_core::{run_walks, AuditJoin, AuditJoinConfig, Tipping, WanderJoin};
+use kgoa_core::{run_walks, AuditJoin, AuditJoinConfig, OnlineAggregator, Tipping, WanderJoin};
 use kgoa_datagen::Scale;
 
 fn main() {
@@ -18,11 +18,12 @@ fn main() {
         .expect("workload is non-empty");
     let ig = &datasets[q.dataset].ig;
 
+    const BATCH: u64 = 256;
     let runner = Runner::from_args().with_samples(30);
 
     let mut wj = WanderJoin::new(ig, &q.generated.query, 1).expect("wj");
     run_walks(&mut wj, 1000); // warm up
-    runner.bench("walk/wander_join", || wj.walk());
+    runner.bench_items("walk/wander_join", BATCH, || wj.step_batch(BATCH));
 
     let mut aj = AuditJoin::new(
         ig,
@@ -31,7 +32,7 @@ fn main() {
     )
     .expect("aj");
     run_walks(&mut aj, 1000); // warm caches
-    runner.bench("walk/audit_join", || aj.walk());
+    runner.bench_items("walk/audit_join", BATCH, || aj.step_batch(BATCH));
 
     let mut aj = AuditJoin::new(
         ig,
@@ -40,5 +41,5 @@ fn main() {
     )
     .expect("aj");
     run_walks(&mut aj, 1000);
-    runner.bench("walk/audit_join_no_tipping", || aj.walk());
+    runner.bench_items("walk/audit_join_no_tipping", BATCH, || aj.step_batch(BATCH));
 }

@@ -16,7 +16,7 @@
 //!   --seed N                          workload seed
 //!   --tipping X                       AJ tipping threshold (default 1024)
 //!   --threads N                       cap on the scale thread sweep (default 8)
-//!   --batch N                         walks per SoA batch (default 256; 1 = legacy parity)
+//!   --batch N                         walks per SoA batch (default 256)
 //!   --layout csr|compressed           index storage layout (default csr)
 //!   --out PATH                        JSON output path (trace, bench-json, profile)
 //!   --baseline PATH                   baseline bench JSON (regress)
@@ -235,7 +235,7 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "walks",
-        help: "batched walk throughput sweep + batch-1 parity gate (nonzero exit on fail)",
+        help: "walk throughput sweep over batch sizes 1, 16, 64, 256",
         run: |c| walks_bench(c.datasets, c.workload, c.cfg),
         in_all: true,
         needs_workload: true,
@@ -279,7 +279,7 @@ fn usage() -> ExitCode {
          --seed N                          workload seed\n  \
          --tipping X                       AJ tipping threshold (default 1024)\n  \
          --threads N                       cap on the scale thread sweep (default 8)\n  \
-         --batch N                         walks per SoA batch (default 256; 1 = legacy parity)\n  \
+         --batch N                         walks per SoA batch (default 256)\n  \
          --layout csr|compressed           index storage layout (default csr)\n  \
          --out PATH                        JSON output path (trace, bench-json, profile)\n  \
          --baseline PATH                   baseline bench JSON (regress)\n  \

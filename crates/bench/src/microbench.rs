@@ -47,7 +47,13 @@ impl Runner {
 
     /// Measure `f`, printing `name: <median> ns/iter (min <min>)`.
     /// Skipped (with a note) when a filter is set and doesn't match.
-    pub fn bench<F: FnMut()>(&self, name: &str, mut f: F) {
+    pub fn bench<F: FnMut()>(&self, name: &str, f: F) {
+        self.bench_items(name, 1, f);
+    }
+
+    /// Like [`Runner::bench`] for an `f` that does `items` units of work
+    /// per call: the printed time is per unit.
+    pub fn bench_items<F: FnMut()>(&self, name: &str, items: u64, mut f: F) {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
                 return;
@@ -78,7 +84,7 @@ impl Runner {
                 for _ in 0..iters_per_sample {
                     f();
                 }
-                t.elapsed().as_nanos() as f64 / iters_per_sample as f64
+                t.elapsed().as_nanos() as f64 / (iters_per_sample * items) as f64
             })
             .collect();
         per_iter.sort_by(|a, b| a.total_cmp(b));

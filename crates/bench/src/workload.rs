@@ -41,8 +41,7 @@ pub struct BenchConfig {
     /// Cap on the `repro scale` thread sweep (the sweep visits
     /// {1, 2, 4, 8} ∩ [1, threads]; `--threads 2` makes a CI smoke run).
     pub threads: usize,
-    /// Walks per SoA batch for the batched runners (`--batch 1` is the
-    /// bit-identical compatibility mode; see DESIGN.md §4j).
+    /// Walks per SoA batch of the walk loop (`--batch`; DESIGN.md §4j).
     pub batch: u64,
 }
 

@@ -7,25 +7,22 @@
 //! by country" over a `?city :population ?pop` chain. Results whose β
 //! value is not numeric contribute 0 to SUM and are excluded from AVG.
 //!
-//! Estimation follows the same Horvitz–Thompson scheme as the counts:
-//! a full walk γ contributes `value(β(γ)) · Π dᵢ` to its group's SUM
-//! estimator (unbiased by the same argument as Prop. IV.1, since the value
-//! is a constant per path), and a tipped walk contributes
-//! `Σ_paths value(β) / Pr(δ)` computed exactly via the cached suffix
-//! counts. AVG is the ratio of the SUM and COUNT estimators — the standard
-//! (consistent, asymptotically unbiased) ratio estimator of online
-//! aggregation.
+//! Estimation follows the same Horvitz–Thompson scheme as the counts, as a
+//! finisher on [`AuditJoin`]'s one walk loop: a full walk γ contributes
+//! `value(β(γ)) · Π dᵢ` to its group's SUM estimator (unbiased by the same
+//! argument as Prop. IV.1, since the value is a constant per path), and a
+//! tipped walk contributes `Σ_paths value(β) / Pr(δ)` computed exactly by
+//! the suffix recursion that yields its group counts. AVG is the ratio of
+//! the SUM and COUNT estimators — the standard (consistent, asymptotically
+//! unbiased) ratio estimator of online aggregation.
 
-use kgoa_engine::{CtjCounter, GroupedEstimates};
+use kgoa_engine::{BudgetExceeded, ExecBudget, GroupedEstimates};
 use kgoa_index::{FxHashMap, IndexedGraph};
-use kgoa_query::{ExplorationQuery, QueryError, SuffixEstimator, Var, WalkPlan};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use kgoa_query::{ExplorationQuery, QueryError};
 
 use crate::accum::{GroupAccumulator, WalkStats};
-use crate::audit::AuditJoinConfig;
-#[cfg(test)]
-use crate::audit::Tipping;
+use crate::audit::{AuditJoin, AuditJoinConfig, ValueSum};
+use crate::online::{run_governed, run_walks, OnlineAggregator};
 
 /// Numeric values of dictionary terms: literals whose lexical form parses
 /// as a number (an optional `^^datatype` suffix is ignored).
@@ -85,22 +82,11 @@ impl AggregateEstimates {
 }
 
 /// Audit Join extended with a SUM estimator (COUNT is tracked alongside,
-/// so AVG comes for free). Non-distinct semantics.
+/// so AVG comes for free). Non-distinct semantics. This is an [`AuditJoin`]
+/// carrying the SUM finisher, so the config's tipping policy (adaptive
+/// included), budgets and walk counters are Audit Join's own.
 pub struct SumAuditJoin<'g> {
-    ig: &'g IndexedGraph,
-    plan: WalkPlan,
-    est: SuffixEstimator,
-    counter: CtjCounter<'g>,
-    values: NumericValues,
-    alpha: Var,
-    beta: Var,
-    threshold: f64,
-    assignment: Vec<u32>,
-    sum_accum: GroupAccumulator,
-    count_accum: GroupAccumulator,
-    stats: WalkStats,
-    rng: SmallRng,
-    group_sums: FxHashMap<u32, (f64, u64)>,
+    aj: AuditJoin<'g>,
 }
 
 impl<'g> SumAuditJoin<'g> {
@@ -111,147 +97,38 @@ impl<'g> SumAuditJoin<'g> {
         query: &ExplorationQuery,
         config: AuditJoinConfig,
     ) -> Result<Self, QueryError> {
-        let plan = WalkPlan::canonical(query, &kgoa_index::IndexOrder::PAPER_DEFAULT)?;
-        let est = SuffixEstimator::new(ig, query, &plan);
-        let counter = CtjCounter::new(ig, plan.clone());
-        Ok(SumAuditJoin {
-            ig,
-            est,
-            counter,
+        let mut aj = AuditJoin::new(ig, &query.clone().with_distinct(false), config)?;
+        aj.value_sum = Some(ValueSum {
             values: NumericValues::build(ig.dict()),
-            alpha: query.alpha(),
-            beta: query.beta(),
-            threshold: config.tipping.initial_threshold(),
-            assignment: vec![0u32; query.var_count()],
-            plan,
-            sum_accum: GroupAccumulator::new(),
-            count_accum: GroupAccumulator::new(),
-            stats: WalkStats::default(),
-            rng: SmallRng::seed_from_u64(config.seed),
-            group_sums: FxHashMap::default(),
-        })
+            accum: GroupAccumulator::new(),
+        });
+        Ok(SumAuditJoin { aj })
     }
 
     /// Walk counters.
     pub fn stats(&self) -> WalkStats {
-        self.stats
+        self.aj.stats()
     }
 
     /// Snapshot the SUM/COUNT/AVG estimates.
     pub fn estimates(&self) -> AggregateEstimates {
+        let walks = self.aj.stats().walks;
         AggregateEstimates {
-            sum: self.sum_accum.estimates(self.stats.walks),
-            count: self.count_accum.estimates(self.stats.walks),
+            sum: self.aj.value_sum.as_ref().map_or_else(GroupedEstimates::default, |sum| {
+                sum.accum.estimates(walks)
+            }),
+            count: self.aj.estimates(),
         }
     }
 
-    /// Run a fixed number of walks.
+    /// Run a fixed number of walks (one per batch, like [`run_walks`]).
     pub fn run(&mut self, walks: u64) {
-        for _ in 0..walks {
-            self.walk();
-        }
+        run_walks(&mut self.aj, walks);
     }
 
-    /// One walk of the Fig. 7 loop, updating SUM and COUNT estimators.
-    pub fn walk(&mut self) {
-        self.stats.walks += 1;
-        let n = self.plan.len();
-        let mut prob_inv = 1.0f64;
-        let mut i = 0usize;
-        let step0 = &self.plan.steps()[0];
-        let mut range = step0.access.resolve_live(self.ig.require(step0.access.order), None);
-        loop {
-            let index = self.ig.require(self.plan.steps()[i].access.order);
-            let d = range.len();
-            let Some(pos) = index.pick_live(range, &mut self.rng) else {
-                self.stats.rejected += 1;
-                return;
-            };
-            prob_inv *= d as f64;
-            self.plan.extract_at(index, i, pos, &mut self.assignment);
-            if i + 1 == n {
-                let a = self.assignment[self.alpha.index()];
-                let b = self.assignment[self.beta.index()];
-                self.sum_accum.add(a, self.values.get(b) * prob_inv);
-                self.count_accum.add(a, prob_inv);
-                self.stats.full += 1;
-                return;
-            }
-            let next_step = &self.plan.steps()[i + 1];
-            let next_index = self.ig.require(next_step.access.order);
-            let in_value = next_step.in_var.map(|(v, _)| self.assignment[v.index()]);
-            let next = next_step.access.resolve_live(next_index, in_value);
-            if self.est.remaining(i + 1, next.len() as u64) < self.threshold {
-                if self.finish_tipped(i + 1, prob_inv) {
-                    self.stats.tipped += 1;
-                } else {
-                    self.stats.rejected += 1;
-                }
-                return;
-            }
-            i += 1;
-            range = next;
-        }
-    }
-
-    fn finish_tipped(&mut self, step: usize, prob_inv: f64) -> bool {
-        self.group_sums.clear();
-        suffix_group_values(
-            self.ig,
-            &self.plan,
-            &mut self.counter,
-            &self.values,
-            self.alpha,
-            self.beta,
-            step,
-            &mut self.assignment,
-            &mut self.group_sums,
-        );
-        if self.group_sums.is_empty() {
-            return false;
-        }
-        for (&a, &(value_sum, count)) in self.group_sums.iter() {
-            self.sum_accum.add(a, value_sum * prob_inv);
-            self.count_accum.add(a, count as f64 * prob_inv);
-        }
-        true
-    }
-}
-
-/// Exact per-group `(Σ value(β), #completions)` of the suffix starting at
-/// `step`: enumerate until both α and β are bound, then close each branch
-/// with the cached completion count (the value is constant from there on).
-#[allow(clippy::too_many_arguments)]
-fn suffix_group_values(
-    ig: &IndexedGraph,
-    plan: &WalkPlan,
-    counter: &mut CtjCounter<'_>,
-    values: &NumericValues,
-    alpha: Var,
-    beta: Var,
-    step: usize,
-    assignment: &mut [u32],
-    out: &mut FxHashMap<u32, (f64, u64)>,
-) {
-    if plan.binder_step(alpha) < step && plan.binder_step(beta) < step {
-        let c = counter.count_from(step, assignment);
-        if c > 0 {
-            let a = assignment[alpha.index()];
-            let b = assignment[beta.index()];
-            let e = out.entry(a).or_insert((0.0, 0));
-            e.0 += values.get(b) * c as f64;
-            e.1 += c;
-        }
-        return;
-    }
-    debug_assert!(step < plan.len());
-    let s = &plan.steps()[step];
-    let index = ig.require(s.access.order);
-    let in_value = s.in_var.map(|(v, _)| assignment[v.index()]);
-    let range = s.access.resolve_live(index, in_value);
-    for pos in index.positions(range) {
-        plan.extract_at(index, step, pos, assignment);
-        suffix_group_values(ig, plan, counter, values, alpha, beta, step + 1, assignment, out);
+    /// Run in governed batches until `budget` trips (see [`run_governed`]).
+    pub fn run_governed(&mut self, budget: &ExecBudget) -> BudgetExceeded {
+        run_governed(&mut self.aj, budget)
     }
 }
 
@@ -277,7 +154,8 @@ pub fn exact_group_sums(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgoa_query::TriplePattern;
+    use crate::audit::Tipping;
+    use kgoa_query::{TriplePattern, Var};
     use kgoa_rdf::{GraphBuilder, TermId, Triple};
 
     /// Cities with populations, linked to countries.

@@ -20,9 +20,10 @@ use kgoa_engine::{BudgetExceeded, BudgetMeter, CtjCounter, ExecBudget};
 use kgoa_index::{pack2, FxHashMap, IndexedGraph, LiveRange, TrieIndex};
 use kgoa_query::{ExplorationQuery, QueryError, SuffixEstimator, Var, WalkPlan};
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use crate::accum::{GroupAccumulator, WalkStats};
+use crate::aggregate::NumericValues;
 use crate::online::OnlineAggregator;
 use crate::pinned::{PrAb, PrAbStats};
 
@@ -103,6 +104,16 @@ struct TipCtl {
     hi: f64,
 }
 
+/// The SUM finisher (see [`crate::aggregate`]): a walk that feeds `w` to
+/// its group's count accumulator feeds `value(β) · w` to this one — on a
+/// full walk the value of the β it landed on, on a tipped walk the exact
+/// `Σ value(β)` over the suffix completions. SUM is defined over the plain
+/// join results, so only the non-distinct finishers feed it.
+pub(crate) struct ValueSum {
+    pub values: NumericValues,
+    pub accum: GroupAccumulator,
+}
+
 /// An Audit Join run over one query.
 pub struct AuditJoin<'g> {
     /// Shared so parallel workers reuse one plan instead of deep-cloning.
@@ -112,8 +123,6 @@ pub struct AuditJoin<'g> {
     step_index: Vec<&'g TrieIndex>,
     /// Per-step constant range for steps with no in-variable.
     fixed_ranges: Vec<Option<LiveRange>>,
-    /// The first step's range, resolved once (step 0 has no in-binding).
-    first_range: LiveRange,
     est: SuffixEstimator,
     counter: CtjCounter<'g>,
     prab: PrAb<'g>,
@@ -143,8 +152,11 @@ pub struct AuditJoin<'g> {
     /// A tipped walk's `(pack2(a, b), M(a,b) / Pr(a,b))` terms in key
     /// order, so a group's sum never depends on the hasher.
     terms: Vec<(u64, f64)>,
-    group_counts: FxHashMap<u32, u64>,
-    /// SoA scratch for the batched runner (empty until the first batch).
+    /// A tipped non-distinct walk's per-group `(|Γ_{δ,a}|, Σ value(β))`.
+    group_counts: FxHashMap<u32, (u64, f64)>,
+    /// The SUM finisher, when [`crate::SumAuditJoin`] owns this run.
+    pub(crate) value_sum: Option<ValueSum>,
+    /// SoA scratch of the walk loop (empty until the first batch).
     batch: crate::batch::BatchScratch,
 }
 
@@ -172,7 +184,6 @@ impl<'g> AuditJoin<'g> {
         let prab = PrAb::new(ig, query.clone(), std::sync::Arc::clone(&plan));
         let n = plan.len();
         let (step_index, fixed_ranges) = resolve_steps(ig, &plan);
-        let first_range = plan.steps()[0].access.resolve_live(step_index[0], None);
         let threshold = config.tipping.initial_threshold();
         let ctl = (config.tipping == Tipping::Adaptive).then(|| TipCtl {
             next: RETUNE_WINDOW,
@@ -184,7 +195,6 @@ impl<'g> AuditJoin<'g> {
         Ok(AuditJoin {
             step_index,
             fixed_ranges,
-            first_range,
             est,
             counter,
             prab,
@@ -204,6 +214,7 @@ impl<'g> AuditJoin<'g> {
             masses: FxHashMap::default(),
             terms: Vec::new(),
             group_counts: FxHashMap::default(),
+            value_sum: None,
             batch: crate::batch::BatchScratch::default(),
         })
     }
@@ -322,80 +333,6 @@ impl<'g> AuditJoin<'g> {
         drop(span);
     }
 
-    /// Execute one walk (lines 5–20 of Fig. 7).
-    pub fn walk(&mut self) {
-        self.walk_governed(&ExecBudget::unlimited())
-            .expect("unlimited budget cannot trip");
-    }
-
-    /// Execute one walk under a cooperative budget, checked before every
-    /// step and throughout the exact suffix computation at the tipping
-    /// point (the suffix recursion ticks a [`BudgetMeter`], so even a cold
-    /// cache cannot overshoot the deadline by more than one stride).
-    /// An aborted walk is **not** counted in `stats.walks` and contributes
-    /// nothing, so the estimator stays unbiased over the completed walks.
-    pub fn walk_governed(&mut self, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
-        self.maybe_retune();
-        budget.fault_walk();
-        budget.charge_walk()?;
-        let n = self.plan.len();
-        let mut prob_inv = 1.0f64;
-        let mut i = 0usize;
-        let mut range = self.first_range;
-        loop {
-            budget.check()?;
-            self.step_visits[i] += 1;
-            let d = range.len();
-            let Some(pos) = self.step_index[i].pick_live(range, &mut self.rng) else {
-                self.stats.walks += 1;
-                self.stats.rejected += 1;
-                self.step_rejects[i] += 1;
-                kgoa_obs::metrics::WALKS.inc();
-                kgoa_obs::metrics::WALKS_REJECTED.inc();
-                return Ok(());
-            };
-            prob_inv *= d as f64;
-            self.plan.extract_at(self.step_index[i], i, pos, &mut self.assignment);
-            if i + 1 == n {
-                self.finish_full(prob_inv, budget)?;
-                self.stats.walks += 1;
-                self.stats.full += 1;
-                kgoa_obs::metrics::WALKS.inc();
-                kgoa_obs::metrics::WALKS_FULL.inc();
-                return Ok(());
-            }
-            let next = step_range(
-                &self.plan,
-                &self.step_index,
-                &self.fixed_ranges,
-                i + 1,
-                &self.assignment,
-            );
-            // Tipping point (Fig. 7 line 11): estimated completions of the
-            // remaining suffix, using the exact next fan-out.
-            let est_rem = self.est.remaining(i + 1, next.len() as u64);
-            if est_rem < self.threshold {
-                budget.check()?;
-                let contributed = self.finish_tipped(i + 1, prob_inv, budget)?;
-                self.stats.walks += 1;
-                kgoa_obs::metrics::WALKS.inc();
-                if contributed {
-                    self.stats.tipped += 1;
-                    self.step_tips[i + 1] += 1;
-                    kgoa_obs::metrics::WALKS_TIPPED.inc();
-                    kgoa_obs::metrics::AJ_TIP_STEP.record((i + 1) as u64);
-                } else {
-                    self.stats.rejected += 1;
-                    self.step_rejects[i + 1] += 1;
-                    kgoa_obs::metrics::WALKS_REJECTED.inc();
-                }
-                return Ok(());
-            }
-            i += 1;
-            range = next;
-        }
-    }
-
     /// Walk completed: δ is a full path. The online `Pr(a, b)` computation
     /// for an uncached pair is governed too (nothing is accumulated when it
     /// trips, so the aborted walk contributes nothing).
@@ -409,6 +346,10 @@ impl<'g> AuditJoin<'g> {
             self.accum.add(a, 1.0 / pr);
         } else {
             self.accum.add(a, prob_inv);
+            if let Some(sum) = &mut self.value_sum {
+                let b = self.assignment[self.beta.index()];
+                sum.accum.add(a, sum.values.get(b) * prob_inv);
+            }
         }
         Ok(())
     }
@@ -473,6 +414,7 @@ impl<'g> AuditJoin<'g> {
                 &self.fixed_ranges,
                 &mut self.counter,
                 self.alpha,
+                self.value_sum.as_ref().map(|sum| (self.beta, &sum.values)),
                 step,
                 &mut self.assignment,
                 &mut self.group_counts,
@@ -481,47 +423,26 @@ impl<'g> AuditJoin<'g> {
             if self.group_counts.is_empty() {
                 return Ok(false);
             }
-            for (&a, &c) in self.group_counts.iter() {
+            for (&a, &(c, v)) in self.group_counts.iter() {
                 self.accum.add(a, c as f64 * prob_inv);
+                if let Some(sum) = &mut self.value_sum {
+                    sum.accum.add(a, v * prob_inv);
+                }
             }
             Ok(true)
         }
     }
 
-    /// Execute up to `n` walks as one SoA batch (see `crate::batch`).
-    /// Equivalent to `n` calls of [`AuditJoin::walk`]; at `n == 1` the
-    /// RNG stream, accept/reject/tip sequence and all counters are
-    /// bit-identical to the sequential walk.
-    pub fn walk_batch(&mut self, n: u64) -> u64 {
-        self.walk_batch_governed(&ExecBudget::unlimited(), n)
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// Batched walks under a cooperative budget: charges the batch as one
-    /// [`ExecBudget::charge_walks`] call (possibly admitting fewer than
-    /// `n`), checks the budget once per plan step per batch plus once per
-    /// tipped suffix, and returns the number of walks admitted. A trip
-    /// mid-batch loses only the walks still in flight — walks already
-    /// completed (full, tipped or dead) in the batch remain counted.
-    pub fn walk_batch_governed(
-        &mut self,
-        budget: &ExecBudget,
-        n: u64,
-    ) -> Result<u64, BudgetExceeded> {
-        if n == 0 {
-            return Ok(0);
-        }
-        self.maybe_retune();
-        for _ in 0..n {
-            budget.fault_walk();
-        }
-        let admitted = budget.charge_walks(n)?;
-        let mut bs = std::mem::take(&mut self.batch);
-        let result = self.walk_batch_core(budget, admitted as usize, &mut bs);
-        self.batch = bs;
-        result.map(|()| admitted)
-    }
-
+    /// The walk loop (lines 5–20 of Fig. 7 for `n` walks at once): the
+    /// admitted walks advance one plan step at a time, each step's RNG
+    /// words drawn in one refill in walk order (a step-major stream), the
+    /// next step's ranges resolved by one sorted batch seek. The budget is
+    /// checked once per plan step plus once per tipped suffix, and the
+    /// exact computations at a tipping point tick a [`BudgetMeter`], so
+    /// even a cold cache cannot overshoot a deadline by more than one
+    /// stride. A trip loses only the walks still in flight: they are not
+    /// counted and contribute nothing, so the estimator stays unbiased
+    /// over the walks of the batch that had already finished.
     fn walk_batch_core(
         &mut self,
         budget: &ExecBudget,
@@ -529,11 +450,12 @@ impl<'g> AuditJoin<'g> {
         bs: &mut crate::batch::BatchScratch,
     ) -> Result<(), BudgetExceeded> {
         use kgoa_obs::metrics as m;
-        let plan = std::sync::Arc::clone(&self.plan);
-        let vc = plan.var_count();
-        let steps_n = plan.len();
+        let vc = self.plan.var_count();
+        let steps_n = self.plan.len();
         bs.reset(n, vc);
-        bs.ranges[..n].fill(self.first_range);
+        // Step 0 has no in-binding, so its range is one of the constants.
+        bs.ranges.fill(self.fixed_ranges[0].expect("step 0 has no in-variable"));
+        bs.next_ranges.resize(n, LiveRange::EMPTY);
         let mut live = n as u64;
         for i in 0..steps_n {
             if live == 0 {
@@ -543,46 +465,13 @@ impl<'g> AuditJoin<'g> {
             m::WALK_BATCH_STEPS.inc();
             m::WALK_BATCH_OCCUPANCY.record(live);
             self.step_visits[i] += live;
-            let index = self.step_index[i];
-            // Reject dead ends (one sample attempt per live walk), then
-            // draw one RNG word per survivor in walk order — at batch 1
-            // this consumes exactly the sequential walk's stream.
-            m::SAMPLE_DRAWS.add(live);
-            let mut rejected = 0u64;
-            let mut survivors = 0usize;
-            for w in 0..n {
-                if !bs.alive[w] {
-                    continue;
-                }
-                if bs.ranges[w].is_empty() {
-                    bs.alive[w] = false;
-                    self.step_rejects[i] += 1;
-                    rejected += 1;
-                } else {
-                    survivors += 1;
-                }
-            }
-            if rejected > 0 {
-                self.stats.walks += rejected;
-                self.stats.rejected += rejected;
-                m::WALKS.add(rejected);
-                m::WALKS_REJECTED.add(rejected);
-            }
-            bs.raw.clear();
-            bs.raw.resize(survivors, 0);
-            self.rng.fill_u64(&mut bs.raw);
-            let mut k = 0usize;
-            for w in 0..n {
-                if !bs.alive[w] {
-                    continue;
-                }
-                let range = bs.ranges[w];
-                let pos = index.pick_live_keyed(range, bs.raw[k]);
-                k += 1;
-                bs.weights[w] *= range.len() as f64;
-                plan.extract_at(index, i, pos, &mut bs.assignments[w * vc..(w + 1) * vc]);
-            }
-            live = survivors as u64;
+            let dead = bs.sample_step(&self.plan, i, self.step_index[i], &mut self.rng);
+            live -= dead;
+            self.step_rejects[i] += dead;
+            self.stats.walks += dead;
+            self.stats.rejected += dead;
+            m::WALKS.add(dead);
+            m::WALKS_REJECTED.add(dead);
             if i + 1 == steps_n {
                 for w in 0..n {
                     if !bs.alive[w] {
@@ -603,11 +492,11 @@ impl<'g> AuditJoin<'g> {
             // below the threshold; the rest carry their range forward.
             crate::batch::resolve_step_ranges(
                 self.step_index[i + 1],
-                &plan.steps()[i + 1],
+                &self.plan.steps()[i + 1],
                 self.fixed_ranges[i + 1],
                 &bs.assignments,
                 vc,
-                &bs.alive[..n],
+                &bs.alive,
                 &mut bs.probes1,
                 &mut bs.probes2,
                 &mut bs.next_ranges,
@@ -616,6 +505,8 @@ impl<'g> AuditJoin<'g> {
                 if !bs.alive[w] {
                     continue;
                 }
+                // Tipping point (Fig. 7 line 11): estimated completions of
+                // the remaining suffix, using the exact next fan-out.
                 let next = bs.next_ranges[w];
                 let est_rem = self.est.remaining(i + 1, next.len() as u64);
                 if est_rem < self.threshold {
@@ -650,24 +541,26 @@ impl OnlineAggregator for AuditJoin<'_> {
         "aj"
     }
 
-    fn step(&mut self) {
-        self.walk();
-    }
-
-    fn step_governed(&mut self, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
-        self.walk_governed(budget)
-    }
-
-    fn step_batch(&mut self, n: u64) {
-        self.walk_batch(n);
-    }
-
+    /// The batch is charged as one [`ExecBudget::charge_walks`] call
+    /// (possibly admitting fewer than `n`); the adaptive controller
+    /// retunes between batches only.
     fn step_batch_governed(
         &mut self,
         budget: &ExecBudget,
         n: u64,
     ) -> Result<u64, BudgetExceeded> {
-        self.walk_batch_governed(budget, n)
+        if n == 0 {
+            return Ok(0);
+        }
+        self.maybe_retune();
+        budget.fault_walks(n);
+        let admitted = budget.charge_walks(n)?;
+        // The finishers borrow all of `self`, so the scratch steps outside
+        // for the batch.
+        let mut bs = std::mem::take(&mut self.batch);
+        let result = self.walk_batch_core(budget, admitted as usize, &mut bs);
+        self.batch = bs;
+        result.map(|()| admitted)
     }
 
     fn estimates(&self) -> kgoa_engine::GroupedEstimates {
@@ -814,24 +707,32 @@ pub fn suffix_group_counts(
 ) {
     let mut meter = ExecBudget::unlimited().meter();
     let (step_index, fixed_ranges) = resolve_steps(ig, plan);
+    let mut counts = FxHashMap::default();
     try_suffix_group_counts(
         plan,
         &step_index,
         &fixed_ranges,
         counter,
         alpha,
+        None,
         step,
         assignment,
-        out,
+        &mut counts,
         &mut meter,
     )
-    .expect("unlimited budget cannot trip")
+    .expect("unlimited budget cannot trip");
+    for (a, (c, _)) in counts {
+        *out.entry(a).or_insert(0) += c;
+    }
 }
 
 /// [`suffix_group_counts`] under a cooperative budget, over the same
 /// per-step tables as [`try_suffix_masses`]: the enumeration ticks the
 /// meter per recursion node and aborts (with `out` partially filled) when
-/// it trips.
+/// it trips. With `value = (β, values)` it enumerates until β is bound as
+/// well and adds `value(β) · count` of every closed branch to the group's
+/// second component (the value is constant from there on); the counts are
+/// the same integers either way.
 #[allow(clippy::too_many_arguments)]
 pub fn try_suffix_group_counts(
     plan: &WalkPlan,
@@ -839,19 +740,26 @@ pub fn try_suffix_group_counts(
     fixed_ranges: &[Option<LiveRange>],
     counter: &mut CtjCounter<'_>,
     alpha: Var,
+    value: Option<(Var, &NumericValues)>,
     step: usize,
     assignment: &mut [u32],
-    out: &mut FxHashMap<u32, u64>,
+    out: &mut FxHashMap<u32, (u64, f64)>,
     meter: &mut BudgetMeter,
 ) -> Result<(), BudgetExceeded> {
-    if plan.binder_step(alpha) < step {
+    if plan.binder_step(alpha) < step
+        && value.is_none_or(|(beta, _)| plan.binder_step(beta) < step)
+    {
         let c = counter.try_count_from(step, assignment, meter)?;
         if c > 0 {
-            *out.entry(assignment[alpha.index()]).or_insert(0) += c;
+            let e = out.entry(assignment[alpha.index()]).or_insert((0, 0.0));
+            e.0 += c;
+            if let Some((beta, values)) = value {
+                e.1 += values.get(assignment[beta.index()]) * c as f64;
+            }
         }
         return Ok(());
     }
-    debug_assert!(step < plan.len(), "α is bound by the end of the plan");
+    debug_assert!(step < plan.len(), "α and β are bound by the end of the plan");
     let index = step_index[step];
     let range = step_range(plan, step_index, fixed_ranges, step, assignment);
     for pos in index.positions(range) {
@@ -863,6 +771,7 @@ pub fn try_suffix_group_counts(
             fixed_ranges,
             counter,
             alpha,
+            value,
             step + 1,
             assignment,
             out,
@@ -1206,7 +1115,7 @@ mod tests {
         for seed in 0..8 {
             let config = AuditJoinConfig { tipping: Tipping::Static(f64::INFINITY), seed };
             let mut aj = AuditJoin::new(&ig, &query, config).unwrap();
-            aj.walk();
+            aj.step();
             assert_eq!(aj.stats().tipped, 1);
             // Step 0's bindings survive the suffix enumeration.
             let mut assignment = aj.assignment.clone();

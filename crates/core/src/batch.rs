@@ -7,7 +7,8 @@
 //! resolved through the batch-seek entry points of `kgoa-index`.
 
 use kgoa_index::{pack2, LiveRange, TrieIndex};
-use kgoa_query::{PrefixComp, WalkStep};
+use kgoa_query::{PrefixComp, WalkPlan, WalkStep};
+use rand::RngCore;
 
 /// Reusable per-batch walk state. Owned by the aggregator and recycled
 /// across batches; `reset` reinitializes for a batch of `n` walks.
@@ -17,7 +18,8 @@ pub(crate) struct BatchScratch {
     pub alive: Vec<bool>,
     /// Current step's live range per walk slot.
     pub ranges: Vec<LiveRange>,
-    /// Next step's live range per walk slot (filled by `resolve_step_ranges`).
+    /// Next step's live range per walk slot (Audit Join only, which sizes
+    /// it; filled by `resolve_step_ranges`).
     pub next_ranges: Vec<LiveRange>,
     /// Flattened assignments: walk `w` owns `[w * var_count .. (w + 1) * var_count)`.
     pub assignments: Vec<u32>,
@@ -34,18 +36,55 @@ pub(crate) struct BatchScratch {
 
 impl BatchScratch {
     /// Prepare for a batch of `n` walks over a plan with `var_count`
-    /// variables: all walks alive, unit weights, zeroed assignments.
+    /// variables: all walks alive, unit weights. Ranges and assignments are
+    /// only sized — a walk reads a range or a variable after the step that
+    /// wrote it, so what an earlier batch left in a slot is never seen.
     pub fn reset(&mut self, n: usize, var_count: usize) {
         self.alive.clear();
         self.alive.resize(n, true);
-        self.ranges.clear();
-        self.ranges.resize(n, LiveRange::EMPTY);
-        self.next_ranges.clear();
-        self.next_ranges.resize(n, LiveRange::EMPTY);
-        self.assignments.clear();
-        self.assignments.resize(n * var_count, 0);
         self.weights.clear();
         self.weights.resize(n, 1.0);
+        self.ranges.resize(n, LiveRange::EMPTY);
+        self.assignments.resize(n * var_count, 0);
+    }
+
+    /// Sample plan step `si` for every live walk from its current range:
+    /// walks whose range is empty die (one sample attempt each), then one
+    /// bulk RNG refill draws a word per survivor and the survivors, in
+    /// walk order, pick a position, multiply their weight by the fan-out
+    /// and bind the step's variables. Returns the number of dead ends.
+    pub fn sample_step(
+        &mut self,
+        plan: &WalkPlan,
+        si: usize,
+        index: &TrieIndex,
+        rng: &mut impl RngCore,
+    ) -> u64 {
+        let mut dead = 0u64;
+        let mut survivors = 0usize;
+        for (alive, range) in self.alive.iter_mut().zip(&self.ranges) {
+            if *alive && range.is_empty() {
+                *alive = false;
+                dead += 1;
+            } else {
+                survivors += usize::from(*alive);
+            }
+        }
+        kgoa_obs::metrics::SAMPLE_DRAWS.add(dead + survivors as u64);
+        self.raw.clear();
+        self.raw.resize(survivors, 0);
+        rng.fill_u64(&mut self.raw);
+        let vc = plan.var_count();
+        let mut words = self.raw.iter();
+        for (w, &alive) in self.alive.iter().enumerate() {
+            if alive {
+                let range = self.ranges[w];
+                let pos = index.pick_live_keyed(range, *words.next().expect("one word each"));
+                self.weights[w] *= range.len() as f64;
+                plan.extract_at(index, si, pos, &mut self.assignments[w * vc..(w + 1) * vc]);
+            }
+        }
+        dead
     }
 }
 

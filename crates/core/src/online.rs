@@ -14,49 +14,41 @@ use crate::accum::WalkStats;
 
 /// An online-aggregation algorithm over one query: repeatedly stepped,
 /// queryable for its current estimates at any time.
+///
+/// There is one walk loop per algorithm and it advances a batch of walks
+/// step-major; [`OnlineAggregator::step_batch_governed`] is the only
+/// stepping method an implementation writes. The other three are the same
+/// call with an unlimited budget and/or a batch of one.
 pub trait OnlineAggregator {
     /// Short name for reports ("wj", "aj").
     fn name(&self) -> &'static str;
-
-    /// Perform one random walk (one estimator sample).
-    fn step(&mut self);
-
-    /// Perform one walk under a cooperative budget. The default checks the
-    /// budget between walks only; [`crate::WanderJoin`] and
-    /// [`crate::AuditJoin`] override it with mid-walk cancellation.
-    fn step_governed(&mut self, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
-        budget.fault_walk();
-        budget.charge_walk()?;
-        budget.check()?;
-        self.step();
-        Ok(())
-    }
-
-    /// Perform `n` walks as one batch. The default is a sequential loop;
-    /// [`crate::WanderJoin`] and [`crate::AuditJoin`] override it with the
-    /// SoA step-major runner that amortizes RNG, index, and accounting
-    /// costs across the batch.
-    fn step_batch(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
 
     /// Perform up to `n` walks as one batch under a cooperative budget,
     /// returning the number of walks admitted. `Ok(done)` with `done < n`
     /// means the shared walk cap admitted only part of the batch — callers
     /// must treat that as terminal, like `Err`, and stop issuing batches.
-    /// The default loops [`OnlineAggregator::step_governed`], propagating
-    /// its first error.
+    /// A walk the budget aborts mid-flight is not counted and contributes
+    /// nothing; walks of the batch that had already finished stay counted.
     fn step_batch_governed(
         &mut self,
         budget: &ExecBudget,
         n: u64,
-    ) -> Result<u64, BudgetExceeded> {
-        for _ in 0..n {
-            self.step_governed(budget)?;
-        }
-        Ok(n)
+    ) -> Result<u64, BudgetExceeded>;
+
+    /// Perform `n` walks as one batch, ungoverned.
+    fn step_batch(&mut self, n: u64) {
+        self.step_batch_governed(&ExecBudget::unlimited(), n)
+            .expect("unlimited budget cannot trip");
+    }
+
+    /// Perform one walk (one estimator sample): a batch of one.
+    fn step(&mut self) {
+        self.step_batch(1);
+    }
+
+    /// Perform one walk under a cooperative budget: a governed batch of one.
+    fn step_governed(&mut self, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
+        self.step_batch_governed(budget, 1).map(|_| ())
     }
 
     /// Snapshot the current per-group estimates and confidence intervals.
@@ -77,7 +69,11 @@ pub struct Snapshot {
     pub stats: WalkStats,
 }
 
-/// Step the aggregator for a fixed number of walks (deterministic).
+/// Step the aggregator for a fixed number of walks, one walk per batch: the
+/// deterministic per-walk driver. Each walk draws its RNG words before the
+/// next one starts, so the stream is the one every fixed-seed number in the
+/// test suite was recorded against ([`run_walks_batched`] draws step-major
+/// across a batch and so walks a different, equally valid, stream).
 pub fn run_walks<A: OnlineAggregator + ?Sized>(agg: &mut A, walks: u64) {
     for _ in 0..walks {
         agg.step();
@@ -86,7 +82,6 @@ pub fn run_walks<A: OnlineAggregator + ?Sized>(agg: &mut A, walks: u64) {
 
 /// Step the aggregator for a fixed number of walks in SoA batches of
 /// `batch` walks each (deterministic for a fixed seed and batch size).
-/// `batch == 1` reproduces [`run_walks`] bit-for-bit.
 pub fn run_walks_batched<A: OnlineAggregator + ?Sized>(agg: &mut A, walks: u64, batch: u64) {
     let batch = batch.max(1);
     let mut done = 0u64;
@@ -158,7 +153,7 @@ pub fn run_traced<A: OnlineAggregator + ?Sized>(
     let mut done = 0u64;
     while done < walks {
         let n = batch.min(walks - done);
-        run_walks(agg, n);
+        agg.step_batch(n);
         done += n;
         let est = agg.estimates();
         let total: f64 = est.estimates.values().sum();
@@ -172,22 +167,20 @@ pub fn run_traced<A: OnlineAggregator + ?Sized>(
 /// the estimates at every boundary — the measurement loop behind the
 /// paper's MAE-over-time plots (Figs. 8–10).
 ///
-/// Steps are checked against the clock in small batches so a tick boundary
+/// The clock is checked once per small batch of walks, so a tick boundary
 /// is never overshot by more than a batch.
 pub fn run_timed<A: OnlineAggregator + ?Sized>(
     agg: &mut A,
     ticks: usize,
     tick: Duration,
 ) -> Vec<Snapshot> {
-    const BATCH: u32 = 64;
+    const BATCH: u64 = 64;
     let start = Instant::now();
     let mut snapshots = Vec::with_capacity(ticks);
     for t in 1..=ticks {
         let deadline = tick * t as u32;
         while start.elapsed() < deadline {
-            for _ in 0..BATCH {
-                agg.step();
-            }
+            agg.step_batch(BATCH);
         }
         snapshots.push(Snapshot {
             elapsed: start.elapsed(),
@@ -213,8 +206,14 @@ mod tests {
             "counting"
         }
 
-        fn step(&mut self) {
-            self.n += 1;
+        fn step_batch_governed(
+            &mut self,
+            budget: &ExecBudget,
+            n: u64,
+        ) -> Result<u64, BudgetExceeded> {
+            let admitted = budget.charge_walks(n)?;
+            self.n += admitted;
+            Ok(admitted)
         }
 
         fn estimates(&self) -> GroupedEstimates {
@@ -236,15 +235,18 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_methods_loop_step() {
+    fn provided_methods_step_through_step_batch_governed() {
         let mut c = Counting { n: 0 };
-        c.step_batch(7);
+        c.step();
+        c.step_batch(6);
         assert_eq!(c.n, 7);
         run_walks_batched(&mut c, 100, 16);
         assert_eq!(c.n, 107);
-        let budget = ExecBudget::unlimited();
-        assert_eq!(c.step_batch_governed(&budget, 9).unwrap(), 9);
-        assert_eq!(c.n, 116);
+        let budget = ExecBudget::builder().walk_limit(2).build();
+        c.step_governed(&budget).unwrap();
+        c.step_governed(&budget).unwrap();
+        assert!(c.step_governed(&budget).is_err());
+        assert_eq!(c.n, 109);
     }
 
     #[test]

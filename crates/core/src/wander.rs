@@ -18,7 +18,7 @@ use kgoa_engine::{BudgetExceeded, ExecBudget};
 use kgoa_index::{pack2, FxHashSet, IndexOrder, IndexedGraph, LiveRange, TrieIndex};
 use kgoa_query::{ExplorationQuery, QueryError, WalkPlan};
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use crate::accum::{GroupAccumulator, WalkStats};
 use crate::online::OnlineAggregator;
@@ -36,7 +36,6 @@ pub struct WanderJoin<'g> {
     distinct: bool,
     alpha: usize,
     beta: usize,
-    assignment: Vec<u32>,
     accum: GroupAccumulator,
     seen: FxHashSet<u64>,
     stats: WalkStats,
@@ -45,7 +44,7 @@ pub struct WanderJoin<'g> {
     /// Per-plan-step dead ends (walks that died at the step).
     step_rejects: Vec<u64>,
     rng: SmallRng,
-    /// Recycled SoA scratch for the batched runner.
+    /// Recycled SoA scratch of the walk loop.
     batch: crate::batch::BatchScratch,
 }
 
@@ -82,7 +81,6 @@ impl<'g> WanderJoin<'g> {
         Ok(WanderJoin {
             step_index,
             fixed_ranges,
-            assignment: vec![0u32; query.var_count()],
             distinct: query.distinct(),
             alpha: query.alpha().index(),
             beta: query.beta().index(),
@@ -128,108 +126,14 @@ impl<'g> WanderJoin<'g> {
         drop(span);
     }
 
-    /// Execute one random walk, updating the estimators.
-    pub fn walk(&mut self) {
-        self.walk_governed(&ExecBudget::unlimited())
-            .expect("unlimited budget cannot trip");
-    }
-
-    /// Execute one walk under a cooperative budget, checking it before
-    /// every step. An aborted walk is **not** counted in `stats.walks` and
-    /// contributes nothing, so the estimator stays unbiased over the walks
-    /// that did complete (or die) normally.
-    pub fn walk_governed(&mut self, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
-        budget.fault_walk();
-        budget.charge_walk()?;
-        let mut weight = 1.0f64;
-        // Hoist the shared-plan deref out of the hot loop (the plan sits
-        // behind an `Arc` so parallel workers can share it without clones).
+    /// The walk loop: `n` admitted walks advance one plan step at a time.
+    /// The step's index probes are issued in sorted key order through the
+    /// batch-seek entry points and its RNG words are drawn in one refill,
+    /// in walk order — so the stream is step-major: walk `w` of a batch
+    /// draws its step-`i` word after every walk's step-`i − 1` word.
+    fn walk_batch_core(&mut self, budget: &ExecBudget, n: usize) -> Result<(), BudgetExceeded> {
         let plan: &WalkPlan = &self.plan;
-        for (si, step) in plan.steps().iter().enumerate() {
-            budget.check()?;
-            self.step_visits[si] += 1;
-            let index = self.step_index[si];
-            let range = match self.fixed_ranges[si] {
-                Some(r) => r,
-                None => {
-                    let in_value = step.in_var.map(|(v, _)| self.assignment[v.index()]);
-                    step.access.resolve_live(index, in_value)
-                }
-            };
-            let Some(pos) = index.pick_live(range, &mut self.rng) else {
-                self.stats.walks += 1;
-                self.stats.rejected += 1;
-                self.step_rejects[si] += 1;
-                kgoa_obs::metrics::WALKS.inc();
-                kgoa_obs::metrics::WALKS_REJECTED.inc();
-                return Ok(());
-            };
-            weight *= range.len() as f64;
-            plan.extract_at(index, si, pos, &mut self.assignment);
-        }
-        self.stats.walks += 1;
-        self.stats.full += 1;
-        kgoa_obs::metrics::WALKS.inc();
-        kgoa_obs::metrics::WALKS_FULL.inc();
-        let a = self.assignment[self.alpha];
-        if self.distinct {
-            let b = self.assignment[self.beta];
-            if self.seen.insert(pack2(a, b)) {
-                self.accum.add(a, weight);
-            } else {
-                self.stats.duplicates += 1;
-                kgoa_obs::metrics::WALKS_DUPLICATE.inc();
-            }
-        } else {
-            self.accum.add(a, weight);
-        }
-        Ok(())
-    }
-
-    /// Execute `n` walks as one step-major SoA batch (unlimited budget).
-    pub fn walk_batch(&mut self, n: u64) -> u64 {
-        self.walk_batch_governed(&ExecBudget::unlimited(), n)
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// Execute up to `n` walks as one step-major SoA batch under a
-    /// cooperative budget, returning the number of walks admitted by the
-    /// walk cap (a partial batch is terminal — see
-    /// [`OnlineAggregator::step_batch_governed`]).
-    ///
-    /// All admitted walks advance one plan step at a time: the step's index
-    /// probes are issued in sorted key order through the batch-seek entry
-    /// points, RNG words are refilled in bulk, and walk/budget accounting is
-    /// charged once per batch. `n == 1` reproduces [`Self::walk_governed`]
-    /// bit-for-bit (same RNG stream, same accept/reject sequence, same
-    /// dedup order).
-    pub fn walk_batch_governed(
-        &mut self,
-        budget: &ExecBudget,
-        n: u64,
-    ) -> Result<u64, BudgetExceeded> {
-        if n == 0 {
-            return Ok(0);
-        }
-        for _ in 0..n {
-            budget.fault_walk();
-        }
-        let admitted = budget.charge_walks(n)?;
-        let mut bs = std::mem::take(&mut self.batch);
-        let result = self.walk_batch_core(budget, admitted as usize, &mut bs);
-        self.batch = bs;
-        result.map(|()| admitted)
-    }
-
-    /// The step-major walk loop over a borrowed scratch (so `self` stays
-    /// free for field access).
-    fn walk_batch_core(
-        &mut self,
-        budget: &ExecBudget,
-        n: usize,
-        bs: &mut crate::batch::BatchScratch,
-    ) -> Result<(), BudgetExceeded> {
-        let plan = std::sync::Arc::clone(&self.plan);
+        let bs = &mut self.batch;
         let vc = plan.var_count();
         bs.reset(n, vc);
         let mut live = n;
@@ -248,49 +152,21 @@ impl<'g> WanderJoin<'g> {
                 self.fixed_ranges[si],
                 &bs.assignments,
                 vc,
-                &bs.alive[..n],
+                &bs.alive,
                 &mut bs.probes1,
                 &mut bs.probes2,
                 &mut bs.ranges,
             );
-            // Every live walk attempts a pick at this step; empty ranges
-            // are dead ends (the legacy runner counts those draws too).
-            kgoa_obs::metrics::SAMPLE_DRAWS.add(live as u64);
-            let mut rejected = 0u64;
-            for w in 0..n {
-                if bs.alive[w] && bs.ranges[w].is_empty() {
-                    bs.alive[w] = false;
-                    rejected += 1;
-                    self.step_rejects[si] += 1;
-                }
-            }
-            if rejected > 0 {
-                live -= rejected as usize;
-                self.stats.walks += rejected;
-                self.stats.rejected += rejected;
-                kgoa_obs::metrics::WALKS.add(rejected);
-                kgoa_obs::metrics::WALKS_REJECTED.add(rejected);
-            }
-            // One bulk refill covers the whole step; survivors then sample
-            // in walk order, so each walk consumes the same word it would
-            // have drawn sequentially.
-            bs.raw.clear();
-            bs.raw.resize(live, 0);
-            self.rng.fill_u64(&mut bs.raw);
-            let mut k = 0usize;
-            for w in 0..n {
-                if !bs.alive[w] {
-                    continue;
-                }
-                let range = bs.ranges[w];
-                let pos = index.pick_live_keyed(range, bs.raw[k]);
-                k += 1;
-                bs.weights[w] *= range.len() as f64;
-                plan.extract_at(index, si, pos, &mut bs.assignments[w * vc..(w + 1) * vc]);
-            }
+            let dead = bs.sample_step(plan, si, index, &mut self.rng);
+            live -= dead as usize;
+            self.step_rejects[si] += dead;
+            self.stats.walks += dead;
+            self.stats.rejected += dead;
+            kgoa_obs::metrics::WALKS.add(dead);
+            kgoa_obs::metrics::WALKS_REJECTED.add(dead);
         }
-        // Completions in walk order — the distinct-mode dedup sees samples
-        // in the same order a sequential run would.
+        // Completions in walk order, which is the order the distinct-mode
+        // dedup sees samples in.
         for w in 0..n {
             if !bs.alive[w] {
                 continue;
@@ -322,20 +198,16 @@ impl OnlineAggregator for WanderJoin<'_> {
         "wj"
     }
 
-    fn step(&mut self) {
-        self.walk();
-    }
-
-    fn step_governed(&mut self, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
-        self.walk_governed(budget)
-    }
-
-    fn step_batch(&mut self, n: u64) {
-        self.walk_batch(n);
-    }
-
+    /// Walk and budget accounting is charged once per batch; the budget
+    /// is checked before every plan step.
     fn step_batch_governed(&mut self, budget: &ExecBudget, n: u64) -> Result<u64, BudgetExceeded> {
-        self.walk_batch_governed(budget, n)
+        if n == 0 {
+            return Ok(0);
+        }
+        budget.fault_walks(n);
+        let admitted = budget.charge_walks(n)?;
+        self.walk_batch_core(budget, admitted as usize)?;
+        Ok(admitted)
     }
 
     fn estimates(&self) -> kgoa_engine::GroupedEstimates {
@@ -490,31 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_one_is_bit_identical_to_sequential() {
-        let (ig, p, q) = fan();
-        let query = query(p, q, true);
-        let mut a = WanderJoin::new(&ig, &query, 13).unwrap();
-        let mut b = WanderJoin::new(&ig, &query, 13).unwrap();
-        run_walks(&mut a, 700);
-        crate::online::run_walks_batched(&mut b, 700, 1);
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(
-            a.step_stats().collect::<Vec<_>>(),
-            b.step_stats().collect::<Vec<_>>()
-        );
-        let (ea, eb) = (a.estimates(), b.estimates());
-        for (g, x) in ea.estimates.iter() {
-            assert_eq!(eb.estimates.get(g), Some(x), "group {g}");
-            assert_eq!(eb.half_widths.get(g), ea.half_widths.get(g), "ci {g}");
-        }
-        // The RNG streams stayed in lockstep: continuing both runs (one
-        // sequential, one batched) keeps them identical.
-        run_walks(&mut a, 50);
-        crate::online::run_walks_batched(&mut b, 50, 1);
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
     fn batched_converges_to_exact() {
         let (ig, p, q) = fan();
         let query = query(p, q, false);
@@ -559,12 +406,12 @@ mod tests {
         let query = query(p, q, false);
         let mut wj = WanderJoin::new(&ig, &query, 8).unwrap();
         let budget = ExecBudget::builder().walk_limit(100).build();
-        assert_eq!(wj.walk_batch_governed(&budget, 64).unwrap(), 64);
+        assert_eq!(wj.step_batch_governed(&budget, 64).unwrap(), 64);
         // Only 36 walks remain under the cap: partial admission.
-        assert_eq!(wj.walk_batch_governed(&budget, 64).unwrap(), 36);
+        assert_eq!(wj.step_batch_governed(&budget, 64).unwrap(), 36);
         assert_eq!(wj.stats().walks, 100);
         // The cap is exhausted: the next batch is refused outright.
-        assert!(wj.walk_batch_governed(&budget, 64).is_err());
+        assert!(wj.step_batch_governed(&budget, 64).is_err());
         assert_eq!(wj.stats().walks, 100);
     }
 

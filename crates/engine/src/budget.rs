@@ -233,16 +233,6 @@ impl ExecBudget {
         Ok(())
     }
 
-    /// Charge one random walk and fail if over the cap.
-    pub fn charge_walk(&self) -> Result<(), BudgetExceeded> {
-        let Some(inner) = &self.inner else { return Ok(()) };
-        let total = inner.walks.fetch_add(1, Ordering::Relaxed) + 1;
-        if total > inner.walk_limit {
-            return Err(self.exceeded(BudgetReason::WalkLimit { limit: inner.walk_limit }));
-        }
-        Ok(())
-    }
-
     /// Charge `n` random walks at once (one atomic add for a whole SoA
     /// batch) and return how many were admitted under the cap.
     ///
@@ -250,8 +240,7 @@ impl ExecBudget {
     /// `Err(WalkLimit)` means the cap was already reached and none are
     /// admitted. The unadmitted remainder is refunded, so the counter only
     /// tracks admitted walks and a partial batch cannot trip
-    /// [`ExecBudget::check`] for walks the cap allowed. At `n == 1` this
-    /// admits and refuses exactly like [`ExecBudget::charge_walk`].
+    /// [`ExecBudget::check`] for walks the cap allowed.
     pub fn charge_walks(&self, n: u64) -> Result<u64, BudgetExceeded> {
         let Some(inner) = &self.inner else { return Ok(n) };
         let prev = inner.walks.fetch_add(n, Ordering::Relaxed);
@@ -305,21 +294,23 @@ impl ExecBudget {
         Ok(())
     }
 
-    /// Fault hook — walk start. Panics on the Kth walk when so planned
-    /// (no-op unless `fault-inject` is on).
+    /// Fault hook — start of a batch of `n` walks. Panics when the planned
+    /// Kth walk falls inside the batch (no-op unless `fault-inject` is on).
     #[inline]
-    pub fn fault_walk(&self) {
+    pub fn fault_walks(&self, n: u64) {
         #[cfg(feature = "fault-inject")]
         {
             if let Some(faults) = self.inner.as_ref().and_then(|i| i.faults.as_ref()) {
                 if let Some(k) = faults.plan.panic_walk_at {
-                    let seen = faults.walks.fetch_add(1, Ordering::Relaxed) + 1;
-                    if seen == k {
+                    let before = faults.walks.fetch_add(n, Ordering::Relaxed);
+                    if before < k && k <= before + n {
                         panic!("fault-inject: panic on walk {k}");
                     }
                 }
             }
         }
+        #[cfg(not(feature = "fault-inject"))]
+        let _ = n;
     }
 
     /// Fault hook — worker startup delay (no-op unless `fault-inject` is
@@ -462,7 +453,7 @@ mod tests {
         assert!(b.is_unlimited());
         b.check().unwrap();
         b.charge_tuples(u64::MAX / 2).unwrap();
-        b.charge_walk().unwrap();
+        b.charge_walks(1).unwrap();
         let mut m = b.meter();
         for _ in 0..10_000 {
             m.tick().unwrap();
@@ -505,10 +496,10 @@ mod tests {
     #[test]
     fn walk_and_byte_limits_trip() {
         let b = ExecBudget::builder().walk_limit(2).byte_limit(10).build();
-        b.charge_walk().unwrap();
-        b.charge_walk().unwrap();
+        b.charge_walks(1).unwrap();
+        b.charge_walks(1).unwrap();
         assert_eq!(
-            b.charge_walk().unwrap_err().reason,
+            b.charge_walks(1).unwrap_err().reason,
             BudgetReason::WalkLimit { limit: 2 }
         );
         assert_eq!(
@@ -530,13 +521,10 @@ mod tests {
         );
         // Unlimited admits everything.
         assert_eq!(ExecBudget::unlimited().charge_walks(7).unwrap(), 7);
-        // n == 1 agrees with charge_walk.
+        // One walk at a time: admitted up to the cap, then refused.
         let a = ExecBudget::builder().walk_limit(1).build();
         assert_eq!(a.charge_walks(1).unwrap(), 1);
         assert!(a.charge_walks(1).is_err());
-        let c = ExecBudget::builder().walk_limit(1).build();
-        c.charge_walk().unwrap();
-        assert!(c.charge_walk().is_err());
     }
 
     #[test]
@@ -587,13 +575,20 @@ mod tests {
 
     #[cfg(feature = "fault-inject")]
     #[test]
-    fn fault_walk_panics_at_kth() {
+    fn fault_walks_panics_on_the_batch_holding_the_kth() {
         let b = ExecBudget::builder()
             .faults(FaultPlan { panic_walk_at: Some(2), ..FaultPlan::default() })
             .build();
-        b.fault_walk();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.fault_walk()));
+        b.fault_walks(1);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.fault_walks(1)));
         assert!(r.is_err(), "second walk must panic");
-        b.fault_walk(); // and later walks are fine
+        b.fault_walks(1); // and later walks are fine
+        let b = ExecBudget::builder()
+            .faults(FaultPlan { panic_walk_at: Some(300), ..FaultPlan::default() })
+            .build();
+        b.fault_walks(256);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.fault_walks(256)));
+        assert!(r.is_err(), "walk 300 starts in the second batch of 256");
+        b.fault_walks(256);
     }
 }

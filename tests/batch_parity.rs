@@ -1,11 +1,13 @@
-//! Integration suite for the batched SoA walk runners (DESIGN.md §4j).
+//! Integration suite for the walk loop (DESIGN.md §4j).
 //!
 //! Three properties, end to end over real graphs:
 //!
-//! 1. **Batch-1 compatibility is bit-identical** to the legacy sequential
-//!    runner — same estimates, same half-widths, same walk and per-step
-//!    counters, and the same RNG stream position afterwards — on both
-//!    index layouts and with and without distinct semantics.
+//! 1. **The physical layout is invisible**: CSR and compressed indexes give
+//!    identical estimates, half-widths, walk and per-step counters at batch
+//!    1, 7 and 256, and leave the RNG stream at the same position. At batch
+//!    1 the estimates also reproduce golden digests recorded from the
+//!    sequential per-walk loop this repository carried until ISSUE 22, so
+//!    the stream that loop produced stays locked.
 //! 2. **Larger batches stay unbiased**: on seeded fuzz graphs the batched
 //!    estimators converge to the exact answer.
 //! 3. **Adaptive tipping converges** within the static threshold's error
@@ -97,76 +99,115 @@ fn bits(est: &GroupedEstimates) -> Vec<(u32, u64, u64)> {
     rows
 }
 
+/// FNV-1a fold of [`bits`]: one word per estimate snapshot.
+fn digest(est: &GroupedEstimates) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (g, x, hw) in bits(est) {
+        for word in [u64::from(g), x, hw] {
+            h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digests of the estimates the deleted sequential loops (`WanderJoin::walk`,
+/// `AuditJoin::walk`) produced at commit 2915f46, the parent of ISSUE 22,
+/// recorded there with `run_walks` on both layouts: `[distinct off, on]`,
+/// each `(after the first run, after 100 more walks)`.
+const WJ_GOLDEN: [(u64, u64); 2] = [
+    (0x8acf_6c67_c38b_b60d, 0xe7ac_7ee9_5297_400e),
+    (0xe40a_60c9_4221_acc5, 0x0da3_a810_120d_8039),
+];
+const AJ_GOLDEN: [(u64, u64); 2] = [
+    (0x2c30_227d_e864_eabe, 0xf1e3_2600_f530_0c2e),
+    (0x3fc2_bec5_7841_3a8f, 0x4b9d_23a3_d3cf_cce8),
+];
+
+/// Batch sizes the layout checks visit: one walk per batch (the stream the
+/// golden digests were recorded on), a size that divides neither walk
+/// count, and the production default.
+const BATCHES: [u64; 3] = [1, 7, 256];
+
+/// Run `walks` walks at every size in [`BATCHES`] on a CSR and a compressed
+/// index of the same (deterministically regenerated) graph and check the
+/// two agree on everything observable, RNG stream position included; at
+/// batch 1 the estimates must also be the golden ones.
+fn check_layouts<'g, A: OnlineAggregator>(
+    [csr, packed]: &'g [IndexedGraph; 2],
+    make: impl Fn(&'g IndexedGraph) -> A,
+    step_stats: impl Fn(&A) -> Vec<[u64; 3]>,
+    walks: u64,
+    golden: (u64, u64),
+    ctx: &str,
+) {
+    for batch in BATCHES {
+        let (mut a, mut b) = (make(csr), make(packed));
+        run_walks_batched(&mut a, walks, batch);
+        run_walks_batched(&mut b, walks, batch);
+        assert_eq!(a.stats(), b.stats(), "{ctx} batch {batch}");
+        assert_eq!(a.stats().walks, walks, "{ctx} batch {batch}");
+        assert_eq!(step_stats(&a), step_stats(&b), "{ctx} batch {batch}: per-step counters");
+        assert_eq!(
+            bits(&a.estimates()),
+            bits(&b.estimates()),
+            "{ctx} batch {batch}: estimates + half-widths"
+        );
+        let first = digest(&a.estimates());
+        // Same RNG stream position afterwards: continuing both runs one
+        // walk at a time must keep them bit-identical.
+        run_walks(&mut a, 100);
+        run_walks(&mut b, 100);
+        assert_eq!(
+            bits(&a.estimates()),
+            bits(&b.estimates()),
+            "{ctx} batch {batch}: RNG stream diverged"
+        );
+        if batch == 1 {
+            let got = (first, digest(&a.estimates()));
+            assert_eq!(got, golden, "{ctx}: not the sequential loop's stream");
+        }
+    }
+}
+
+fn both_layouts(seed: u64) -> ([IndexedGraph; 2], ExplorationQuery) {
+    let indexes =
+        Layout::ALL.map(|layout| IndexedGraph::build_with_layout(fuzz_graph(seed).0, layout));
+    (indexes, fuzz_graph(seed).1)
+}
+
 #[test]
 fn wander_join_batch_one_is_bit_identical_across_layouts() {
-    // Regenerate the (deterministic) graph per layout so the runs walk
-    // physically different indexes (row-oriented, CSR, compressed) over
-    // identical data.
-    for layout in Layout::ALL {
-        let (graph, query) = fuzz_graph(0xB00B_5EED);
-        let ig = IndexedGraph::build_with_layout(graph, layout);
-        for distinct in [false, true] {
-            let q = query.clone().with_distinct(distinct);
-            let mut seq = WanderJoin::new(&ig, &q, 17).expect("wj");
-            let mut bat = WanderJoin::new(&ig, &q, 17).expect("wj");
-            run_walks(&mut seq, 900);
-            run_walks_batched(&mut bat, 900, 1);
-            assert_eq!(seq.stats(), bat.stats(), "{layout:?} distinct={distinct}");
-            assert_eq!(
-                seq.step_stats().collect::<Vec<_>>(),
-                bat.step_stats().collect::<Vec<_>>(),
-                "{layout:?} distinct={distinct}: per-step visit/reject counters"
-            );
-            assert_eq!(
-                bits(&seq.estimates()),
-                bits(&bat.estimates()),
-                "{layout:?} distinct={distinct}: estimates + half-widths"
-            );
-            // Same RNG stream position afterwards: continuing both runs
-            // sequentially must keep them bit-identical.
-            run_walks(&mut seq, 100);
-            run_walks(&mut bat, 100);
-            assert_eq!(
-                bits(&seq.estimates()),
-                bits(&bat.estimates()),
-                "{layout:?} distinct={distinct}: RNG stream diverged"
-            );
-        }
+    let (indexes, query) = both_layouts(0xB00B_5EED);
+    for (distinct, golden) in [false, true].into_iter().zip(WJ_GOLDEN) {
+        let q = query.clone().with_distinct(distinct);
+        check_layouts(
+            &indexes,
+            |ig| WanderJoin::new(ig, &q, 17).expect("wj"),
+            |wj| wj.step_stats().map(|(visits, dead)| [visits, dead, 0]).collect(),
+            900,
+            golden,
+            &format!("wj distinct={distinct}"),
+        );
     }
 }
 
 #[test]
 fn audit_join_batch_one_is_bit_identical_across_layouts() {
-    for layout in Layout::ALL {
-        let (graph, query) = fuzz_graph(0xC0FF_EE00);
-        let ig = IndexedGraph::build_with_layout(graph, layout);
-        for distinct in [false, true] {
-            let q = query.clone().with_distinct(distinct);
-            let cfg = AuditJoinConfig { tipping: Tipping::Static(8.0), seed: 23 };
-            let mut seq = AuditJoin::new(&ig, &q, cfg).expect("aj");
-            let mut bat = AuditJoin::new(&ig, &q, cfg).expect("aj");
-            run_walks(&mut seq, 700);
-            run_walks_batched(&mut bat, 700, 1);
-            assert_eq!(seq.stats(), bat.stats(), "{layout:?} distinct={distinct}");
-            assert!(seq.stats().tipped > 0, "threshold 8.0 must actually tip");
-            assert_eq!(
-                seq.step_stats().collect::<Vec<_>>(),
-                bat.step_stats().collect::<Vec<_>>(),
-                "{layout:?} distinct={distinct}: per-step visit/reject/tip counters"
-            );
-            assert_eq!(
-                bits(&seq.estimates()),
-                bits(&bat.estimates()),
-                "{layout:?} distinct={distinct}: estimates + half-widths"
-            );
-            run_walks(&mut seq, 100);
-            run_walks(&mut bat, 100);
-            assert_eq!(
-                bits(&seq.estimates()),
-                bits(&bat.estimates()),
-                "{layout:?} distinct={distinct}: RNG stream diverged"
-            );
-        }
+    let (indexes, query) = both_layouts(0xC0FF_EE00);
+    for (distinct, golden) in [false, true].into_iter().zip(AJ_GOLDEN) {
+        let q = query.clone().with_distinct(distinct);
+        let cfg = AuditJoinConfig { tipping: Tipping::Static(8.0), seed: 23 };
+        check_layouts(
+            &indexes,
+            |ig| AuditJoin::new(ig, &q, cfg).expect("aj"),
+            |aj| {
+                assert!(aj.stats().tipped > 0, "threshold 8.0 must actually tip");
+                aj.step_stats().map(|(visits, dead, tips)| [visits, dead, tips]).collect()
+            },
+            700,
+            golden,
+            &format!("aj distinct={distinct}"),
+        );
     }
 }
 
