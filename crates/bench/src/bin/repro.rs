@@ -18,10 +18,7 @@
 //!   --threads N                       cap on the scale thread sweep (default 8)
 //!   --batch N                         walks per SoA batch (default 256)
 //!   --layout csr|compressed           index storage layout (default csr)
-//!   --out PATH                        JSON output path (trace, bench-json, profile)
-//!   --baseline PATH                   baseline bench JSON (regress)
-//!   --candidate PATH                  candidate bench JSON (regress; default BENCH_PR10.json)
-//!   --tolerance X                     regression tolerance factor (default 1.25)
+//!   --out PATH                        JSON output path (trace, profile)
 //!   --paper                           paper protocol: 9 ticks × 1 s
 //! ```
 
@@ -29,11 +26,10 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use kgoa_bench::{
-    ablate_cache, ablate_order, ablate_tipping, bench_json, churn_bench, deadline_sweep,
-    fig11, fig8, fig9_10, index_bench, layout_parity, load_datasets_in, monitor_bench,
-    obs_overhead, parallel_scaling, prepare_workload, profile_report, quality_bench, regress,
-    sample_time, scale_bench, table1, trace_report, verify_engines, walks_bench, BenchConfig,
-    Dataset, PreparedQuery,
+    ablate_cache, ablate_order, ablate_tipping, churn_bench, deadline_sweep, fig11, fig8,
+    fig9_10, index_bench, layout_parity, load_datasets_in, monitor_bench, obs_overhead,
+    prepare_workload, profile_report, quality_bench, sample_time, scale_bench, table1,
+    trace_report, verify_engines, BenchConfig, Dataset, PreparedQuery,
 };
 use kgoa_datagen::Scale;
 use kgoa_index::Layout;
@@ -51,9 +47,6 @@ struct Ctx<'a> {
 #[derive(Default)]
 struct Opts {
     out: Option<String>,
-    baseline: Option<String>,
-    candidate: Option<String>,
-    tolerance: Option<f64>,
 }
 
 /// What an experiment produced: the report text and whether its gate
@@ -66,8 +59,6 @@ struct Experiment {
     name: &'static str,
     help: &'static str,
     run: fn(&Ctx) -> Outcome,
-    /// Included in `repro all`. Off for experiments needing extra inputs.
-    in_all: bool,
     /// Needs the datasets + prepared workload built up front.
     needs_workload: bool,
 }
@@ -82,182 +73,120 @@ const EXPERIMENTS: &[Experiment] = &[
         name: "table1",
         help: "dataset information (Table I)",
         run: |c| ok(table1(c.datasets)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "verify",
         help: "all exact engines agree on the whole workload",
         run: |c| ok(verify_engines(c.datasets, c.workload)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "fig8",
         help: "MAE/time on six selected queries (Fig. 8)",
         run: |c| ok(fig8(c.datasets, c.workload, c.cfg)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "fig9",
         help: "MAE/time Tukey stats, all queries with distinct (Fig. 9)",
         run: |c| ok(fig9_10(c.datasets, c.workload, c.cfg, true)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "fig10",
         help: "same without distinct (Fig. 10)",
         run: |c| ok(fig9_10(c.datasets, c.workload, c.cfg, false)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "fig11",
         help: "rejection rates per query (Fig. 11)",
         run: |c| ok(fig11(c.datasets, c.workload, c.cfg)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "sampletime",
         help: "per-walk timings (§V-C)",
         run: |c| ok(sample_time(c.datasets, c.workload, c.cfg)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "ablate-tipping",
         help: "tipping-threshold sweep (A1)",
         run: |c| ok(ablate_tipping(c.datasets, c.workload, c.cfg)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "ablate-cache",
         help: "CTJ vs LFTJ (A2)",
         run: |c| ok(ablate_cache(c.datasets, c.workload)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "ablate-order",
         help: "WJ walk-order selection (A3)",
         run: |c| ok(ablate_order(c.datasets, c.workload, c.cfg)),
-        in_all: true,
-        needs_workload: true,
-    },
-    Experiment {
-        name: "parallel",
-        help: "parallel Audit Join scaling (merged estimators)",
-        run: |c| ok(parallel_scaling(c.datasets, c.workload, c.cfg)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "scale",
         help: "pool scaling: streaming estimates + partitioned exact (PR 5)",
         run: |c| ok(scale_bench(c.datasets, c.workload, c.cfg)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "deadlines",
         help: "supervised execution under a deadline sweep",
         run: |c| ok(deadline_sweep(c.datasets, c.workload, c.cfg)),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "trace",
         help: "convergence traces + telemetry snapshot (JSON, kgoa-obs)",
         run: |c| ok(trace_report(c.datasets, c.workload, c.cfg, c.opts.out.as_deref())),
-        in_all: true,
-        needs_workload: true,
-    },
-    Experiment {
-        name: "bench-json",
-        help: "machine-readable benchmark export (BENCH_PR*.json)",
-        run: |c| {
-            ok(bench_json(
-                c.datasets,
-                c.workload,
-                c.cfg,
-                c.opts.out.as_deref(),
-                kgoa_bench::INDEX_SCALE_MULT,
-            ))
-        },
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "profile",
         help: "EXPLAIN ANALYZE span tree + folded flamegraph (kgoa-obs/v2)",
         run: |c| ok(profile_report(c.datasets, c.workload, c.cfg, c.opts.out.as_deref())),
-        in_all: true,
         needs_workload: true,
     },
     Experiment {
         name: "index-bench",
         help: "index layout A/B: CSR vs compressed, build + micro-ops + bytes/triple",
         run: |c| ok(index_bench(c.cfg)),
-        in_all: true,
         needs_workload: false,
     },
     Experiment {
         name: "layout-parity",
         help: "CSR/compressed exact+sampled parity gate (nonzero exit on fail)",
         run: |c| layout_parity(c.cfg),
-        in_all: true,
         needs_workload: false,
     },
     Experiment {
         name: "churn",
         help: "live updates under query load: MVCC epoch gate (nonzero exit on fail)",
         run: |c| churn_bench(c.cfg),
-        in_all: true,
         needs_workload: false,
     },
     Experiment {
         name: "monitor",
         help: "observability plane scrape gate: /metrics, /healthz, slow-query capture",
         run: |c| monitor_bench(c.cfg),
-        in_all: true,
         needs_workload: false,
     },
     Experiment {
         name: "quality",
         help: "estimator-quality gate: coverage audit, convergence telemetry, drift trip",
         run: |c| quality_bench(c.cfg),
-        in_all: true,
-        needs_workload: false,
-    },
-    Experiment {
-        name: "walks",
-        help: "walk throughput sweep over batch sizes 1, 16, 64, 256",
-        run: |c| walks_bench(c.datasets, c.workload, c.cfg),
-        in_all: true,
-        needs_workload: true,
-    },
-    Experiment {
-        name: "regress",
-        help: "bench regression gate vs --baseline (nonzero exit on fail)",
-        run: |c| {
-            let Some(baseline) = c.opts.baseline.as_deref() else {
-                return ("regress requires --baseline PATH".into(), false);
-            };
-            let candidate = c.opts.candidate.as_deref().unwrap_or("BENCH_PR10.json");
-            regress(baseline, candidate, c.opts.tolerance.unwrap_or(1.25))
-        },
-        in_all: false,
         needs_workload: false,
     },
     Experiment {
         name: "obs-overhead",
         help: "disabled-telemetry overhead gate (nonzero exit on fail)",
         run: |c| obs_overhead(c.datasets, c.workload, 15),
-        in_all: true,
         needs_workload: true,
     },
 ];
@@ -269,7 +198,7 @@ fn usage() -> ExitCode {
     for e in EXPERIMENTS {
         eprintln!("  {:<15} {}", e.name, e.help);
     }
-    eprintln!("  {:<15} every experiment marked for the full run", "all");
+    eprintln!("  {:<15} every experiment above", "all");
     eprintln!(
         "\noptions:\n  --scale tiny|small|medium|large   dataset scale   (default small)\n  \
          --ticks N                         report points   (default 5)\n  \
@@ -281,10 +210,7 @@ fn usage() -> ExitCode {
          --threads N                       cap on the scale thread sweep (default 8)\n  \
          --batch N                         walks per SoA batch (default 256)\n  \
          --layout csr|compressed           index storage layout (default csr)\n  \
-         --out PATH                        JSON output path (trace, bench-json, profile)\n  \
-         --baseline PATH                   baseline bench JSON (regress)\n  \
-         --candidate PATH                  candidate bench JSON (regress; default BENCH_PR10.json)\n  \
-         --tolerance X                     regression tolerance factor (default 1.25)\n  \
+         --out PATH                        JSON output path (trace, profile)\n  \
          --paper                           paper protocol: 9 ticks × 1 s"
     );
     ExitCode::FAILURE
@@ -354,18 +280,6 @@ fn main() -> ExitCode {
                 Some(v) => opts.out = Some(v),
                 None => return usage(),
             },
-            "--baseline" => match take_value(&mut i) {
-                Some(v) => opts.baseline = Some(v),
-                None => return usage(),
-            },
-            "--candidate" => match take_value(&mut i) {
-                Some(v) => opts.candidate = Some(v),
-                None => return usage(),
-            },
-            "--tolerance" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => opts.tolerance = Some(v),
-                None => return usage(),
-            },
             "--paper" => {
                 cfg.ticks = 9;
                 cfg.tick = Duration::from_secs(1);
@@ -378,7 +292,7 @@ fn main() -> ExitCode {
     // One experiment, a comma-separated list, or "all" — resolved against
     // the registry before any expensive setup.
     let selected: Vec<&Experiment> = if experiment == "all" {
-        EXPERIMENTS.iter().filter(|e| e.in_all).collect()
+        EXPERIMENTS.iter().collect()
     } else {
         let mut picked = Vec::new();
         for name in experiment.split(',') {

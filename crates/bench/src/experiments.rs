@@ -521,56 +521,6 @@ pub fn ablate_order(datasets: &[Dataset], workload: &[PreparedQuery], cfg: &Benc
     out
 }
 
-/// Extension experiment: parallel online aggregation scaling (workers
-/// merge their estimators; see `kgoa_core::parallel`).
-pub fn parallel_scaling(
-    datasets: &[Dataset],
-    workload: &[PreparedQuery],
-    cfg: &BenchConfig,
-) -> String {
-    use kgoa_core::{run_parallel, Budget, ParallelAlgo};
-    let mut out = String::new();
-    writeln!(out, "## Extension — parallel Audit Join scaling (merged estimators)\n").unwrap();
-    let Some(q) = workload.iter().max_by_key(|q| q.generated.step) else {
-        return out;
-    };
-    let ig = &datasets[q.dataset].ig;
-    let plan = crate::workload::select_walk_plan(ig, &q.generated.query, cfg);
-    writeln!(out, "query: {}", q.id).unwrap();
-    writeln!(out, "{:>8} {:>14} {:>12} {:>10}", "threads", "walks/s", "MAE", "CI").unwrap();
-    let budget = std::time::Duration::from_millis(400);
-    for threads in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
-        let outcome = run_parallel(
-            ig,
-            &q.generated.query,
-            &plan,
-            ParallelAlgo::AuditJoin(kgoa_core::AuditJoinConfig {
-                tipping: kgoa_core::Tipping::from_threshold(cfg.tipping_threshold),
-                seed: cfg.seed,
-            }),
-            threads,
-            Budget::Time(budget),
-            cfg.seed,
-        )
-        .expect("parallel run");
-        let wall = t0.elapsed().as_secs_f64();
-        writeln!(
-            out,
-            "{:>8} {:>14.0} {:>12} {:>10}",
-            threads,
-            outcome.stats.walks as f64 / wall,
-            fmt_pct(kgoa_engine::mean_absolute_error(
-                &q.exact_distinct,
-                &outcome.estimates
-            )),
-            fmt_pct(kgoa_engine::mean_ci_width(&q.exact_distinct, &outcome.estimates)),
-        )
-        .unwrap();
-    }
-    out
-}
-
 /// Robustness experiment: the supervisor's exact → approximate
 /// degradation ladder across a sweep of deadlines. Short deadlines must
 /// degrade to Audit Join estimates (with confidence intervals and a

@@ -8,8 +8,7 @@
 //!   10× the configured scale, where the space/speed trade-off is
 //!   visible) and times construction plus the three index hot paths (full
 //!   trie walks, galloped seeks, point containment) plus batched Wander
-//!   Join throughput, and reports index bytes per stored triple — the
-//!   micro-level evidence behind the BENCH macro numbers;
+//!   Join throughput, and reports index bytes per stored triple;
 //! - `layout-parity` is a gate: leaf positions and prefix ranges must
 //!   equal a naive scan of the sorted rows, and exact CTJ/LFTJ results
 //!   and deterministic Wander Join runs must be *identical* across both
@@ -24,7 +23,6 @@ use kgoa_datagen::{generate_with_info, KgConfig};
 use kgoa_engine::{CountEngine, CtjEngine, LftjEngine, YannakakisEngine};
 use kgoa_explore::{generate_explorations, GeneratorConfig};
 use kgoa_index::{IndexOrder, IndexedGraph, Layout, RowRange, TrieCursor};
-use kgoa_obs::Json;
 
 use crate::metrics::fmt_duration;
 use crate::workload::{load_datasets_in, run_fixed_walks, Algo, BenchConfig};
@@ -301,60 +299,6 @@ pub fn index_bench(cfg: &BenchConfig) -> String {
     render_index_report(&index_points(cfg, INDEX_SCALE_MULT))
 }
 
-/// JSON form of the `index-bench` measurements, recorded under the
-/// `index` key of `repro bench-json` output (the BENCH_PR10 evidence for
-/// the compressed-layout space/speed gates).
-pub fn index_points_json(points: &[IndexPoint]) -> Json {
-    let mut datasets: Vec<&str> = Vec::new();
-    for p in points {
-        if !datasets.contains(&p.dataset.as_str()) {
-            datasets.push(&p.dataset);
-        }
-    }
-    let mut ds_objs = Vec::new();
-    for name in datasets {
-        let ds: Vec<&IndexPoint> = points.iter().filter(|p| p.dataset == name).collect();
-        let layouts = ds
-            .iter()
-            .map(|p| {
-                Json::Obj(vec![
-                    ("layout".into(), Json::str(p.layout.name())),
-                    ("build_ms".into(), Json::Num(p.build.as_secs_f64() * 1e3)),
-                    ("walk_ms".into(), Json::Num(p.walk.as_secs_f64() * 1e3)),
-                    ("seek_ms".into(), Json::Num(p.seek.as_secs_f64() * 1e3)),
-                    ("contains_ms".into(), Json::Num(p.contains.as_secs_f64() * 1e3)),
-                    ("memory_bytes".into(), Json::Num(p.memory as f64)),
-                    ("bytes_per_triple".into(), Json::Num(p.bytes_per_triple)),
-                    ("wj_walks_per_sec".into(), Json::Num(p.wj_walks_per_sec)),
-                ])
-            })
-            .collect::<Vec<_>>();
-        let by = |l: Layout| ds.iter().find(|p| p.layout == l).expect("all layouts measured");
-        let (csr, comp) = (by(Layout::Csr), by(Layout::Compressed));
-        ds_objs.push(Json::Obj(vec![
-            ("dataset".into(), Json::str(name)),
-            ("triples".into(), Json::Num(ds[0].triples as f64)),
-            ("layouts".into(), Json::Arr(layouts)),
-            (
-                "compression_vs_csr".into(),
-                Json::Num(csr.bytes_per_triple / comp.bytes_per_triple.max(1e-9)),
-            ),
-            (
-                "seek_vs_csr".into(),
-                Json::Num(csr.seek.as_secs_f64() / comp.seek.as_secs_f64().max(1e-9)),
-            ),
-            (
-                "wj_vs_csr".into(),
-                Json::Num(comp.wj_walks_per_sec / csr.wj_walks_per_sec.max(1e-9)),
-            ),
-        ]));
-    }
-    Json::Obj(vec![
-        ("scale_mult".into(), Json::Num(INDEX_SCALE_MULT as f64)),
-        ("datasets".into(), Json::Arr(ds_objs)),
-    ])
-}
-
 /// Number of sampled prefixes whose ranges are checked against the naive
 /// scan.
 const RANGE_PROBES: usize = 256;
@@ -547,18 +491,6 @@ mod tests {
                 "compressed not smaller than csr on {name}"
             );
         }
-    }
-
-    #[test]
-    fn index_points_json_has_gate_ratios() {
-        let points = index_points(&tiny_cfg(), 1);
-        let json = index_points_json(&points).to_string();
-        for key in ["compression_vs_csr", "seek_vs_csr", "wj_vs_csr", "bytes_per_triple"] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        let reparsed = Json::parse(&json).expect("well-formed index JSON");
-        let datasets = reparsed.get("datasets").and_then(Json::as_arr).expect("datasets");
-        assert_eq!(datasets.len(), 2);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§V): Table I, Figs. 8–11, the §V-C sample-time numbers, and
-//! three ablations of the design choices DESIGN.md calls out. The `repro`
-//! binary is a CLI over [`experiments`], [`telemetry`], and [`profiler`];
-//! micro-benchmarks live under `benches/` on the self-contained
-//! [`microbench`] harness.
+//! three ablations of the design choices DESIGN.md calls out, plus the
+//! parity and robustness gates that exit non-zero on failure. The `repro`
+//! binary is a CLI over these modules. Nothing here compares speed between
+//! commits: that is `kgbench` (`benchmark/README.md`).
 
 #![warn(missing_docs)]
 
@@ -13,7 +13,6 @@ pub mod churn;
 pub mod experiments;
 pub mod layouts;
 pub mod metrics;
-pub mod microbench;
 pub mod monitor;
 pub mod profiler;
 pub mod quality;
@@ -23,17 +22,14 @@ pub mod workload;
 pub use churn::churn_bench;
 pub use experiments::{
     ablate_cache, ablate_order, ablate_tipping, deadline_sweep, fig11, fig8, fig8_queries,
-    fig9_10, parallel_scaling, sample_time, table1, verify_engines,
+    fig9_10, sample_time, table1, verify_engines,
 };
-pub use layouts::{index_bench, index_points, index_points_json, layout_parity, IndexPoint, INDEX_SCALE_MULT};
+pub use layouts::{index_bench, index_points, layout_parity, IndexPoint};
 pub use metrics::{fmt_duration, fmt_pct, selectivity, tukey, Tukey};
 pub use monitor::monitor_bench;
-pub use profiler::{folded_path_for, profile_report, regress};
+pub use profiler::{folded_path_for, profile_report};
 pub use quality::quality_bench;
-pub use telemetry::{
-    bench_json, obs_overhead, scale_bench, trace_report, walks_bench, BENCH_SCHEMA,
-    TRACE_SCHEMA, WALK_BATCH_SWEEP,
-};
+pub use telemetry::{obs_overhead, scale_bench, trace_report, TRACE_SCHEMA};
 pub use workload::{
     load_datasets, load_datasets_in, prepare_workload, run_fixed_walks, run_series,
     select_aj_plan, select_walk_plan, Algo, BenchConfig, Dataset, PreparedQuery, SeriesPoint,

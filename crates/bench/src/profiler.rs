@@ -1,4 +1,4 @@
-//! Per-query profiling and benchmark regression experiments.
+//! Per-query profiling experiment.
 //!
 //! `repro profile` drives every execution rung — CTJ under the
 //! supervisor, the LFTJ baseline, both online estimators, and a parallel
@@ -6,12 +6,6 @@
 //! the collected span tree three ways: an EXPLAIN ANALYZE-style annotated
 //! plan tree, collapsed stacks in the `folded` flamegraph format, and a
 //! self-validated `kgoa-obs/v2` JSON document.
-//!
-//! `repro regress` compares two `kgoa-bench/v1` documents (see
-//! [`crate::telemetry::bench_json`]) experiment-by-experiment and fails —
-//! nonzero exit in the CLI — when the candidate regressed beyond a
-//! multiplicative tolerance. This is the CI gate that keeps the committed
-//! `BENCH_PR*.json` snapshots honest.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -23,7 +17,6 @@ use kgoa_core::{
 use kgoa_engine::lftj_count;
 use kgoa_obs::{Json, ProfileReport, QueryProfile};
 
-use crate::telemetry::BENCH_SCHEMA;
 use crate::workload::{select_walk_plan, BenchConfig, Dataset, PreparedQuery};
 
 /// Walks per estimator in the profiled demonstration run.
@@ -160,160 +153,9 @@ pub fn profile_report(
     report
 }
 
-/// `repro regress`: compare a candidate `kgoa-bench/v1` document against
-/// a baseline. Per experiment present in *both* documents (keyed by
-/// `query`), the gate fails — second tuple element `false` — when:
-///
-/// - `ctj_median_ns` grew beyond `baseline × tolerance`;
-/// - an estimator's `walks_per_sec` fell below `baseline ÷ tolerance`;
-/// - an estimator's `mae` grew beyond `baseline × tolerance` (skipped
-///   when the baseline MAE is zero — nothing to be relative to).
-///
-/// Experiments present in only one document are reported and skipped.
-/// An empty intersection is itself a failure: it means the two documents
-/// describe different workloads and the comparison is vacuous.
-pub fn regress(baseline_path: &str, candidate_path: &str, tolerance: f64) -> (String, bool) {
-    let mut report = String::new();
-    writeln!(report, "## Regression gate — {candidate_path} vs {baseline_path}\n").unwrap();
-    if tolerance.is_nan() || tolerance < 1.0 {
-        writeln!(report, "FAIL: tolerance must be ≥ 1.0, got {tolerance}").unwrap();
-        return (report, false);
-    }
-
-    let load = |path: &str| -> Result<Json, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{path}: malformed JSON: {e}"))?;
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(s) if s == BENCH_SCHEMA => Ok(doc),
-            other => Err(format!("{path}: expected schema {BENCH_SCHEMA}, found {other:?}")),
-        }
-    };
-    let (base, cand) = match (load(baseline_path), load(candidate_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (b, c) => {
-            for side in [b, c] {
-                if let Err(e) = side {
-                    writeln!(report, "FAIL: {e}").unwrap();
-                }
-            }
-            return (report, false);
-        }
-    };
-
-    let experiments = |doc: &Json| -> Vec<(String, Json)> {
-        doc.get("experiments")
-            .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|e| {
-                        e.get("query")
-                            .and_then(Json::as_str)
-                            .map(|id| (id.to_string(), e.clone()))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let base_exps = experiments(&base);
-    let cand_exps = experiments(&cand);
-
-    let mut failures = 0usize;
-    let mut compared = 0usize;
-    let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64);
-
-    for (id, be) in &base_exps {
-        let Some((_, ce)) = cand_exps.iter().find(|(cid, _)| cid == id) else {
-            writeln!(report, "{id:<28} only in baseline — skipped").unwrap();
-            continue;
-        };
-        compared += 1;
-
-        // Exact rung latency: higher is worse.
-        if let (Some(b), Some(c)) = (num(be, "ctj_median_ns"), num(ce, "ctj_median_ns")) {
-            let ok = c <= b * tolerance;
-            failures += usize::from(!ok);
-            writeln!(
-                report,
-                "{id:<28} ctj_median {:>9.2}ms → {:>9.2}ms  ratio {:>5.2}  {}",
-                b / 1e6,
-                c / 1e6,
-                c / b,
-                if ok { "ok" } else { "REGRESSED" }
-            )
-            .unwrap();
-        }
-
-        // Online rungs, matched by algorithm name.
-        let algos = |e: &Json| -> Vec<Json> {
-            e.get("online").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-        };
-        for ba in algos(be) {
-            let Some(name) = ba.get("algo").and_then(Json::as_str).map(str::to_string) else {
-                continue;
-            };
-            let Some(ca) = algos(ce)
-                .into_iter()
-                .find(|a| a.get("algo").and_then(Json::as_str) == Some(&name))
-            else {
-                continue;
-            };
-            // Throughput: lower is worse.
-            if let (Some(b), Some(c)) = (num(&ba, "walks_per_sec"), num(&ca, "walks_per_sec")) {
-                let ok = c >= b / tolerance;
-                failures += usize::from(!ok);
-                writeln!(
-                    report,
-                    "{id:<28} {name} walks/s {:>10.0} → {:>10.0}  ratio {:>5.2}  {}",
-                    b,
-                    c,
-                    c / b,
-                    if ok { "ok" } else { "REGRESSED" }
-                )
-                .unwrap();
-            }
-            // Accuracy: higher is worse; a zero baseline has no scale.
-            if let (Some(b), Some(c)) = (num(&ba, "mae"), num(&ca, "mae")) {
-                if b > 0.0 {
-                    let ok = c <= b * tolerance;
-                    failures += usize::from(!ok);
-                    writeln!(
-                        report,
-                        "{id:<28} {name} mae     {:>10.4} → {:>10.4}  ratio {:>5.2}  {}",
-                        b,
-                        c,
-                        c / b,
-                        if ok { "ok" } else { "REGRESSED" }
-                    )
-                    .unwrap();
-                }
-            }
-        }
-    }
-    for (id, _) in &cand_exps {
-        if !base_exps.iter().any(|(bid, _)| bid == id) {
-            writeln!(report, "{id:<28} only in candidate — skipped").unwrap();
-        }
-    }
-
-    let ok = failures == 0 && compared > 0;
-    if compared == 0 {
-        writeln!(report, "\nFAIL: no experiment appears in both documents").unwrap();
-    } else {
-        writeln!(
-            report,
-            "\n{} ({compared} experiments compared, tolerance {tolerance}×, {failures} regressions)",
-            if ok { "PASS" } else { "FAIL" }
-        )
-        .unwrap();
-    }
-    (report, ok)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::bench_json;
     use crate::workload::{load_datasets, prepare_workload};
     use kgoa_datagen::Scale;
 
@@ -355,66 +197,5 @@ mod tests {
         assert!(ProfileReport::from_json(&doc).is_ok());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(dir.join("profile.folded")).ok();
-    }
-
-    #[test]
-    fn regress_passes_on_identical_documents_and_fails_on_doctored() {
-        let (datasets, workload, cfg) = tiny();
-        let dir = std::env::temp_dir().join("kgoa-regress-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        bench_json(&datasets, &workload, &cfg, Some(base.to_str().unwrap()), 1);
-        let base_s = base.to_str().unwrap();
-
-        // Identical documents: no regression by construction.
-        let (r, ok) = regress(base_s, base_s, 1.5);
-        assert!(ok, "identical documents must pass:\n{r}");
-        assert!(r.contains("PASS"));
-
-        // Doctor the baseline: claim CTJ used to be 1000× faster and the
-        // estimators 1000× more accurate — the candidate must now fail.
-        let text = std::fs::read_to_string(&base).unwrap();
-        let mut doc = Json::parse(&text).unwrap();
-        fn doctor(j: &mut Json) {
-            match j {
-                Json::Obj(fields) => {
-                    for (k, v) in fields.iter_mut() {
-                        if k == "ctj_median_ns" || k == "mae" {
-                            if let Json::Num(n) = v {
-                                *n /= 1000.0;
-                            }
-                        } else {
-                            doctor(v);
-                        }
-                    }
-                }
-                Json::Arr(items) => items.iter_mut().for_each(doctor),
-                _ => {}
-            }
-        }
-        doctor(&mut doc);
-        let doctored = dir.join("doctored.json");
-        std::fs::write(&doctored, doc.pretty(2)).unwrap();
-        let (r, ok) = regress(doctored.to_str().unwrap(), base_s, 1.5);
-        assert!(!ok, "doctored baseline must fail:\n{r}");
-        assert!(r.contains("REGRESSED"));
-
-        // Disjoint workloads: vacuous comparison is a failure, not a pass.
-        let empty = dir.join("empty.json");
-        std::fs::write(
-            &empty,
-            format!("{{\"schema\": \"{BENCH_SCHEMA}\", \"experiments\": []}}"),
-        )
-        .unwrap();
-        let (r, ok) = regress(empty.to_str().unwrap(), base_s, 1.5);
-        assert!(!ok);
-        assert!(r.contains("no experiment appears in both"));
-
-        // Unreadable input: a clean failure, not a panic.
-        let (r, ok) = regress(dir.join("missing.json").to_str().unwrap(), base_s, 1.5);
-        assert!(!ok);
-        assert!(r.contains("cannot read"));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,5 +1,5 @@
-//! Telemetry-driven experiments: convergence traces, the machine-readable
-//! benchmark export, and the disabled-telemetry overhead gate.
+//! Telemetry-driven experiments: convergence traces, the pool scaling
+//! sweep, and the disabled-telemetry overhead gate.
 //!
 //! These are the observability counterparts of [`crate::experiments`]:
 //! instead of reproducing a figure they exercise the `kgoa-obs` subsystem
@@ -17,12 +17,10 @@ use kgoa_engine::{CountEngine, CtjEngine, ExecBudget};
 use kgoa_obs::Json;
 
 use crate::metrics::fmt_duration;
-use crate::workload::{select_walk_plan, Algo, BenchConfig, Dataset, PreparedQuery};
+use crate::workload::{select_walk_plan, BenchConfig, Dataset, PreparedQuery};
 
 /// Schema identifier for the `repro trace` JSON document.
 pub const TRACE_SCHEMA: &str = "kgoa-bench-trace/v1";
-/// Schema identifier for the `repro bench-json` document (`BENCH_PR2.json`).
-pub const BENCH_SCHEMA: &str = "kgoa-bench/v1";
 
 /// Walks per traced run and the batch size between trace samples.
 const TRACE_WALKS: u64 = 4096;
@@ -159,283 +157,6 @@ pub fn trace_report(
     report
 }
 
-/// `repro bench-json`: machine-readable benchmark export. Per dataset,
-/// takes the deepest query and records the exact CTJ evaluation median
-/// plus fixed-walk MAE and throughput for both estimators, then appends
-/// the full telemetry snapshot. Written to `out` (default
-/// `BENCH_PR2.json`) as a [`BENCH_SCHEMA`] document.
-///
-/// `index_mult` is the entity multiplier for the index layout A/B that
-/// rides along under the `index` key — the CLI passes
-/// [`crate::layouts::INDEX_SCALE_MULT`]; tests pass 1.
-pub fn bench_json(
-    datasets: &[Dataset],
-    workload: &[PreparedQuery],
-    cfg: &BenchConfig,
-    out: Option<&str>,
-    index_mult: usize,
-) -> String {
-    const CTJ_RUNS: usize = 5;
-    const BENCH_WALKS: u64 = 2048;
-
-    let mut report = String::new();
-    writeln!(report, "## Telemetry — machine-readable benchmark export\n").unwrap();
-    kgoa_obs::reset();
-    kgoa_obs::set_enabled(true);
-
-    let mut experiments = Vec::new();
-    for (di, ds) in datasets.iter().enumerate() {
-        let Some(q) = workload
-            .iter()
-            .filter(|q| q.dataset == di)
-            .max_by_key(|q| q.generated.step)
-        else {
-            continue;
-        };
-
-        // Exact rung: median CTJ evaluation time.
-        let mut ctj_ns: Vec<f64> = (0..CTJ_RUNS)
-            .map(|_| {
-                let t = Instant::now();
-                let counts = CtjEngine.evaluate(&ds.ig, &q.generated.query).expect("ctj");
-                assert_eq!(counts, q.exact_distinct, "CTJ must match ground truth");
-                t.elapsed().as_nanos() as f64
-            })
-            .collect();
-        ctj_ns.sort_by(f64::total_cmp);
-        let ctj_median_ns = ctj_ns[ctj_ns.len() / 2];
-
-        // Online rungs: fixed-walk MAE and throughput.
-        let mut algos = Vec::new();
-        for algo in [Algo::Wj, Algo::Aj] {
-            let t = Instant::now();
-            let (mae, stats) = crate::workload::run_fixed_walks(
-                &ds.ig,
-                &q.generated.query,
-                &q.exact_distinct,
-                algo,
-                BENCH_WALKS,
-                cfg,
-            );
-            let secs = t.elapsed().as_secs_f64();
-            let walks_per_sec = if secs > 0.0 { stats.walks as f64 / secs } else { 0.0 };
-            writeln!(
-                report,
-                "{:<28} {:>3}: MAE {:>7.4} at {} walks ({:.0} walks/s)",
-                q.id,
-                algo.name(),
-                mae,
-                stats.walks,
-                walks_per_sec
-            )
-            .unwrap();
-            algos.push(Json::Obj(vec![
-                ("algo".into(), Json::str(algo.name())),
-                ("walks".into(), Json::Num(stats.walks as f64)),
-                ("mae".into(), Json::Num(mae)),
-                ("walks_per_sec".into(), Json::Num(walks_per_sec)),
-                ("rejected".into(), Json::Num(stats.rejected as f64)),
-                ("tipped".into(), Json::Num(stats.tipped as f64)),
-            ]));
-        }
-        writeln!(
-            report,
-            "{:<28} CTJ: median {:.2}ms over {CTJ_RUNS} runs",
-            q.id,
-            ctj_median_ns / 1e6
-        )
-        .unwrap();
-
-        experiments.push(Json::Obj(vec![
-            ("dataset".into(), Json::str(ds.name)),
-            ("query".into(), Json::str(&q.id)),
-            ("triples".into(), Json::Num(ds.info.triples as f64)),
-            ("ctj_median_ns".into(), Json::Num(ctj_median_ns)),
-            ("online".into(), Json::Arr(algos)),
-        ]));
-    }
-
-    // The pool scaling sweep rides along in the same document, so
-    // `BENCH_PR5.json` records walks/sec scaling and partitioned exact
-    // wall-clock next to the single-thread numbers the regression gate
-    // compares (the gate ignores keys it does not know).
-    let scale = scale_points(datasets, workload, cfg).map(|(q, points)| {
-        writeln!(report, "scale: {} thread points on {}", points.len(), q.id).unwrap();
-        scale_json(q, cfg.tick, &points)
-    });
-
-    // The batched-walk sweep rides along too (`walks` key), so the
-    // committed snapshot records walks/sec per batch size next to the
-    // single-walk numbers the regression gate compares.
-    let walk_rows = walks_points(datasets, workload, cfg, &mut report);
-
-    // The index layout A/B rides along under the `index` key, so the
-    // committed snapshot records bytes/triple and the compressed-layout
-    // space/speed ratios (PR 10) next to the numbers the regression gate
-    // compares (the gate ignores keys it does not know).
-    let index_pts = crate::layouts::index_points(cfg, index_mult);
-    writeln!(report, "index: {} layout points at {index_mult}x entity scale", index_pts.len())
-        .unwrap();
-
-    let snap = kgoa_obs::snapshot();
-    kgoa_obs::set_enabled(false);
-
-    let mut fields = vec![
-        ("schema".into(), Json::str(BENCH_SCHEMA)),
-        (
-            "config".into(),
-            Json::Obj(vec![
-                ("scale".into(), Json::str(format!("{:?}", cfg.scale))),
-                ("runs".into(), Json::Num(cfg.runs as f64)),
-                ("max_steps".into(), Json::Num(cfg.max_steps as f64)),
-                ("seed".into(), Json::Num(cfg.seed as f64)),
-                ("tipping_threshold".into(), Json::Num(cfg.tipping_threshold)),
-                ("layout".into(), Json::str(cfg.layout.name())),
-                ("bench_walks".into(), Json::Num(BENCH_WALKS as f64)),
-            ]),
-        ),
-        ("experiments".into(), Json::Arr(experiments)),
-    ];
-    if let Some(scale) = scale {
-        fields.push(("scale".into(), scale));
-    }
-    fields.push(("walks".into(), Json::Arr(walk_rows)));
-    fields.push(("index".into(), crate::layouts::index_points_json(&index_pts)));
-    fields.push(("telemetry".into(), snap.to_json()));
-    let doc = Json::Obj(fields);
-    let text = doc.pretty(2);
-    let reparsed = Json::parse(&text).expect("bench JSON must be well-formed");
-    assert_eq!(reparsed, doc, "bench JSON must round-trip");
-
-    let path = out.unwrap_or("BENCH_PR2.json");
-    std::fs::write(path, &text).expect("write bench JSON");
-    writeln!(report, "\nwrote {path} ({} bytes)", text.len()).unwrap();
-    report
-}
-
-/// Batch sizes the `repro walks` sweep visits. 1 is one walk per pass of
-/// the walk loop (what [`kgoa_core::run_walks`] steps); 256 is the
-/// production default ([`StreamConfig`]).
-pub const WALK_BATCH_SWEEP: [u64; 4] = [1, 16, 64, 256];
-
-/// Walk budget per (algo, batch) point of the sweep.
-const SWEEP_WALKS: u64 = 2048;
-
-/// Measure the batched-walk sweep on the deepest query of each dataset:
-/// WJ and AJ throughput at every batch size in [`WALK_BATCH_SWEEP`] (same
-/// plan, same seed; DESIGN.md §4j). Returns the JSON rows.
-fn walks_points(
-    datasets: &[Dataset],
-    workload: &[PreparedQuery],
-    cfg: &BenchConfig,
-    report: &mut String,
-) -> Vec<Json> {
-    let mut rows = Vec::new();
-    for (di, ds) in datasets.iter().enumerate() {
-        let Some(q) = workload
-            .iter()
-            .filter(|q| q.dataset == di)
-            .max_by_key(|q| q.generated.step)
-        else {
-            continue;
-        };
-        let ig = &ds.ig;
-        let query = &q.generated.query;
-        // One plan per algorithm, selected once so every batch size walks
-        // the exact same plan.
-        let wj_plan = select_walk_plan(ig, query, cfg);
-        let aj_cfg = AuditJoinConfig {
-            tipping: kgoa_core::Tipping::from_threshold(cfg.tipping_threshold),
-            seed: cfg.seed,
-        };
-        let aj_plan = crate::workload::select_aj_plan(ig, query, cfg, aj_cfg);
-        for algo in [Algo::Wj, Algo::Aj] {
-            let fresh = || -> Box<dyn kgoa_core::OnlineAggregator> {
-                match algo {
-                    Algo::Wj => Box::new(
-                        WanderJoin::with_plan(ig, query, wj_plan.clone(), cfg.seed)
-                            .expect("wj"),
-                    ),
-                    Algo::Aj => Box::new(
-                        AuditJoin::with_plan(ig, query, aj_plan.clone(), aj_cfg).expect("aj"),
-                    ),
-                }
-            };
-            let mut per_batch = Vec::new();
-            for batch in WALK_BATCH_SWEEP {
-                let mut est = fresh();
-                let t = Instant::now();
-                kgoa_core::run_walks_batched(est.as_mut(), SWEEP_WALKS, batch);
-                let secs = t.elapsed().as_secs_f64().max(1e-9);
-                let stats = est.stats();
-                let estimates = est.estimates();
-                let mae = kgoa_engine::mean_absolute_error(&q.exact_distinct, &estimates);
-                let walks_per_sec = stats.walks as f64 / secs;
-                writeln!(
-                    report,
-                    "{:<28} {:>3} batch {:>3}: {:>10.0} walks/s  MAE {:>7.4}",
-                    q.id,
-                    algo.name(),
-                    batch,
-                    walks_per_sec,
-                    mae
-                )
-                .unwrap();
-                per_batch.push((batch, walks_per_sec));
-                rows.push(Json::Obj(vec![
-                    ("dataset".into(), Json::str(ds.name)),
-                    ("query".into(), Json::str(&q.id)),
-                    ("algo".into(), Json::str(algo.name())),
-                    ("batch".into(), Json::Num(batch as f64)),
-                    ("walks".into(), Json::Num(stats.walks as f64)),
-                    ("mae".into(), Json::Num(mae)),
-                    ("walks_per_sec".into(), Json::Num(walks_per_sec)),
-                ]));
-            }
-            let base = per_batch.iter().find(|(b, _)| *b == 1).map(|(_, w)| *w);
-            let peak = per_batch
-                .iter()
-                .find(|(b, _)| *b == cfg.batch)
-                .or_else(|| per_batch.last())
-                .map(|(_, w)| *w);
-            if let (Some(base), Some(peak)) = (base, peak) {
-                if base > 0.0 {
-                    writeln!(
-                        report,
-                        "{:<28} {:>3} speedup at batch {}: {:.2}x over batch 1",
-                        q.id,
-                        algo.name(),
-                        cfg.batch,
-                        peak / base
-                    )
-                    .unwrap();
-                }
-            }
-        }
-    }
-    rows
-}
-
-/// `repro walks`: batched walk-throughput sweep. Reports `walks_per_sec`
-/// and MAE for WJ and AJ at every batch size in [`WALK_BATCH_SWEEP`]; the
-/// speedup line's baseline is the walk loop at one walk per batch. The
-/// same rows ride inside the `repro bench-json` document (`walks` key) so
-/// the committed `BENCH_PR9.json` records them for the regression chain.
-pub fn walks_bench(
-    datasets: &[Dataset],
-    workload: &[PreparedQuery],
-    cfg: &BenchConfig,
-) -> (String, bool) {
-    let mut report = String::new();
-    writeln!(report, "## Batched walk throughput sweep\n").unwrap();
-    let rows = walks_points(datasets, workload, cfg, &mut report);
-    if rows.is_empty() {
-        writeln!(report, "FAIL: empty workload").unwrap();
-        return (report, false);
-    }
-    (report, true)
-}
-
 /// One row of the `repro scale` thread sweep.
 struct ScalePoint {
     threads: usize,
@@ -523,37 +244,11 @@ fn scale_points<'a>(
     Some((q, points))
 }
 
-fn scale_json(q: &PreparedQuery, budget: std::time::Duration, points: &[ScalePoint]) -> Json {
-    Json::Obj(vec![
-        ("query".into(), Json::str(&q.id)),
-        ("budget_ms".into(), Json::Num(budget.as_secs_f64() * 1e3)),
-        (
-            "points".into(),
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("threads".into(), Json::Num(p.threads as f64)),
-                            ("wj_walks_per_sec".into(), Json::Num(p.wj_walks_per_sec)),
-                            ("aj_walks_per_sec".into(), Json::Num(p.aj_walks_per_sec)),
-                            ("aj_mae".into(), Json::Num(p.aj_mae)),
-                            ("aj_snapshots".into(), Json::Num(p.aj_snapshots as f64)),
-                            ("ctj_ms".into(), Json::Num(p.ctj_ms)),
-                            ("lftj_ms".into(), Json::Num(p.lftj_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 /// `repro scale`: the pool scaling sweep as a human-readable report —
 /// walks/sec for streaming parallel Wander/Audit Join and wall-clock for
 /// partitioned exact CTJ/LFTJ at thread counts {1, 2, 4, 8} (capped by
-/// `--threads`). The same measurements land in the `scale` section of
-/// the `repro bench-json` export (`BENCH_PR5.json`).
+/// `--threads`). Every partitioned count is asserted equal to the
+/// workload's ground truth.
 pub fn scale_bench(
     datasets: &[Dataset],
     workload: &[PreparedQuery],
@@ -824,27 +519,6 @@ mod tests {
         assert!(r.contains(TRACE_SCHEMA));
         assert!(r.contains("rung events:"));
         assert!(r.contains("WJ") || r.contains("wj"));
-    }
-
-    #[test]
-    fn bench_json_writes_schema_document() {
-        let (datasets, workload, cfg) = tiny();
-        let dir = std::env::temp_dir().join("kgoa-bench-json-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_TEST.json");
-        let r = bench_json(&datasets, &workload, &cfg, Some(path.to_str().unwrap()), 1);
-        assert!(r.contains("wrote"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(BENCH_SCHEMA));
-        let exps = doc.get("experiments").and_then(Json::as_arr).unwrap();
-        assert_eq!(exps.len(), datasets.len());
-        assert!(doc.get("telemetry").and_then(|t| t.get("counters")).is_some());
-        let index = doc.get("index").expect("index key");
-        let ds = index.get("datasets").and_then(Json::as_arr).expect("index.datasets");
-        assert_eq!(ds.len(), 2);
-        assert!(ds[0].get("compression_vs_csr").is_some());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

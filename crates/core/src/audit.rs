@@ -191,7 +191,6 @@ impl<'g> AuditJoin<'g> {
             last_misses: 0,
             hi: est.full_join().max(DEFAULT_TIPPING_THRESHOLD),
         });
-        kgoa_obs::metrics::AJ_TIP_THRESHOLD.set(threshold as i64);
         Ok(AuditJoin {
             step_index,
             fixed_ranges,
@@ -239,7 +238,6 @@ impl<'g> AuditJoin<'g> {
             let rej = (self.stats.rejected - ctl.last.rejected) as f64 / walks as f64;
             let tips = self.stats.tipped - ctl.last.tipped;
             let tip = tips as f64 / walks as f64;
-            let old = self.threshold;
             if rej > 0.15 {
                 // Walks are dying mid-path: raise the threshold so they
                 // tip into an exact suffix before reaching the dead ends.
@@ -256,9 +254,6 @@ impl<'g> AuditJoin<'g> {
                 if miss_rate >= 1.0 {
                     self.threshold = (self.threshold * 0.5).max(1.0);
                 }
-            }
-            if self.threshold != old {
-                kgoa_obs::metrics::AJ_TIP_THRESHOLD.set(self.threshold as i64);
             }
         }
         ctl.last = self.stats;
@@ -462,8 +457,6 @@ impl<'g> AuditJoin<'g> {
                 break;
             }
             budget.check()?;
-            m::WALK_BATCH_STEPS.inc();
-            m::WALK_BATCH_OCCUPANCY.record(live);
             self.step_visits[i] += live;
             let dead = bs.sample_step(&self.plan, i, self.step_index[i], &mut self.rng);
             live -= dead;
@@ -471,7 +464,6 @@ impl<'g> AuditJoin<'g> {
             self.stats.walks += dead;
             self.stats.rejected += dead;
             m::WALKS.add(dead);
-            m::WALKS_REJECTED.add(dead);
             if i + 1 == steps_n {
                 for w in 0..n {
                     if !bs.alive[w] {
@@ -483,7 +475,6 @@ impl<'g> AuditJoin<'g> {
                     self.stats.walks += 1;
                     self.stats.full += 1;
                     m::WALKS.inc();
-                    m::WALKS_FULL.inc();
                 }
                 break;
             }
@@ -518,12 +509,10 @@ impl<'g> AuditJoin<'g> {
                     if contributed {
                         self.stats.tipped += 1;
                         self.step_tips[i + 1] += 1;
-                        m::WALKS_TIPPED.inc();
                         m::AJ_TIP_STEP.record((i + 1) as u64);
                     } else {
                         self.stats.rejected += 1;
                         self.step_rejects[i + 1] += 1;
-                        m::WALKS_REJECTED.inc();
                     }
                     bs.alive[w] = false;
                     live -= 1;

@@ -70,7 +70,6 @@ impl BatchScratch {
                 survivors += usize::from(*alive);
             }
         }
-        kgoa_obs::metrics::SAMPLE_DRAWS.add(dead + survivors as u64);
         self.raw.clear();
         self.raw.resize(survivors, 0);
         rng.fill_u64(&mut self.raw);

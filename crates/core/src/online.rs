@@ -92,17 +92,22 @@ pub fn run_walks_batched<A: OnlineAggregator + ?Sized>(agg: &mut A, walks: u64, 
     }
 }
 
-/// Mean absolute 95% CI half-width over groups (0 when no group has an
-/// interval yet). The one summary number a CI trajectory is tracked by:
-/// [`run_traced`] records it per batch and
+/// Mean absolute 95% CI half-width over the groups that have a finite
+/// one (0 when none does: a group without a variance yet reports ∞, which
+/// the JSON writer cannot carry). The one summary number a CI trajectory
+/// is tracked by: [`run_traced`] records it per batch and
 /// [`crate::ParallelSnapshot::mean_ci_half_width`] carries it per
 /// streamed merge, so both feeds agree on the definition.
 pub fn mean_ci_half_width(est: &GroupedEstimates) -> f64 {
-    if est.half_widths.is_empty() {
+    let (sum, n) = est
+        .half_widths
+        .values()
+        .filter(|w| w.is_finite())
+        .fold((0.0, 0usize), |(sum, n), w| (sum + w, n + 1));
+    if n == 0 {
         0.0
     } else {
-        est.half_widths.values().filter(|w| w.is_finite()).sum::<f64>()
-            / est.half_widths.len() as f64
+        sum / n as f64
     }
 }
 
@@ -225,6 +230,19 @@ mod tests {
         fn stats(&self) -> WalkStats {
             WalkStats { walks: self.n, ..WalkStats::default() }
         }
+    }
+
+    #[test]
+    fn mean_ci_half_width_averages_over_finite_widths_only() {
+        let widths = |ws: &[f64]| GroupedEstimates {
+            estimates: FxHashMap::default(),
+            half_widths: ws.iter().enumerate().map(|(g, w)| (g as u32, *w)).collect(),
+        };
+        // A group without a variance yet must not halve the mean.
+        assert_eq!(mean_ci_half_width(&widths(&[10.0, f64::INFINITY])), 10.0);
+        assert_eq!(mean_ci_half_width(&widths(&[10.0, 20.0])), 15.0);
+        assert_eq!(mean_ci_half_width(&widths(&[f64::INFINITY])), 0.0);
+        assert_eq!(mean_ci_half_width(&widths(&[])), 0.0);
     }
 
     #[test]

@@ -142,8 +142,6 @@ impl<'g> WanderJoin<'g> {
                 break;
             }
             budget.check()?;
-            kgoa_obs::metrics::WALK_BATCH_STEPS.inc();
-            kgoa_obs::metrics::WALK_BATCH_OCCUPANCY.record(live as u64);
             self.step_visits[si] += live as u64;
             let index = self.step_index[si];
             crate::batch::resolve_step_ranges(
@@ -163,7 +161,6 @@ impl<'g> WanderJoin<'g> {
             self.stats.walks += dead;
             self.stats.rejected += dead;
             kgoa_obs::metrics::WALKS.add(dead);
-            kgoa_obs::metrics::WALKS_REJECTED.add(dead);
         }
         // Completions in walk order, which is the order the distinct-mode
         // dedup sees samples in.
@@ -174,7 +171,6 @@ impl<'g> WanderJoin<'g> {
             self.stats.walks += 1;
             self.stats.full += 1;
             kgoa_obs::metrics::WALKS.inc();
-            kgoa_obs::metrics::WALKS_FULL.inc();
             let a = bs.assignments[w * vc + self.alpha];
             let weight = bs.weights[w];
             if self.distinct {
@@ -183,7 +179,6 @@ impl<'g> WanderJoin<'g> {
                     self.accum.add(a, weight);
                 } else {
                     self.stats.duplicates += 1;
-                    kgoa_obs::metrics::WALKS_DUPLICATE.inc();
                 }
             } else {
                 self.accum.add(a, weight);

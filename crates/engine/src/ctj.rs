@@ -232,7 +232,6 @@ impl<'g> CtjCounter<'g> {
             if let Some(&c) = self.memo_count[step].get(&k) {
                 self.stats.hits += 1;
                 self.step_stats[step].hits += 1;
-                kgoa_obs::metrics::CTJ_CACHE_HITS.inc();
                 return Ok(c);
             }
         }
@@ -266,7 +265,6 @@ impl<'g> CtjCounter<'g> {
             self.memo_count[step].insert(k, total);
             self.stats.misses += 1;
             self.step_stats[step].misses += 1;
-            kgoa_obs::metrics::CTJ_CACHE_MISSES.inc();
         }
         Ok(total)
     }
@@ -293,7 +291,6 @@ impl<'g> CtjCounter<'g> {
             if let Some(&e) = self.memo_exists[step].get(&k) {
                 self.stats.hits += 1;
                 self.step_stats[step].hits += 1;
-                kgoa_obs::metrics::CTJ_CACHE_HITS.inc();
                 return Ok(e);
             }
         }
@@ -324,7 +321,6 @@ impl<'g> CtjCounter<'g> {
             self.memo_exists[step].insert(k, found);
             self.stats.misses += 1;
             self.step_stats[step].misses += 1;
-            kgoa_obs::metrics::CTJ_CACHE_MISSES.inc();
         }
         Ok(found)
     }
@@ -352,7 +348,6 @@ impl<'g> CtjCounter<'g> {
             if let Some(&m) = self.memo_mass[step].get(&k) {
                 self.stats.hits += 1;
                 self.step_stats[step].hits += 1;
-                kgoa_obs::metrics::CTJ_CACHE_HITS.inc();
                 return Ok(m);
             }
         }
@@ -382,7 +377,6 @@ impl<'g> CtjCounter<'g> {
             self.memo_mass[step].insert(k, mass);
             self.stats.misses += 1;
             self.step_stats[step].misses += 1;
-            kgoa_obs::metrics::CTJ_CACHE_MISSES.inc();
         }
         Ok(mass)
     }

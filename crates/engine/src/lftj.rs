@@ -270,7 +270,6 @@ impl<'g> LftjExec<'g> {
         let window = if rank == 0 { self.rank0_window } else { None };
         'outer: loop {
             meter.tick()?;
-            kgoa_obs::metrics::LFTJ_PROBES.inc();
             self.op_stats[rank].probes += 1;
             // Align all cursors on a common key — seeded with the window's
             // lower bound so a partitioned run skips straight to its slice.

@@ -352,7 +352,6 @@ impl TrieIndex {
     /// no overlay; O(log |tomb|) rank-select otherwise.
     #[inline]
     pub fn pick_live<R: Rng + ?Sized>(&self, r: LiveRange, rng: &mut R) -> Option<u32> {
-        kgoa_obs::metrics::SAMPLE_DRAWS.inc();
         if r.is_empty() {
             return None;
         }

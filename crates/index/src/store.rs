@@ -60,7 +60,6 @@ impl RowRange {
     /// Returns `None` on an empty range.
     #[inline]
     pub fn pick<R: rand::Rng + ?Sized>(self, rng: &mut R) -> Option<u32> {
-        kgoa_obs::metrics::SAMPLE_DRAWS.inc();
         if self.is_empty() {
             None
         } else {

@@ -194,12 +194,7 @@ impl<'a> TrieCursor<'a> {
     /// Returns how the seek was resolved, for operator attribution.
     pub fn seek(&mut self, v: u32) -> SeekOutcome {
         kgoa_obs::metrics::TRIE_SEEKS.inc();
-        let outcome = self.seek_raw(v);
-        match outcome {
-            SeekOutcome::Linear => kgoa_obs::metrics::TRIE_SEEK_LINEAR.inc(),
-            SeekOutcome::Gallop => kgoa_obs::metrics::TRIE_SEEK_GALLOPS.inc(),
-        }
-        outcome
+        self.seek_raw(v)
     }
 
     /// Seek without touching the metrics counters — the merged overlay

@@ -33,7 +33,7 @@
 //! ## Naming convention
 //!
 //! Metric names are `<crate>.<component>.<metric>` (e.g.
-//! `index.trie.seeks`, `engine.ctj.cache_hits`, `core.walks.rejected`),
+//! `index.trie.seeks`, `index.trie.seek_batch`, `core.walks.total`),
 //! lowercase, dot-separated, with `_ns` / `_us` suffixes for durations.
 //!
 //! All state is process-global and lock-free on the write path; use

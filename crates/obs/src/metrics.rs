@@ -290,30 +290,8 @@ well_known! {
             "Walk/join plans constructed.",
         TRIE_SEEKS => "index.trie.seeks":
             "Binary-search seeks on trie cursors (LFTJ hot path).",
-        TRIE_SEEK_LINEAR => "index.trie.seek_linear":
-            "Cursor seeks resolved by the small-range linear fast path.",
-        TRIE_SEEK_GALLOPS => "index.trie.seek_gallops":
-            "Cursor seeks that fell through to the exponential-then-binary gallop.",
-        SAMPLE_DRAWS => "index.sample.draws":
-            "Uniform row draws from index ranges (walk hot path).",
-        LFTJ_PROBES => "engine.lftj.probes":
-            "LeapFrog intersection probes.",
-        CTJ_CACHE_HITS => "engine.ctj.cache_hits":
-            "CTJ memo-cache hits (count/exists/mass combined).",
-        CTJ_CACHE_MISSES => "engine.ctj.cache_misses":
-            "CTJ memo-cache misses (count/exists/mass combined).",
         WALKS => "core.walks.total":
             "Random walks completed (accepted + rejected), all estimators.",
-        WALKS_FULL => "core.walks.full":
-            "Walks that reached the final plan step.",
-        WALKS_REJECTED => "core.walks.rejected":
-            "Walks rejected at a dead end.",
-        WALKS_TIPPED => "core.walks.tipped":
-            "Audit Join walks that switched to an exact suffix computation.",
-        WALKS_DUPLICATE => "core.walks.duplicate":
-            "Distinct-mode walks that landed on an already-seen (α, β) pair.",
-        WALK_BATCH_STEPS => "core.walk.batch_steps":
-            "Plan steps advanced by the batched SoA walk runner (one per step per batch).",
         TRIE_SEEK_BATCH => "index.trie.seek_batch":
             "Prefix probes resolved through the sorted batch-seek entry points.",
         INDEX_BLOCK_SKIPS => "index.block.skips":
@@ -398,8 +376,6 @@ well_known! {
             "Largest per-predicate rejection/tip-rate delta vs the previous epoch (basis points).",
         QUALITY_DRIFTED_PREDICATES => "obs.quality.drifted_predicates":
             "Predicates whose walk-rate delta vs the previous epoch exceeds the drift limit.",
-        AJ_TIP_THRESHOLD => "core.aj.tip_threshold":
-            "Current Audit Join tipping threshold (adaptive controller trajectory; static value otherwise).",
         INDEX_BITS_PER_KEY => "index.compressed.bits_per_key":
             "Mean payload bits per key of the most recently built compressed index (ceil).",
     }
@@ -414,8 +390,6 @@ well_known! {
             "Latency of session chart expansions (ns).",
         AJ_TIP_STEP => "core.aj.tip_step":
             "Plan step (1-based) at which Audit Join walks tipped.",
-        WALK_BATCH_OCCUPANCY => "core.walk.batch_occupancy":
-            "Walks still live when a batched SoA step ran (per step, per batch).",
         PARALLEL_WORKER_WALKS => "core.parallel.worker_walks":
             "Walks completed per parallel worker.",
         QUALITY_TIME_TO_CI_US => "obs.quality.time_to_ci_us":
