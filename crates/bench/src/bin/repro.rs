@@ -17,7 +17,6 @@
 //!   --tipping X                       AJ tipping threshold (default 1024)
 //!   --threads N                       cap on the scale thread sweep (default 8)
 //!   --batch N                         walks per SoA batch (default 256)
-//!   --layout csr|compressed           index storage layout (default csr)
 //!   --out PATH                        JSON output path (trace, profile)
 //!   --paper                           paper protocol: 9 ticks × 1 s
 //! ```
@@ -27,12 +26,11 @@ use std::time::{Duration, Instant};
 
 use kgoa_bench::{
     ablate_cache, ablate_order, ablate_tipping, churn_bench, deadline_sweep, fig11, fig8,
-    fig9_10, index_bench, layout_parity, load_datasets_in, monitor_bench, obs_overhead,
-    prepare_workload, profile_report, quality_bench, sample_time, scale_bench, table1,
-    trace_report, verify_engines, BenchConfig, Dataset, PreparedQuery,
+    fig9_10, load_datasets, monitor_bench, obs_overhead, prepare_workload, profile_report,
+    quality_bench, sample_time, scale_bench, table1, trace_report, verify_engines, BenchConfig,
+    Dataset, PreparedQuery,
 };
 use kgoa_datagen::Scale;
-use kgoa_index::Layout;
 
 /// Everything an experiment may consume: the prepared workload (empty
 /// slices when no selected experiment needs one) and the CLI options.
@@ -154,18 +152,6 @@ const EXPERIMENTS: &[Experiment] = &[
         needs_workload: true,
     },
     Experiment {
-        name: "index-bench",
-        help: "index layout A/B: CSR vs compressed, build + micro-ops + bytes/triple",
-        run: |c| ok(index_bench(c.cfg)),
-        needs_workload: false,
-    },
-    Experiment {
-        name: "layout-parity",
-        help: "CSR/compressed exact+sampled parity gate (nonzero exit on fail)",
-        run: |c| layout_parity(c.cfg),
-        needs_workload: false,
-    },
-    Experiment {
         name: "churn",
         help: "live updates under query load: MVCC epoch gate (nonzero exit on fail)",
         run: |c| churn_bench(c.cfg),
@@ -209,7 +195,6 @@ fn usage() -> ExitCode {
          --tipping X                       AJ tipping threshold (default 1024)\n  \
          --threads N                       cap on the scale thread sweep (default 8)\n  \
          --batch N                         walks per SoA batch (default 256)\n  \
-         --layout csr|compressed           index storage layout (default csr)\n  \
          --out PATH                        JSON output path (trace, profile)\n  \
          --paper                           paper protocol: 9 ticks × 1 s"
     );
@@ -272,10 +257,6 @@ fn main() -> ExitCode {
                 Some(v) => cfg.batch = v,
                 None => return usage(),
             },
-            "--layout" => match take_value(&mut i).and_then(|v| Layout::parse(&v)) {
-                Some(v) => cfg.layout = v,
-                None => return usage(),
-            },
             "--out" => match take_value(&mut i) {
                 Some(v) => opts.out = Some(v),
                 None => return usage(),
@@ -305,14 +286,13 @@ fn main() -> ExitCode {
     };
 
     eprintln!(
-        "# kgoa repro: {experiment} (scale {:?}, {} ticks × {:?}, {} runs × ≤{} steps, seed {}, \
-         layout {})",
-        cfg.scale, cfg.ticks, cfg.tick, cfg.runs, cfg.max_steps, cfg.seed, cfg.layout
+        "# kgoa repro: {experiment} (scale {:?}, {} ticks × {:?}, {} runs × ≤{} steps, seed {})",
+        cfg.scale, cfg.ticks, cfg.tick, cfg.runs, cfg.max_steps, cfg.seed
     );
     let t0 = Instant::now();
     let (datasets, workload) = if selected.iter().any(|e| e.needs_workload) {
         eprintln!("# building datasets…");
-        let datasets = load_datasets_in(cfg.scale, cfg.layout);
+        let datasets = load_datasets(cfg.scale);
         eprintln!("# generating workload…");
         let workload = prepare_workload(&datasets, &cfg);
         eprintln!(

@@ -11,7 +11,6 @@
 
 pub mod churn;
 pub mod experiments;
-pub mod layouts;
 pub mod metrics;
 pub mod monitor;
 pub mod profiler;
@@ -24,13 +23,12 @@ pub use experiments::{
     ablate_cache, ablate_order, ablate_tipping, deadline_sweep, fig11, fig8, fig8_queries,
     fig9_10, sample_time, table1, verify_engines,
 };
-pub use layouts::{index_bench, index_points, layout_parity, IndexPoint};
 pub use metrics::{fmt_duration, fmt_pct, selectivity, tukey, Tukey};
 pub use monitor::monitor_bench;
 pub use profiler::{folded_path_for, profile_report};
 pub use quality::quality_bench;
 pub use telemetry::{obs_overhead, scale_bench, trace_report, TRACE_SCHEMA};
 pub use workload::{
-    load_datasets, load_datasets_in, prepare_workload, run_fixed_walks, run_series,
+    load_datasets, prepare_workload, run_fixed_walks, run_series,
     select_aj_plan, select_walk_plan, Algo, BenchConfig, Dataset, PreparedQuery, SeriesPoint,
 };

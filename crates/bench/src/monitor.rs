@@ -13,11 +13,7 @@
 //! 3. **Series + snapshot** — `/series` serves `kgoa-obs/v3` windows
 //!    produced by the background sampler; `/snapshot` serves
 //!    `kgoa-obs/v1`.
-//! 4. **Compressed-index telemetry** (PR 10) — a deterministic
-//!    multi-block seek must move the `index.block.{skips,unpacks}`
-//!    counters and the bits-per-key gauge, and all three must appear
-//!    on `/metrics`.
-//! 5. **Watchdog flip** (`--features fault-inject`) — a deterministic
+//! 4. **Watchdog flip** (`--features fault-inject`) — a deterministic
 //!    merge-retry storm (armed `MergeCrashPoint::PrePublish` per
 //!    attempt) must flip `/healthz` from `healthy` to `degraded` with
 //!    a `merge_retry_storm` alert.
@@ -166,34 +162,6 @@ pub fn monitor_bench(cfg: &BenchConfig) -> (String, bool) {
         format!("{} breaching profiles captured", captured.len()),
     );
 
-    // PR 10 gate: exercise the compressed layout deterministically —
-    // organic workloads at tiny scale may never cross a block boundary,
-    // so a purpose-built multi-block index guarantees the block-skip
-    // counters and the bits-per-key gauge carry real values into the
-    // /metrics scrape below.
-    {
-        let skips0 = kgoa_obs::metrics::INDEX_BLOCK_SKIPS.get();
-        let unpacks0 = kgoa_obs::metrics::INDEX_BLOCK_UNPACKS.get();
-        let rows: Vec<[u32; 3]> = (0..4096u32).map(|k| [k * 3, 1, 2]).collect();
-        let comp = kgoa_index::TrieIndex::from_sorted_rows_in(
-            kgoa_index::IndexOrder::Spo,
-            rows,
-            kgoa_index::Layout::Compressed,
-        );
-        let mut cur = kgoa_index::TrieCursor::over_index(&comp);
-        cur.open();
-        cur.seek(4000 * 3); // far target: the seek must skip whole blocks
-        let skips = kgoa_obs::metrics::INDEX_BLOCK_SKIPS.get() - skips0;
-        let unpacks = kgoa_obs::metrics::INDEX_BLOCK_UNPACKS.get() - unpacks0;
-        let bits = kgoa_obs::metrics::INDEX_BITS_PER_KEY.get();
-        gate(
-            &mut report,
-            "compressed block counters",
-            skips > 0 && unpacks > 0 && bits > 0,
-            format!("{skips} block skips, {unpacks} unpacks, {bits} bits/key"),
-        );
-    }
-
     // Wait for the background sampler to close at least two windows.
     let deadline = Instant::now() + Duration::from_secs(10);
     let rec = loop {
@@ -229,14 +197,6 @@ pub fn monitor_bench(cfg: &BenchConfig) -> (String, bool) {
                 body.contains("kgoa_slo_breaches_total{engine=\"session\"")
                     && body.contains("kgoa_obs_recorder_ticks_total"),
                 "session breaches + recorder ticks exported".into(),
-            );
-            gate(
-                &mut report,
-                "/metrics block counters",
-                body.contains("kgoa_index_block_skips_total")
-                    && body.contains("kgoa_index_block_unpacks_total")
-                    && body.contains("kgoa_index_compressed_bits_per_key"),
-                "compressed-index skip/unpack counters + bits-per-key gauge exported".into(),
             );
         }
         Err(e) => {

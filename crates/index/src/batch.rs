@@ -12,9 +12,8 @@
 //!
 //! Probes are `(key, slot)` pairs **sorted by key**; results land in
 //! `out[slot]`, so the caller keeps walk order while the index sees key
-//! order. A delta-free index takes the galloping sweep (compressed seeks
-//! additionally skip whole bit-packed blocks via the per-block
-//! directory); an overlaid index resolves each probe with the scalar
+//! order. A delta-free index takes the galloping sweep; an overlaid index
+//! resolves each probe with the scalar
 //! [`TrieIndex::range1_live`] / [`TrieIndex::range2_live`] (still counted
 //! in `index.trie.seek_batch`). Both derive from the same level arrays,
 //! so the ranges they return are identical —
@@ -22,7 +21,7 @@
 
 use crate::columnar::{gallop_lower_bound, GALLOP_LINEAR_SPAN};
 use crate::delta::LiveRange;
-use crate::store::{Storage, TrieIndex};
+use crate::store::TrieIndex;
 
 /// Prefetch the cache line holding `keys[i]` (no-op when out of range or
 /// off x86-64). Hides the latency of the next sorted probe's window while
@@ -64,39 +63,18 @@ impl TrieIndex {
             }
             return;
         }
-        match self.storage() {
-            Storage::Csr(t) => {
-                let keys = t.l0_key_slice();
-                let mut cur = 0usize;
-                for &(key, slot) in probes {
-                    let (pos, _) = gallop_lower_bound(keys, cur, keys.len(), key);
-                    cur = pos;
-                    prefetch_key(keys, pos + GALLOP_LINEAR_SPAN);
-                    out[slot as usize] = if pos < keys.len() && keys[pos] == key {
-                        LiveRange::solid(t.l0_leaf_range(pos as u32))
-                    } else {
-                        LiveRange::EMPTY
-                    };
-                }
-            }
-            Storage::Compressed(t) => {
-                // Same carried-cursor discipline; the seek skips whole
-                // bit-packed blocks via the directory's first keys, and
-                // the carried block cache means each block the sorted
-                // sweep crosses is unpacked exactly once.
-                let n = t.l0_len();
-                let mut cache = crate::compressed::BlockCache::new();
-                let mut cur = 0usize;
-                for &(key, slot) in probes {
-                    let (pos, k) = t.seek0_cached(&mut cache, cur, n, key);
-                    cur = pos;
-                    out[slot as usize] = if k == Some(key) {
-                        LiveRange::solid(t.l0_leaf_range(pos as u32))
-                    } else {
-                        LiveRange::EMPTY
-                    };
-                }
-            }
+        let t = self.trie();
+        let keys = t.l0_key_slice();
+        let mut cur = 0usize;
+        for &(key, slot) in probes {
+            let (pos, _) = gallop_lower_bound(keys, cur, keys.len(), key);
+            cur = pos;
+            prefetch_key(keys, pos + GALLOP_LINEAR_SPAN);
+            out[slot as usize] = if pos < keys.len() && keys[pos] == key {
+                LiveRange::solid(t.l0_leaf_range(pos as u32))
+            } else {
+                LiveRange::EMPTY
+            };
         }
     }
 
@@ -123,70 +101,36 @@ impl TrieIndex {
         let mut a_found = false;
         let mut win = (0usize, 0usize);
         let mut cur1 = 0usize;
-        match self.storage() {
-            Storage::Csr(t) => {
-                let k0 = t.l0_key_slice();
-                let k1 = t.l1_key_slice();
-                for &(packed, slot) in probes {
-                    let a = (packed >> 32) as u32;
-                    let b = packed as u32;
-                    if last_a != Some(a) {
-                        let (pos, _) = gallop_lower_bound(k0, cur0, k0.len(), a);
-                        cur0 = pos;
-                        a_found = pos < k0.len() && k0[pos] == a;
-                        if a_found {
-                            let (lo, hi) = t.l0_children(pos as u32);
-                            win = (lo as usize, hi as usize);
-                            cur1 = win.0;
-                            prefetch_key(k1, cur1);
-                        }
-                        last_a = Some(a);
-                    }
-                    out[slot as usize] = if a_found {
-                        let (pos1, _) = gallop_lower_bound(k1, cur1, win.1, b);
-                        cur1 = pos1;
-                        prefetch_key(k1, pos1 + GALLOP_LINEAR_SPAN);
-                        if pos1 < win.1 && k1[pos1] == b {
-                            LiveRange::solid(t.l1_leaf_range(pos1 as u32))
-                        } else {
-                            LiveRange::EMPTY
-                        }
-                    } else {
-                        LiveRange::EMPTY
-                    };
+        let t = self.trie();
+        let k0 = t.l0_key_slice();
+        let k1 = t.l1_key_slice();
+        for &(packed, slot) in probes {
+            let a = (packed >> 32) as u32;
+            let b = packed as u32;
+            if last_a != Some(a) {
+                let (pos, _) = gallop_lower_bound(k0, cur0, k0.len(), a);
+                cur0 = pos;
+                a_found = pos < k0.len() && k0[pos] == a;
+                if a_found {
+                    let (lo, hi) = t.l0_children(pos as u32);
+                    win = (lo as usize, hi as usize);
+                    cur1 = win.0;
+                    prefetch_key(k1, cur1);
                 }
+                last_a = Some(a);
             }
-            Storage::Compressed(t) => {
-                let n0 = t.l0_len();
-                let mut cache0 = crate::compressed::BlockCache::new();
-                let mut cache1 = crate::compressed::BlockCache::new();
-                for &(packed, slot) in probes {
-                    let a = (packed >> 32) as u32;
-                    let b = packed as u32;
-                    if last_a != Some(a) {
-                        let (pos, k) = t.seek0_cached(&mut cache0, cur0, n0, a);
-                        cur0 = pos;
-                        a_found = k == Some(a);
-                        if a_found {
-                            let (lo, hi) = t.l0_children(pos as u32);
-                            win = (lo as usize, hi as usize);
-                            cur1 = win.0;
-                        }
-                        last_a = Some(a);
-                    }
-                    out[slot as usize] = if a_found {
-                        let (pos1, k1) = t.seek1_cached(&mut cache1, cur1, win.1, b);
-                        cur1 = pos1;
-                        if k1 == Some(b) {
-                            LiveRange::solid(t.l1_leaf_range(pos1 as u32))
-                        } else {
-                            LiveRange::EMPTY
-                        }
-                    } else {
-                        LiveRange::EMPTY
-                    };
+            out[slot as usize] = if a_found {
+                let (pos1, _) = gallop_lower_bound(k1, cur1, win.1, b);
+                cur1 = pos1;
+                prefetch_key(k1, pos1 + GALLOP_LINEAR_SPAN);
+                if pos1 < win.1 && k1[pos1] == b {
+                    LiveRange::solid(t.l1_leaf_range(pos1 as u32))
+                } else {
+                    LiveRange::EMPTY
                 }
-            }
+            } else {
+                LiveRange::EMPTY
+            };
         }
     }
 }
@@ -196,7 +140,6 @@ mod tests {
     use super::*;
     use crate::hash::pack2;
     use crate::order::IndexOrder;
-    use crate::store::Layout;
     use kgoa_rdf::Triple;
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
@@ -216,8 +159,8 @@ mod tests {
         ]
     }
 
-    fn variants(layout: Layout) -> Vec<TrieIndex> {
-        let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &base(), layout);
+    fn variants() -> Vec<TrieIndex> {
+        let idx = TrieIndex::build(IndexOrder::Spo, &base());
         let overlaid =
             idx.with_delta(&[t(1, 10, 99), t(4, 13, 104)], &[t(1, 10, 101), t(3, 12, 103)]);
         vec![idx, overlaid]
@@ -225,33 +168,33 @@ mod tests {
 
     #[test]
     fn batch_seeks_agree_with_scalar_lookups() {
-        for layout in Layout::ALL {
-            for idx in variants(layout) {
-                // 1-prefix probes: present, absent, duplicated, unsorted
-                // walk order (slots permuted).
-                let keys = [0u32, 1, 1, 2, 3, 4, 5, 7, 9];
-                let mut probes: Vec<(u32, u32)> =
-                    keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
-                probes.sort_unstable_by_key(|&(k, _)| k);
-                let mut out = vec![LiveRange::EMPTY; keys.len()];
-                idx.seek1_batch(&probes, &mut out);
-                for (i, &k) in keys.iter().enumerate() {
-                    assert_eq!(out[i], idx.range1_live(k), "layout {layout} key {k}");
-                }
+        for idx in variants() {
+            let ctx = format!("delta={}", idx.has_delta());
+            // 1-prefix probes: present, absent, duplicated, unsorted
+            // walk order (slots permuted).
+            let keys = [0u32, 1, 1, 2, 3, 4, 5, 7, 9];
+            let mut probes: Vec<(u32, u32)> =
+                keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
+            probes.sort_unstable_by_key(|&(k, _)| k);
+            let mut out = vec![LiveRange::EMPTY; keys.len()];
+            idx.seek1_batch(&probes, &mut out);
+            for (i, &k) in keys.iter().enumerate() {
+                assert_eq!(out[i], idx.range1_live(k), "{ctx} key {k}");
+            }
 
-                // 2-prefix probes.
-                let pairs = [(1u32, 9u32), (1, 10), (1, 11), (2, 12), (3, 12), (4, 13), (7, 15), (8, 1)];
-                let mut probes: Vec<(u64, u32)> = pairs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(a, b))| (pack2(a, b), i as u32))
-                    .collect();
-                probes.sort_unstable_by_key(|&(k, _)| k);
-                let mut out = vec![LiveRange::EMPTY; pairs.len()];
-                idx.seek2_batch(&probes, &mut out);
-                for (i, &(a, b)) in pairs.iter().enumerate() {
-                    assert_eq!(out[i], idx.range2_live(a, b), "layout {layout} pair ({a},{b})");
-                }
+            // 2-prefix probes.
+            let pairs =
+                [(1u32, 9u32), (1, 10), (1, 11), (2, 12), (3, 12), (4, 13), (7, 15), (8, 1)];
+            let mut probes: Vec<(u64, u32)> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| (pack2(a, b), i as u32))
+                .collect();
+            probes.sort_unstable_by_key(|&(k, _)| k);
+            let mut out = vec![LiveRange::EMPTY; pairs.len()];
+            idx.seek2_batch(&probes, &mut out);
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                assert_eq!(out[i], idx.range2_live(a, b), "{ctx} pair ({a},{b})");
             }
         }
     }
@@ -270,69 +213,64 @@ mod tests {
     }
 
     #[test]
-    fn batch_seeks_cross_block_boundaries() {
-        // A multi-block index (> 128 distinct l0 keys and > 128-wide l1
-        // windows) with probes pinned to block edges: the compressed fast
-        // path must agree with the scalar lookups exactly where directory
-        // skips engage.
-        let blk = crate::compressed::KEYS_PER_BLOCK as u32;
-        let triples: Vec<Triple> = (0..4 * blk)
+    fn batch_seeks_agree_on_wide_levels() {
+        // 512 distinct level-0 keys and a 384-key level-1 window, probed
+        // on both sides of the 128/129 key edges: the carried gallop
+        // cursor must agree with the scalar lookups far from where it
+        // started.
+        let triples: Vec<Triple> = (0..512u32)
             .flat_map(|a| (0..3u32).map(move |b| t(a * 3, 10 + b, a + b)))
-            .chain((0..3 * blk).map(|b| t(9999, b * 2, 1)))
+            .chain((0..384u32).map(|b| t(9999, b * 2, 1)))
             .collect();
         let keys: Vec<u32> = [
             0,
-            (blk - 1) * 3,
-            blk * 3,
-            (blk + 1) * 3,
-            2 * blk * 3,
-            (4 * blk - 1) * 3,
-            4 * blk * 3, // absent
+            127 * 3,
+            128 * 3,
+            129 * 3,
+            256 * 3,
+            511 * 3,
+            512 * 3, // absent
             9999,
             10_000, // absent
         ]
         .into_iter()
         .collect();
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, layout);
-            let mut probes: Vec<(u32, u32)> =
-                keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
-            probes.sort_unstable_by_key(|&(k, _)| k);
-            let mut out = vec![LiveRange::EMPTY; keys.len()];
-            idx.seek1_batch(&probes, &mut out);
-            for (i, &k) in keys.iter().enumerate() {
-                assert_eq!(out[i], idx.range1_live(k), "layout {layout} key {k}");
-            }
-            // 2-prefix probes across the wide (9999, *) window, including
-            // both sides of each block edge.
-            let pairs: Vec<(u32, u32)> = [0, blk - 1, blk, blk + 1, 2 * blk, 3 * blk - 1]
-                .into_iter()
-                .flat_map(|b| [(9999u32, b * 2), (9999, b * 2 + 1)])
-                .chain([(0u32, 10), (blk * 3, 11), (4 * blk * 3, 10)])
-                .collect();
-            let mut probes: Vec<(u64, u32)> = pairs
-                .iter()
-                .enumerate()
-                .map(|(i, &(a, b))| (pack2(a, b), i as u32))
-                .collect();
-            probes.sort_unstable_by_key(|&(k, _)| k);
-            let mut out = vec![LiveRange::EMPTY; pairs.len()];
-            idx.seek2_batch(&probes, &mut out);
-            for (i, &(a, b)) in pairs.iter().enumerate() {
-                assert_eq!(out[i], idx.range2_live(a, b), "layout {layout} pair ({a},{b})");
-            }
+        let idx = TrieIndex::build(IndexOrder::Spo, &triples);
+        let mut probes: Vec<(u32, u32)> =
+            keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
+        probes.sort_unstable_by_key(|&(k, _)| k);
+        let mut out = vec![LiveRange::EMPTY; keys.len()];
+        idx.seek1_batch(&probes, &mut out);
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(out[i], idx.range1_live(k), "key {k}");
+        }
+        // 2-prefix probes across the wide (9999, *) window, present and
+        // absent keys at each edge.
+        let pairs: Vec<(u32, u32)> = [0u32, 127, 128, 129, 256, 383]
+            .into_iter()
+            .flat_map(|b| [(9999u32, b * 2), (9999, b * 2 + 1)])
+            .chain([(0u32, 10), (128 * 3, 11), (512 * 3, 10)])
+            .collect();
+        let mut probes: Vec<(u64, u32)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b))| (pack2(a, b), i as u32))
+            .collect();
+        probes.sort_unstable_by_key(|&(k, _)| k);
+        let mut out = vec![LiveRange::EMPTY; pairs.len()];
+        idx.seek2_batch(&probes, &mut out);
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            assert_eq!(out[i], idx.range2_live(a, b), "pair ({a},{b})");
         }
     }
 
     #[test]
     fn empty_index_batch_seeks() {
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &[], layout);
-            let mut out = vec![LiveRange::solid(idx.full_range()); 2];
-            idx.seek1_batch(&[(5, 0), (6, 1)], &mut out);
-            assert!(out.iter().all(|r| r.is_empty()), "layout {layout}");
-            idx.seek2_batch(&[(pack2(5, 5), 0), (pack2(6, 6), 1)], &mut out);
-            assert!(out.iter().all(|r| r.is_empty()), "layout {layout}");
-        }
+        let idx = TrieIndex::build(IndexOrder::Spo, &[]);
+        let mut out = vec![LiveRange::solid(idx.full_range()); 2];
+        idx.seek1_batch(&[(5, 0), (6, 1)], &mut out);
+        assert!(out.iter().all(|r| r.is_empty()));
+        idx.seek2_batch(&[(pack2(5, 5), 0), (pack2(6, 6), 1)], &mut out);
+        assert!(out.iter().all(|r| r.is_empty()));
     }
 }

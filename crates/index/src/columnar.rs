@@ -117,7 +117,9 @@ pub struct ColumnarTrie {
 
 impl ColumnarTrie {
     /// Build from rows already sorted (and distinct) in the order's
-    /// permuted layout. One linear pass.
+    /// permuted layout. One linear pass; the arrays whose length it
+    /// discovers are then shrunk to fit, so every array's capacity equals
+    /// its length.
     pub fn from_sorted_rows(rows: &[[u32; 3]]) -> Self {
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be sorted+distinct");
         let n = rows.len();
@@ -151,6 +153,11 @@ impl ColumnarTrie {
             t.l0_offsets.push(t.l1_keys.len() as u32);
             i = j;
         }
+        t.l0_keys.shrink_to_fit();
+        t.l0_offsets.shrink_to_fit();
+        t.l1_keys.shrink_to_fit();
+        t.l1_offsets.shrink_to_fit();
+        t.l0_of.shrink_to_fit();
         t
     }
 
@@ -299,15 +306,17 @@ impl ColumnarTrie {
         }
     }
 
-    /// Approximate heap memory, in bytes.
+    /// Heap memory held by the level arrays, in bytes — their capacities,
+    /// which [`ColumnarTrie::from_sorted_rows`] keeps equal to their
+    /// lengths.
     pub fn memory_bytes(&self) -> usize {
-        4 * (self.l0_keys.len()
-            + self.l0_offsets.len()
-            + self.l1_keys.len()
-            + self.l1_offsets.len()
-            + self.l2_keys.len()
-            + self.l1_of.len()
-            + self.l0_of.len())
+        4 * (self.l0_keys.capacity()
+            + self.l0_offsets.capacity()
+            + self.l1_keys.capacity()
+            + self.l1_offsets.capacity()
+            + self.l2_keys.capacity()
+            + self.l1_of.capacity()
+            + self.l0_of.capacity())
     }
 }
 
@@ -374,6 +383,18 @@ mod tests {
             let (c0, c1) = t.l0_children(l0);
             assert!((c0..c1).contains(&j));
         }
+    }
+
+    #[test]
+    fn memory_bytes_counts_exactly_sized_arrays() {
+        let t = ColumnarTrie::from_sorted_rows(&rows());
+        let arrays =
+            [&t.l0_keys, &t.l0_offsets, &t.l1_keys, &t.l1_offsets, &t.l2_keys, &t.l1_of, &t.l0_of];
+        for a in arrays {
+            assert_eq!(a.capacity(), a.len(), "array sized exactly");
+        }
+        let capacity: usize = arrays.iter().map(|a| a.capacity()).sum();
+        assert_eq!(t.memory_bytes(), 4 * capacity);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use kgoa_rdf::Triple;
 use rand::Rng;
 
-use crate::store::{Layout, RowRange, TrieIndex};
+use crate::store::{RowRange, TrieIndex};
 
 /// The mutable overlay of a [`TrieIndex`]: inserted rows as a small CSR
 /// trie in the same attribute order, plus tombstoned main positions.
@@ -183,11 +183,7 @@ impl TrieIndex {
         add_rows.sort_unstable();
         add_rows.dedup();
         add_rows.retain(|r| self.locate(r[0], r[1], r[2]).is_none());
-        // Deltas are small and short-lived: the adds trie is always
-        // uncompressed (CSR), so appends over a compressed main never pay
-        // a re-pack — the background merge re-packs when it folds the
-        // delta in.
-        let adds = TrieIndex::from_sorted_rows_in(order, add_rows, Layout::Csr);
+        let adds = TrieIndex::from_sorted_rows(order, add_rows);
         let mut tomb: Vec<u32> = deletes
             .iter()
             .filter_map(|t| {
@@ -387,7 +383,6 @@ impl TrieIndex {
 mod tests {
     use super::*;
     use crate::order::IndexOrder;
-    use crate::store::Layout;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -401,8 +396,8 @@ mod tests {
 
     /// Overlay: delete (1,10,101) and (3,12,103); insert (1,10,99) and
     /// (4,13,104).
-    fn overlaid(layout: Layout) -> TrieIndex {
-        let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &base(), layout);
+    fn overlaid() -> TrieIndex {
+        let idx = TrieIndex::build(IndexOrder::Spo, &base());
         idx.with_delta(&[t(1, 10, 99), t(4, 13, 104)], &[t(1, 10, 101), t(3, 12, 103)])
     }
 
@@ -412,88 +407,77 @@ mod tests {
 
     #[test]
     fn live_lengths_and_ranges() {
-        for layout in Layout::ALL {
-            let idx = overlaid(layout);
-            assert_eq!(idx.len(), 5, "main untouched ({layout})");
-            assert_eq!(idx.live_len(), 5, "-2 +2 ({layout})");
-            assert_eq!(idx.delta_rows(), 4);
-            assert_eq!(idx.full_live().len(), 5);
-            assert_eq!(idx.range1_live(1).len(), 3); // lost 101, gained 99
-            assert_eq!(idx.range2_live(1, 10).len(), 2);
-            assert_eq!(idx.range1_live(3).len(), 0); // fully tombstoned
-            assert_eq!(idx.range1_live(4).len(), 1); // pure delta
-            assert_eq!(idx.range2_live(4, 13).len(), 1);
-        }
+        let idx = overlaid();
+        assert_eq!(idx.len(), 5, "main untouched");
+        assert_eq!(idx.live_len(), 5, "-2 +2");
+        assert_eq!(idx.delta_rows(), 4);
+        assert_eq!(idx.full_live().len(), 5);
+        assert_eq!(idx.range1_live(1).len(), 3); // lost 101, gained 99
+        assert_eq!(idx.range2_live(1, 10).len(), 2);
+        assert_eq!(idx.range1_live(3).len(), 0); // fully tombstoned
+        assert_eq!(idx.range1_live(4).len(), 1); // pure delta
+        assert_eq!(idx.range2_live(4, 13).len(), 1);
     }
 
     #[test]
     fn positions_yield_live_rows() {
-        for layout in Layout::ALL {
-            let idx = overlaid(layout);
-            let mut rows = live_rows(&idx, idx.full_live());
-            rows.sort_unstable();
-            assert_eq!(
-                rows,
-                vec![[1, 10, 99], [1, 10, 100], [1, 11, 100], [2, 10, 100], [4, 13, 104]],
-                "layout {layout}"
-            );
-            assert_eq!(live_rows(&idx, idx.range1_live(3)), Vec::<[u32; 3]>::new());
-            assert_eq!(idx.to_rows_live(), rows, "to_rows_live sorted ({layout})");
-        }
+        let idx = overlaid();
+        let mut rows = live_rows(&idx, idx.full_live());
+        rows.sort_unstable();
+        assert_eq!(
+            rows,
+            vec![[1, 10, 99], [1, 10, 100], [1, 11, 100], [2, 10, 100], [4, 13, 104]]
+        );
+        assert_eq!(live_rows(&idx, idx.range1_live(3)), Vec::<[u32; 3]>::new());
+        assert_eq!(idx.to_rows_live(), rows, "to_rows_live sorted");
     }
 
     #[test]
     fn positions_from_skips_exactly() {
-        for layout in Layout::ALL {
-            let idx = overlaid(layout);
-            let full = idx.full_live();
-            let all: Vec<u32> = idx.positions(full).collect();
-            for skip in 0..=all.len() as u32 {
-                let got: Vec<u32> = idx.positions_from(full, skip).collect();
-                assert_eq!(got, all[skip as usize..], "layout {layout} skip {skip}");
-            }
+        let idx = overlaid();
+        let full = idx.full_live();
+        let all: Vec<u32> = idx.positions(full).collect();
+        for skip in 0..=all.len() as u32 {
+            let got: Vec<u32> = idx.positions_from(full, skip).collect();
+            assert_eq!(got, all[skip as usize..], "skip {skip}");
         }
     }
 
     #[test]
     fn locate_live_and_contains() {
-        for layout in Layout::ALL {
-            let idx = overlaid(layout);
-            // Main survivor.
-            let p = idx.locate_live(1, 10, 100).unwrap();
-            assert_eq!(idx.row(p), [1, 10, 100]);
-            // Tombstoned.
-            assert_eq!(idx.locate_live(1, 10, 101), None);
-            assert!(!idx.contains_row(1, 10, 101), "layout {layout}");
-            // Delta insert: logical position beyond main, row() dispatches.
-            let p = idx.locate_live(4, 13, 104).unwrap();
-            assert!(p >= idx.len() as u32);
-            assert_eq!(idx.row(p), [4, 13, 104]);
-            assert_eq!(idx.row_from(p, 2)[2], 104);
-            assert!(idx.contains_row(4, 13, 104));
-            assert_eq!(idx.triple(p), t(4, 13, 104));
-            // Never existed.
-            assert_eq!(idx.locate_live(9, 9, 9), None);
-        }
+        let idx = overlaid();
+        // Main survivor.
+        let p = idx.locate_live(1, 10, 100).unwrap();
+        assert_eq!(idx.row(p), [1, 10, 100]);
+        // Tombstoned.
+        assert_eq!(idx.locate_live(1, 10, 101), None);
+        assert!(!idx.contains_row(1, 10, 101));
+        // Delta insert: logical position beyond main, row() dispatches.
+        let p = idx.locate_live(4, 13, 104).unwrap();
+        assert!(p >= idx.len() as u32);
+        assert_eq!(idx.row(p), [4, 13, 104]);
+        assert_eq!(idx.row_from(p, 2)[2], 104);
+        assert!(idx.contains_row(4, 13, 104));
+        assert_eq!(idx.triple(p), t(4, 13, 104));
+        // Never existed.
+        assert_eq!(idx.locate_live(9, 9, 9), None);
     }
 
     #[test]
     fn pick_live_covers_all_live_rows_and_only_those() {
-        for layout in Layout::ALL {
-            let idx = overlaid(layout);
-            let r = idx.full_live();
-            let mut rng = SmallRng::seed_from_u64(7);
-            let mut seen = std::collections::BTreeSet::new();
-            for _ in 0..500 {
-                let p = idx.pick_live(r, &mut rng).unwrap();
-                seen.insert(idx.row(p));
-            }
-            let expect: std::collections::BTreeSet<[u32; 3]> =
-                idx.to_rows_live().into_iter().collect();
-            assert_eq!(seen, expect, "layout {layout}");
-            // Empty range.
-            assert_eq!(idx.pick_live(idx.range1_live(3), &mut rng), None);
+        let idx = overlaid();
+        let r = idx.full_live();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..500 {
+            let p = idx.pick_live(r, &mut rng).unwrap();
+            seen.insert(idx.row(p));
         }
+        let expect: std::collections::BTreeSet<[u32; 3]> =
+            idx.to_rows_live().into_iter().collect();
+        assert_eq!(seen, expect);
+        // Empty range.
+        assert_eq!(idx.pick_live(idx.range1_live(3), &mut rng), None);
     }
 
     #[test]
@@ -513,19 +497,16 @@ mod tests {
         // Pre-drawing the raw word and feeding it to the keyed picker must
         // reproduce pick_live exactly — on both the solid fast path and
         // the overlay rank-select path.
-        for layout in Layout::ALL {
-            for idx in [TrieIndex::build_with_layout(IndexOrder::Spo, &base(), layout), overlaid(layout)]
-            {
-                for r in [idx.full_live(), idx.range1_live(1), idx.range2_live(1, 10)] {
-                    if r.is_empty() {
-                        continue;
-                    }
-                    let mut a = SmallRng::seed_from_u64(31);
-                    let mut b = SmallRng::seed_from_u64(31);
-                    for _ in 0..200 {
-                        let keyed = idx.pick_live_keyed(r, a.next_u64());
-                        assert_eq!(Some(keyed), idx.pick_live(r, &mut b), "layout {layout}");
-                    }
+        for idx in [TrieIndex::build(IndexOrder::Spo, &base()), overlaid()] {
+            for r in [idx.full_live(), idx.range1_live(1), idx.range2_live(1, 10)] {
+                if r.is_empty() {
+                    continue;
+                }
+                let mut a = SmallRng::seed_from_u64(31);
+                let mut b = SmallRng::seed_from_u64(31);
+                for _ in 0..200 {
+                    let keyed = idx.pick_live_keyed(r, a.next_u64());
+                    assert_eq!(Some(keyed), idx.pick_live(r, &mut b), "delta={}", idx.has_delta());
                 }
             }
         }
@@ -557,17 +538,5 @@ mod tests {
             let rebuilt = TrieIndex::build(order, &expect);
             assert_eq!(idx.to_rows_live(), rebuilt.to_rows(), "order {order}");
         }
-    }
-
-    #[test]
-    fn compressed_main_keeps_its_delta_uncompressed() {
-        let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &base(), Layout::Compressed);
-        let d = idx.with_delta(&[t(9, 9, 9)], &[t(1, 10, 100)]);
-        assert_eq!(d.layout(), Layout::Compressed, "main stays compressed");
-        let adds_layout = d.delta_part().expect("delta").adds.layout();
-        assert_eq!(adds_layout, Layout::Csr, "adds trie must stay uncompressed");
-        let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &base(), Layout::Csr);
-        let d = idx.with_delta(&[t(9, 9, 9)], &[]);
-        assert_eq!(d.delta_part().expect("delta").adds.layout(), Layout::Csr);
     }
 }

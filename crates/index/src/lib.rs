@@ -13,13 +13,11 @@
 //! worst-case-optimal trie joins (LFTJ / CTJ).
 //!
 //! Provided here:
-//! - [`TrieIndex`] — one order's sorted trie, behind a runtime [`Layout`]
-//!   (columnar CSR or compressed),
-//! - [`ColumnarTrie`] — the CSR per-level key/offset arrays,
-//! - [`CompressedTrie`] — bit-packed key blocks with a per-block directory
-//!   and frequency-ordered dense-id re-encoding,
+//! - [`TrieIndex`] — one order's sorted trie, stored as a [`ColumnarTrie`],
+//! - [`ColumnarTrie`] — the CSR per-level key/offset arrays (the one
+//!   physical layout; [`Layout`] only names it),
 //! - [`TrieCursor`] — the LFTJ `TrieIterator` interface over any prefix
-//!   range, with galloping seeks on either layout,
+//!   range, with galloping seeks,
 //! - [`IndexedGraph`] — a graph with all its indexes and statistics,
 //! - [`GraphStats`] — PostgreSQL-style cardinalities for the tipping point,
 //! - [`FxHashMap`]/[`FxHasher`] — the fast integer hasher the engines'
@@ -29,7 +27,6 @@
 
 pub mod batch;
 pub mod columnar;
-pub mod compressed;
 pub mod delta;
 pub mod hash;
 pub mod indexed;
@@ -40,7 +37,6 @@ pub mod trie_iter;
 pub mod update;
 
 pub use columnar::{ColumnarTrie, SeekOutcome};
-pub use compressed::{CompressedTrie, KEYS_PER_BLOCK};
 pub use delta::{LivePositions, LiveRange};
 pub use hash::{pack2, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use indexed::IndexedGraph;

@@ -1,4 +1,4 @@
-//! A single-order trie index over columnar CSR or compressed storage.
+//! A single-order trie index over columnar CSR storage.
 //!
 //! The paper's §V-A keeps hash tables beside the sorted array so that a
 //! bound prefix reaches its contiguous range in O(1). Here the trie is its
@@ -7,17 +7,15 @@
 //! by one point lookup per bound level (`find0`, then `find1` inside the
 //! child window — O(log fan-out)) and no side table is built, stored or
 //! rebuilt on merge. Sampling *inside* the range stays O(1)
-//! ([`RowRange::pick`]); galloping search handles the third level. Two
-//! physical layouts sit behind the same position space (see [`Layout`]):
-//! leaf positions are identical in both, so ranges, sampling and cache
-//! keys carry over unchanged.
+//! ([`RowRange::pick`]); galloping search handles the third level. Leaf
+//! positions are positions in the sorted row array, so ranges, sampling
+//! and cache keys are plain row numbers.
 
 use std::sync::Arc;
 
 use kgoa_rdf::Triple;
 
 use crate::columnar::ColumnarTrie;
-use crate::compressed::CompressedTrie;
 use crate::delta::DeltaPart;
 use crate::order::IndexOrder;
 
@@ -80,58 +78,23 @@ impl RowRange {
     }
 }
 
-/// Physical storage layout of a [`TrieIndex`].
-///
-/// All layouts expose the same leaf position space, so an exact engine or
-/// sampler produces identical results on any of them — `repro
-/// layout-parity` checks exactly that, and `repro index-bench` A/Bs the
-/// tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Name of the physical storage layout of a [`TrieIndex`]. Columnar CSR
+/// ([`ColumnarTrie`]) is the only layout; the enum stays because the
+/// benchmark harness pins `IndexedGraph::layout().name()`, and its run
+/// fingerprint must keep printing `"csr"`.
+#[derive(Debug, Clone, Copy)]
 pub enum Layout {
-    /// Columnar CSR: per-level key arrays + child offsets (the default).
-    #[default]
+    /// Columnar CSR: per-level key arrays + child offsets.
     Csr,
-    /// Compressed tier: bit-packed key blocks with a per-block directory
-    /// and frequency-ordered dense-id re-encoding; offsets stay CSR-style
-    /// (see [`crate::compressed`]).
-    Compressed,
 }
 
 impl Layout {
-    /// Every layout, for layout-generic tests and A/B benches.
-    pub const ALL: [Layout; 2] = [Layout::Csr, Layout::Compressed];
-
-    /// Parse a CLI name ("csr" / "compressed").
-    pub fn parse(s: &str) -> Option<Layout> {
-        match s {
-            "csr" => Some(Layout::Csr),
-            "compressed" => Some(Layout::Compressed),
-            _ => None,
-        }
-    }
-
-    /// The CLI / report name.
+    /// The report name (`"csr"`).
     pub fn name(self) -> &'static str {
         match self {
             Layout::Csr => "csr",
-            Layout::Compressed => "compressed",
         }
     }
-}
-
-impl std::fmt::Display for Layout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The physical storage behind a [`TrieIndex`].
-#[derive(Debug, Clone)]
-pub(crate) enum Storage {
-    /// Columnar CSR arrays.
-    Csr(ColumnarTrie),
-    /// Bit-packed compressed blocks.
-    Compressed(CompressedTrie),
 }
 
 /// The immutable part of a [`TrieIndex`], shared across epoch snapshots
@@ -140,20 +103,7 @@ pub(crate) enum Storage {
 pub(crate) struct IndexCore {
     order: IndexOrder,
     len: u32,
-    storage: Storage,
-}
-
-/// Run `$body` with `$t` bound to whichever trie backs `$storage`: both
-/// expose the same node/offset vocabulary (`find0`, `find1`, `key0`,
-/// `l0_children`, `l0_leaf_range`, …), so every accessor below is written
-/// once.
-macro_rules! with_trie {
-    ($storage:expr, $t:ident => $body:expr) => {
-        match $storage {
-            Storage::Csr($t) => $body,
-            Storage::Compressed($t) => $body,
-        }
-    };
+    trie: ColumnarTrie,
 }
 
 /// A sorted trie over all triples of a graph in one attribute order.
@@ -173,36 +123,22 @@ pub struct TrieIndex {
 }
 
 impl TrieIndex {
-    /// Build the index for `order` over a set of triples, in the default
-    /// layout.
+    /// Build the index for `order` over a set of triples.
     pub fn build(order: IndexOrder, triples: &[Triple]) -> Self {
-        Self::build_with_layout(order, triples, Layout::default())
-    }
-
-    /// Build the index for `order` in an explicit [`Layout`].
-    pub fn build_with_layout(order: IndexOrder, triples: &[Triple], layout: Layout) -> Self {
         let mut rows: Vec<[u32; 3]> = triples.iter().map(|t| order.permute(*t)).collect();
         rows.sort_unstable();
         // Input triples are deduplicated, and permutation is injective, so
         // rows are distinct; no dedup needed.
-        Self::from_sorted_rows_in(order, rows, layout)
+        Self::from_sorted_rows(order, rows)
     }
 
     /// Build from rows already sorted in this order's layout (used by the
-    /// incremental merge path), in the default layout.
+    /// incremental merge path) — one linear pass into the level arrays
+    /// (which debug-assert sortedness).
     pub fn from_sorted_rows(order: IndexOrder, rows: Vec<[u32; 3]>) -> Self {
-        Self::from_sorted_rows_in(order, rows, Layout::default())
-    }
-
-    /// Build from sorted rows in an explicit [`Layout`] — one linear pass
-    /// into the level arrays (which debug-assert sortedness).
-    pub fn from_sorted_rows_in(order: IndexOrder, rows: Vec<[u32; 3]>, layout: Layout) -> Self {
-        let storage = match layout {
-            Layout::Csr => Storage::Csr(ColumnarTrie::from_sorted_rows(&rows)),
-            Layout::Compressed => Storage::Compressed(CompressedTrie::from_sorted_rows(&rows)),
-        };
+        let trie = ColumnarTrie::from_sorted_rows(&rows);
         TrieIndex {
-            core: Arc::new(IndexCore { order, len: rows.len() as u32, storage }),
+            core: Arc::new(IndexCore { order, len: rows.len() as u32, trie }),
             delta: None,
         }
     }
@@ -231,28 +167,17 @@ impl TrieIndex {
         self.core.order
     }
 
-    /// The physical storage layout.
+    /// Crate-internal access to the main part's level arrays, for cursors
+    /// and batch seeks.
     #[inline]
-    pub fn layout(&self) -> Layout {
-        match self.core.storage {
-            Storage::Csr(_) => Layout::Csr,
-            Storage::Compressed(_) => Layout::Compressed,
-        }
-    }
-
-    /// Crate-internal storage access for cursors.
-    #[inline]
-    pub(crate) fn storage(&self) -> &Storage {
-        &self.core.storage
+    pub(crate) fn trie(&self) -> &ColumnarTrie {
+        &self.core.trie
     }
 
     /// Materialize all rows in the sorted, permuted layout (used by the
     /// incremental merge path and tests; O(n)).
     pub fn to_rows(&self) -> Vec<[u32; 3]> {
-        match &self.core.storage {
-            Storage::Csr(c) => (0..self.core.len).map(|pos| c.row(pos)).collect(),
-            Storage::Compressed(c) => c.to_rows(),
-        }
+        (0..self.core.len).map(|pos| self.core.trie.row(pos)).collect()
     }
 
     /// Total number of triples.
@@ -277,9 +202,8 @@ impl TrieIndex {
     /// point lookup, O(log distinct level-0 keys).
     #[inline]
     pub fn range1(&self, a: u32) -> RowRange {
-        with_trie!(&self.core.storage, t => {
-            t.find0(a).map_or(RowRange::EMPTY, |n| t.l0_leaf_range(n))
-        })
+        let t = &self.core.trie;
+        t.find0(a).map_or(RowRange::EMPTY, |n| t.l0_leaf_range(n))
     }
 
     /// The range of rows whose first two attributes equal `(a, b)`: a
@@ -287,10 +211,9 @@ impl TrieIndex {
     /// window (never consulted when `a` is absent).
     #[inline]
     pub fn range2(&self, a: u32, b: u32) -> RowRange {
-        with_trie!(&self.core.storage, t => {
-            let node = t.find0(a).and_then(|n| t.find1(n, b));
-            node.map_or(RowRange::EMPTY, |j| t.l1_leaf_range(j))
-        })
+        let t = &self.core.trie;
+        let node = t.find0(a).and_then(|n| t.find1(n, b));
+        node.map_or(RowRange::EMPTY, |j| t.l1_leaf_range(j))
     }
 
     /// Position of the row `(a, b, c)` (in this order's layout), if
@@ -298,12 +221,7 @@ impl TrieIndex {
     /// contiguous level-2 keys.
     pub fn locate(&self, a: u32, b: u32, c: u32) -> Option<u32> {
         let r = self.range2(a, b);
-        match &self.core.storage {
-            Storage::Csr(t) => {
-                Some(r.start + t.l2_slice(r).binary_search(&c).ok()? as u32)
-            }
-            Storage::Compressed(t) => t.l2_search(r, c),
-        }
+        Some(r.start + self.core.trie.l2_slice(r).binary_search(&c).ok()? as u32)
     }
 
     /// True if the *live* row `(a, b, c)` (in this order's layout)
@@ -319,7 +237,7 @@ impl TrieIndex {
     #[inline]
     pub fn row(&self, pos: u32) -> [u32; 3] {
         if pos < self.core.len {
-            with_trie!(&self.core.storage, t => t.row(pos))
+            self.core.trie.row(pos)
         } else {
             let d = self.delta.as_deref().expect("position beyond main without a delta");
             d.adds.row(pos - self.core.len)
@@ -329,11 +247,11 @@ impl TrieIndex {
     /// The row at `pos`, with only the attributes at levels `>= from`
     /// guaranteed valid (earlier slots may be zero). The hot extraction
     /// path: a caller that resolved a 2-value prefix needs one `u32` load
-    /// on the CSR layout instead of a 12-byte row.
+    /// instead of a 12-byte row.
     #[inline]
     pub fn row_from(&self, pos: u32, from: usize) -> [u32; 3] {
         if pos < self.core.len {
-            with_trie!(&self.core.storage, t => t.row_from(pos, from))
+            self.core.trie.row_from(pos, from)
         } else {
             let d = self.delta.as_deref().expect("position beyond main without a delta");
             d.adds.row_from(pos - self.core.len, from)
@@ -349,7 +267,7 @@ impl TrieIndex {
     /// Number of distinct level-0 values.
     #[inline]
     pub fn distinct_l0(&self) -> usize {
-        with_trie!(&self.core.storage, t => t.l0_len())
+        self.core.trie.l0_len()
     }
 
     /// Number of distinct level-1 values under level-0 value `a` (e.g.
@@ -358,30 +276,28 @@ impl TrieIndex {
     /// drive the tipping point.
     #[inline]
     pub fn children_of(&self, a: u32) -> u32 {
-        with_trie!(&self.core.storage, t => {
-            t.find0(a).map_or(0, |n| {
-                let (lo, hi) = t.l0_children(n);
-                hi - lo
-            })
+        let t = &self.core.trie;
+        t.find0(a).map_or(0, |n| {
+            let (lo, hi) = t.l0_children(n);
+            hi - lo
         })
     }
 
     /// Iterate over all distinct level-0 values with their ranges, in
     /// sorted order of the value.
     pub fn iter_l0(&self) -> impl Iterator<Item = (u32, RowRange)> + '_ {
-        (0..self.distinct_l0() as u32).map(move |n| {
-            with_trie!(&self.core.storage, t => (t.key0(n), t.l0_leaf_range(n)))
-        })
+        let t = &self.core.trie;
+        (0..self.distinct_l0() as u32).map(move |n| (t.key0(n), t.l0_leaf_range(n)))
     }
 
-    /// Heap memory used by this index, in bytes: the layout's level arrays
-    /// plus any delta overlay (its adds trie and tombstone array). The
-    /// basis for the bytes/triple comparison in `repro index-bench`.
+    /// Heap memory held by this index, in bytes: the level arrays plus any
+    /// delta overlay (its adds trie and tombstone array), each counted by
+    /// capacity. The basis of `kgbench`'s `index.bytes_per_triple`.
     pub fn memory_bytes(&self) -> usize {
         let delta = self.delta.as_deref().map_or(0, |d| {
             d.adds.memory_bytes() + d.tomb.capacity() * std::mem::size_of::<u32>()
         });
-        with_trie!(&self.core.storage, t => t.memory_bytes()) + delta
+        self.core.trie.memory_bytes() + delta
     }
 }
 
@@ -399,71 +315,60 @@ mod tests {
 
     #[test]
     fn build_sorts_rows() {
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Pos, &sample_triples(), layout);
-            assert!(idx.to_rows().windows(2).all(|w| w[0] < w[1]), "layout {layout}");
-            assert_eq!(idx.len(), 5);
-            assert_eq!(idx.layout(), layout);
-        }
+        let idx = TrieIndex::build(IndexOrder::Pos, &sample_triples());
+        assert!(idx.to_rows().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(idx.len(), 5);
     }
 
     #[test]
-    fn layouts_materialize_identical_rows() {
+    fn rows_materialize_the_sorted_permuted_triples() {
         for order in IndexOrder::ALL {
-            let a = TrieIndex::build_with_layout(order, &sample_triples(), Layout::Csr);
-            let b = TrieIndex::build_with_layout(order, &sample_triples(), Layout::Compressed);
-            assert_eq!(a.to_rows(), b.to_rows(), "order {order}");
-            for pos in 0..a.len() as u32 {
-                assert_eq!(a.row(pos), b.row(pos), "order {order} pos {pos}");
+            let idx = TrieIndex::build(order, &sample_triples());
+            let mut expect: Vec<[u32; 3]> =
+                sample_triples().iter().map(|t| order.permute(*t)).collect();
+            expect.sort_unstable();
+            assert_eq!(idx.to_rows(), expect, "order {order}");
+            for (pos, row) in expect.iter().enumerate() {
+                assert_eq!(idx.row(pos as u32), *row, "order {order} pos {pos}");
             }
         }
     }
 
     #[test]
     fn range1_and_range2() {
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &sample_triples(), layout);
-            assert_eq!(idx.range1(1).len(), 3);
-            assert_eq!(idx.range1(2).len(), 1);
-            assert_eq!(idx.range1(99).len(), 0);
-            assert_eq!(idx.range2(1, 10).len(), 2);
-            assert_eq!(idx.range2(1, 11).len(), 1);
-            assert_eq!(idx.range2(1, 99).len(), 0);
-        }
+        let idx = TrieIndex::build(IndexOrder::Spo, &sample_triples());
+        assert_eq!(idx.range1(1).len(), 3);
+        assert_eq!(idx.range1(2).len(), 1);
+        assert_eq!(idx.range1(99).len(), 0);
+        assert_eq!(idx.range2(1, 10).len(), 2);
+        assert_eq!(idx.range2(1, 11).len(), 1);
+        assert_eq!(idx.range2(1, 99).len(), 0);
     }
 
     #[test]
     fn contains_row_checks_third_level() {
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &sample_triples(), layout);
-            assert!(idx.contains_row(1, 10, 101), "layout {layout}");
-            assert!(!idx.contains_row(1, 10, 102), "layout {layout}");
-            assert!(!idx.contains_row(9, 9, 9), "layout {layout}");
-        }
+        let idx = TrieIndex::build(IndexOrder::Spo, &sample_triples());
+        assert!(idx.contains_row(1, 10, 101));
+        assert!(!idx.contains_row(1, 10, 102));
+        assert!(!idx.contains_row(9, 9, 9));
     }
 
     #[test]
     fn contains_row_agrees_with_naive_scan() {
-        // Regression for the satellite fix: `contains` must agree with a
-        // naive scan over every probe in a dense id cube, on both layouts.
+        // `contains` must agree with a naive scan over every probe in a
+        // dense id cube.
         let triples = sample_triples();
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, layout);
-            let rows = idx.to_rows();
-            for a in 0..5u32 {
-                for b in 9..13u32 {
-                    for c in 99..106u32 {
-                        let naive = rows.contains(&[a, b, c]);
-                        assert_eq!(
-                            idx.contains_row(a, b, c),
-                            naive,
-                            "layout {layout} probe ({a},{b},{c})"
-                        );
-                        let located = idx.locate(a, b, c);
-                        assert_eq!(located.is_some(), naive);
-                        if let Some(pos) = located {
-                            assert_eq!(idx.row(pos), [a, b, c]);
-                        }
+        let idx = TrieIndex::build(IndexOrder::Spo, &triples);
+        let rows = idx.to_rows();
+        for a in 0..5u32 {
+            for b in 9..13u32 {
+                for c in 99..106u32 {
+                    let naive = rows.contains(&[a, b, c]);
+                    assert_eq!(idx.contains_row(a, b, c), naive, "probe ({a},{b},{c})");
+                    let located = idx.locate(a, b, c);
+                    assert_eq!(located.is_some(), naive);
+                    if let Some(pos) = located {
+                        assert_eq!(idx.row(pos), [a, b, c]);
                     }
                 }
             }
@@ -483,7 +388,6 @@ mod tests {
 
     #[test]
     fn point_lookups_agree_with_naive_scan_at_the_edges() {
-        let blk = crate::compressed::KEYS_PER_BLOCK as u32;
         // Gapped keys (2i + 1), so every key has an absent neighbour on
         // both sides and "between two keys" is always probed.
         let l0_of = |n: u32| (0..n).map(|i| [2 * i + 1, 7, 7]).collect::<Vec<_>>();
@@ -492,16 +396,13 @@ mod tests {
             ("one triple", vec![[5, 6, 7]]),
             ("one triple at u32::MAX", vec![[u32::MAX; 3]]),
             ("gaps", vec![[10, 1, 1], [10, 3, 1], [10, 3, 2], [20, 5, 1], [30, 1, 9]]),
-            ("l0 of exactly one block", l0_of(blk)),
-            ("l0 of one block plus one", l0_of(blk + 1)),
+            ("128 level-0 keys", l0_of(128)),
+            ("129 level-0 keys", l0_of(129)),
             (
-                // Level-1 windows of 128 and 129 keys: the first fills
-                // block 0 exactly, the second starts on a block edge and
-                // spills one key into block 2.
-                "l1 windows on block edges",
-                (0..blk)
+                "level-1 windows of 128 and 129 keys",
+                (0..128)
                     .map(|j| [1, 2 * j + 1, 9])
-                    .chain((0..=blk).map(|j| [3, 2 * j + 1, 9]))
+                    .chain((0..=128).map(|j| [3, 2 * j + 1, 9]))
                     .collect(),
             ),
         ];
@@ -523,70 +424,60 @@ mod tests {
             if let Some(&[a, b, c]) = rows.last() {
                 inserts.extend([t(a, b, c.wrapping_add(1)), t(a, b.wrapping_add(1), c)]);
             }
-            for layout in Layout::ALL {
-                let main = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, layout);
-                for idx in [main.clone(), main.with_delta(&inserts, &deletes)] {
-                    let ctx = format!("{name} / {layout} / delta={}", idx.has_delta());
-                    // The main part against a naive scan of its own rows:
-                    // exact ranges, node ids and child counts.
-                    let base = idx.to_rows();
-                    let mut l0: Vec<u32> = base.iter().map(|r| r[0]).collect();
-                    l0.dedup();
-                    assert_eq!(idx.distinct_l0(), l0.len(), "{ctx}");
-                    for a in probes_around(l0.iter().copied()) {
-                        let lo = base.partition_point(|r| r[0] < a);
-                        let hi = base.partition_point(|r| r[0] <= a);
-                        assert_eq!(idx.range1(a), range_of(lo, hi), "{ctx}: range1({a})");
-                        let node = l0.binary_search(&a).ok().map(|i| i as u32);
-                        assert_eq!(
-                            with_trie!(idx.storage(), trie => trie.find0(a)),
-                            node,
-                            "{ctx}: find0({a})"
-                        );
-                        let mut l1: Vec<u32> = base[lo..hi].iter().map(|r| r[1]).collect();
-                        l1.dedup();
-                        assert_eq!(idx.children_of(a) as usize, l1.len(), "{ctx}: children_of({a})");
-                        for b in probes_around(l1.iter().copied()) {
-                            let lo2 = base.partition_point(|r| (r[0], r[1]) < (a, b));
-                            let hi2 = base.partition_point(|r| (r[0], r[1]) <= (a, b));
-                            assert_eq!(
-                                idx.range2(a, b),
-                                range_of(lo2, hi2),
-                                "{ctx}: range2({a},{b})"
-                            );
-                            if let Some(n) = node {
-                                let found = with_trie!(idx.storage(), trie => trie.find1(n, b));
-                                assert_eq!(found.is_some(), lo2 < hi2, "{ctx}: find1({n},{b})");
-                            }
-                            for c in [0, 1, 7, 9, 10, u32::MAX] {
-                                let pos = base.binary_search(&[a, b, c]).ok().map(|p| p as u32);
-                                assert_eq!(idx.locate(a, b, c), pos, "{ctx}: locate({a},{b},{c})");
-                            }
+            let main = TrieIndex::build(IndexOrder::Spo, &triples);
+            for idx in [main.clone(), main.with_delta(&inserts, &deletes)] {
+                let ctx = format!("{name} / delta={}", idx.has_delta());
+                // The main part against a naive scan of its own rows:
+                // exact ranges, node ids and child counts.
+                let base = idx.to_rows();
+                let mut l0: Vec<u32> = base.iter().map(|r| r[0]).collect();
+                l0.dedup();
+                assert_eq!(idx.distinct_l0(), l0.len(), "{ctx}");
+                for a in probes_around(l0.iter().copied()) {
+                    let lo = base.partition_point(|r| r[0] < a);
+                    let hi = base.partition_point(|r| r[0] <= a);
+                    assert_eq!(idx.range1(a), range_of(lo, hi), "{ctx}: range1({a})");
+                    let node = l0.binary_search(&a).ok().map(|i| i as u32);
+                    assert_eq!(idx.trie().find0(a), node, "{ctx}: find0({a})");
+                    let mut l1: Vec<u32> = base[lo..hi].iter().map(|r| r[1]).collect();
+                    l1.dedup();
+                    assert_eq!(idx.children_of(a) as usize, l1.len(), "{ctx}: children_of({a})");
+                    for b in probes_around(l1.iter().copied()) {
+                        let lo2 = base.partition_point(|r| (r[0], r[1]) < (a, b));
+                        let hi2 = base.partition_point(|r| (r[0], r[1]) <= (a, b));
+                        assert_eq!(idx.range2(a, b), range_of(lo2, hi2), "{ctx}: range2({a},{b})");
+                        if let Some(n) = node {
+                            let found = idx.trie().find1(n, b);
+                            assert_eq!(found.is_some(), lo2 < hi2, "{ctx}: find1({n},{b})");
+                        }
+                        for c in [0, 1, 7, 9, 10, u32::MAX] {
+                            let pos = base.binary_search(&[a, b, c]).ok().map(|p| p as u32);
+                            assert_eq!(idx.locate(a, b, c), pos, "{ctx}: locate({a},{b},{c})");
                         }
                     }
-                    // The logical trie against a naive scan of its live rows.
-                    let live = idx.to_rows_live();
-                    let rows_of = |r: crate::LiveRange| {
-                        let mut got: Vec<[u32; 3]> = idx.positions(r).map(|p| idx.row(p)).collect();
-                        got.sort_unstable();
-                        got
-                    };
-                    for a in probes_around(live.iter().map(|r| r[0])) {
-                        let naive: Vec<[u32; 3]> =
-                            live.iter().filter(|r| r[0] == a).copied().collect();
-                        assert_eq!(rows_of(idx.range1_live(a)), naive, "{ctx}: range1_live({a})");
-                        for b in probes_around(naive.iter().map(|r| r[1])) {
-                            let naive2: Vec<[u32; 3]> =
-                                naive.iter().filter(|r| r[1] == b).copied().collect();
-                            let got = idx.range2_live(a, b);
-                            assert_eq!(rows_of(got), naive2, "{ctx}: range2_live({a},{b})");
-                            for c in [0, 1, 7, 9, 10, u32::MAX] {
-                                assert_eq!(
-                                    idx.contains_row(a, b, c),
-                                    naive2.contains(&[a, b, c]),
-                                    "{ctx}: contains_row({a},{b},{c})"
-                                );
-                            }
+                }
+                // The logical trie against a naive scan of its live rows.
+                let live = idx.to_rows_live();
+                let rows_of = |r: crate::LiveRange| {
+                    let mut got: Vec<[u32; 3]> = idx.positions(r).map(|p| idx.row(p)).collect();
+                    got.sort_unstable();
+                    got
+                };
+                for a in probes_around(live.iter().map(|r| r[0])) {
+                    let naive: Vec<[u32; 3]> =
+                        live.iter().filter(|r| r[0] == a).copied().collect();
+                    assert_eq!(rows_of(idx.range1_live(a)), naive, "{ctx}: range1_live({a})");
+                    for b in probes_around(naive.iter().map(|r| r[1])) {
+                        let naive2: Vec<[u32; 3]> =
+                            naive.iter().filter(|r| r[1] == b).copied().collect();
+                        let got = idx.range2_live(a, b);
+                        assert_eq!(rows_of(got), naive2, "{ctx}: range2_live({a},{b})");
+                        for c in [0, 1, 7, 9, 10, u32::MAX] {
+                            assert_eq!(
+                                idx.contains_row(a, b, c),
+                                naive2.contains(&[a, b, c]),
+                                "{ctx}: contains_row({a},{b},{c})"
+                            );
                         }
                     }
                 }
@@ -597,15 +488,12 @@ mod tests {
     #[test]
     fn triple_decoding_roundtrips() {
         for order in IndexOrder::ALL {
-            for layout in Layout::ALL {
-                let idx = TrieIndex::build_with_layout(order, &sample_triples(), layout);
-                let mut decoded: Vec<Triple> =
-                    (0..idx.len() as u32).map(|i| idx.triple(i)).collect();
-                decoded.sort_unstable();
-                let mut expected = sample_triples();
-                expected.sort_unstable();
-                assert_eq!(decoded, expected, "order {order} layout {layout}");
-            }
+            let idx = TrieIndex::build(order, &sample_triples());
+            let mut decoded: Vec<Triple> = (0..idx.len() as u32).map(|i| idx.triple(i)).collect();
+            decoded.sort_unstable();
+            let mut expected = sample_triples();
+            expected.sort_unstable();
+            assert_eq!(decoded, expected, "order {order}");
         }
     }
 
@@ -620,35 +508,25 @@ mod tests {
 
     #[test]
     fn l0_iteration_in_sorted_order() {
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Pso, &sample_triples(), layout);
-            let keys: Vec<u32> = idx.iter_l0().map(|(k, _)| k).collect();
-            assert_eq!(keys, vec![10, 11, 12], "layout {layout}");
-            let total: usize = idx.iter_l0().map(|(_, r)| r.len()).sum();
-            assert_eq!(total, idx.len());
-        }
+        let idx = TrieIndex::build(IndexOrder::Pso, &sample_triples());
+        let keys: Vec<u32> = idx.iter_l0().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![10, 11, 12]);
+        let total: usize = idx.iter_l0().map(|(_, r)| r.len()).sum();
+        assert_eq!(total, idx.len());
     }
 
     #[test]
     fn empty_index() {
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &[], layout);
-            assert!(idx.is_empty());
-            assert_eq!(idx.full_range().len(), 0);
-            assert_eq!(idx.distinct_l0(), 0);
-            assert!(idx.iter_l0().next().is_none());
-        }
+        let idx = TrieIndex::build(IndexOrder::Spo, &[]);
+        assert!(idx.is_empty());
+        assert_eq!(idx.full_range().len(), 0);
+        assert_eq!(idx.distinct_l0(), 0);
+        assert!(idx.iter_l0().next().is_none());
     }
 
     #[test]
-    fn layout_names_roundtrip() {
-        for layout in Layout::ALL {
-            assert_eq!(Layout::parse(layout.name()), Some(layout));
-        }
-        assert_eq!(Layout::parse("btree"), None);
-        assert_eq!(Layout::parse("rows"), None, "the row layout is gone, not hidden");
-        assert_eq!(Layout::ALL.len(), 2);
-        assert_eq!(Layout::default(), Layout::Csr);
+    fn layout_name_is_csr() {
+        assert_eq!(Layout::Csr.name(), "csr");
     }
 
     #[test]

@@ -1,21 +1,17 @@
 //! Trie iterators over [`TrieIndex`] ranges — the access interface required
 //! by LeapFrog Trie Join (Veldhuizen 2014).
 //!
-//! One public cursor type fronts both physical layouts. On
-//! [`Layout::Csr`](crate::Layout) levels are node windows over the
-//! contiguous per-level key arrays, so `next_key` is `node + 1` and a run
-//! is an `offsets[i]..offsets[i+1]` lookup; on
-//! [`Layout::Compressed`](crate::Layout) the same node windows apply but
-//! keys decode from bit-packed blocks and seeks skip by the block
-//! directory. Seeks gallop: a short linear scan (LFTJ seeks usually land
-//! nearby), then exponential probing, then binary search — see
-//! [`gallop_lower_bound`].
+//! Levels are node windows over the CSR trie's contiguous per-level key
+//! arrays, so `next_key` is `node + 1` and a run is an
+//! `offsets[i]..offsets[i+1]` lookup. Seeks gallop: a short linear scan
+//! (LFTJ seeks usually land nearby), then exponential probing, then
+//! binary search — see [`gallop_lower_bound`]. An index with a delta
+//! overlay gets a merged cursor over main and adds.
 
 use crate::columnar::{gallop_lower_bound, ColumnarTrie};
 pub use crate::columnar::SeekOutcome;
-use crate::compressed::CompressedTrie;
 use crate::delta::tombs_within;
-use crate::store::{RowRange, Storage, TrieIndex};
+use crate::store::{RowRange, TrieIndex};
 
 /// One opened trie level of a CSR cursor: a cached window of node ids in
 /// the level's key array. Distinct keys per node, so no run tracking.
@@ -45,7 +41,6 @@ pub struct TrieCursor<'a> {
 #[derive(Debug, Clone)]
 enum Repr<'a> {
     Csr(CsrCursor<'a>),
-    Comp(CompCursor<'a>),
     /// Overlay view: a main-side cursor merged with a cursor over the
     /// delta's adds trie, with tombstoned main subtrees skipped.
     Merged(Box<MergedCursor<'a>>),
@@ -61,20 +56,12 @@ impl<'a> TrieCursor<'a> {
     /// [`TrieCursor::over_index`] for the merged logical view.
     pub fn new(index: &'a TrieIndex, base: RowRange, prefix_len: usize) -> Self {
         assert!(prefix_len <= 2, "prefix_len {prefix_len} out of range");
-        let repr = match index.storage() {
-            Storage::Csr(csr) => Repr::Csr(CsrCursor {
-                csr,
-                base,
-                prefix_len,
-                levels: Vec::with_capacity(3),
-            }),
-            Storage::Compressed(comp) => Repr::Comp(CompCursor {
-                comp,
-                base,
-                prefix_len,
-                levels: Vec::with_capacity(3),
-            }),
-        };
+        let repr = Repr::Csr(CsrCursor {
+            csr: index.trie(),
+            base,
+            prefix_len,
+            levels: Vec::with_capacity(3),
+        });
         TrieCursor { repr, prefix_len }
     }
 
@@ -107,7 +94,6 @@ impl<'a> TrieCursor<'a> {
     pub fn depth(&self) -> usize {
         match &self.repr {
             Repr::Csr(c) => c.levels.len(),
-            Repr::Comp(c) => c.levels.len(),
             Repr::Merged(c) => c.levels.len(),
         }
     }
@@ -120,7 +106,6 @@ impl<'a> TrieCursor<'a> {
         assert!(self.depth() < self.max_depth(), "open() past leaf level");
         match &mut self.repr {
             Repr::Csr(c) => c.open(),
-            Repr::Comp(c) => c.open(),
             Repr::Merged(c) => c.open(),
         }
     }
@@ -129,7 +114,6 @@ impl<'a> TrieCursor<'a> {
     pub fn up(&mut self) {
         match &mut self.repr {
             Repr::Csr(c) => c.up(),
-            Repr::Comp(c) => c.up(),
             Repr::Merged(c) => c.up(),
         }
     }
@@ -139,7 +123,6 @@ impl<'a> TrieCursor<'a> {
     pub fn at_end(&self) -> bool {
         match &self.repr {
             Repr::Csr(c) => c.at_end(),
-            Repr::Comp(c) => c.at_end(),
             Repr::Merged(c) => c.at_end(),
         }
     }
@@ -149,7 +132,6 @@ impl<'a> TrieCursor<'a> {
     pub fn key(&self) -> u32 {
         match &self.repr {
             Repr::Csr(c) => c.key(),
-            Repr::Comp(c) => c.key(),
             Repr::Merged(c) => c.key(),
         }
     }
@@ -158,12 +140,11 @@ impl<'a> TrieCursor<'a> {
     ///
     /// Runs are main-positional and contiguous; a merged overlay cursor's
     /// logical run is not, so this panics there — use [`TrieCursor::fanout`]
-    /// for a layout- and overlay-agnostic count.
+    /// for an overlay-agnostic count.
     #[inline]
     pub fn run(&self) -> RowRange {
         match &self.repr {
             Repr::Csr(c) => c.run(),
-            Repr::Comp(c) => c.run(),
             Repr::Merged(_) => {
                 panic!("run() is main-positional; use fanout() on a merged overlay cursor")
             }
@@ -176,7 +157,6 @@ impl<'a> TrieCursor<'a> {
     pub fn fanout(&self) -> usize {
         match &self.repr {
             Repr::Csr(c) => c.run().len(),
-            Repr::Comp(c) => c.run().len(),
             Repr::Merged(c) => c.fanout(),
         }
     }
@@ -185,7 +165,6 @@ impl<'a> TrieCursor<'a> {
     pub fn next_key(&mut self) {
         match &mut self.repr {
             Repr::Csr(c) => c.next_key(),
-            Repr::Comp(c) => c.next_key(),
             Repr::Merged(c) => c.next_key(),
         }
     }
@@ -203,7 +182,6 @@ impl<'a> TrieCursor<'a> {
     fn seek_raw(&mut self, v: u32) -> SeekOutcome {
         match &mut self.repr {
             Repr::Csr(c) => c.seek(v),
-            Repr::Comp(c) => c.seek(v),
             Repr::Merged(c) => c.seek(v),
         }
     }
@@ -479,127 +457,13 @@ impl CsrCursor<'_> {
     }
 }
 
-/// Compressed-layout cursor: identical node-window navigation to
-/// [`CsrCursor`] (the offset arrays are the same), but keys decode from
-/// bit-packed blocks and seeks skip whole blocks via the per-block
-/// directory ([`CompressedTrie::seek0`] and friends).
-#[derive(Debug, Clone)]
-struct CompCursor<'a> {
-    comp: &'a CompressedTrie,
-    base: RowRange,
-    prefix_len: usize,
-    levels: Vec<CsrLevel>,
-}
-
-impl CompCursor<'_> {
-    /// The absolute trie level (0=first attr … 2=leaf) of the top level.
-    #[inline]
-    fn abs_level(&self) -> usize {
-        self.prefix_len + self.levels.len() - 1
-    }
-
-    /// Node window at absolute level `prefix_len` covering `base` — the
-    /// CSR derivation, with the reverse-map lookups replaced by offset
-    /// binary searches.
-    fn root_window(&self) -> (u32, u32) {
-        if self.base.is_empty() {
-            return (0, 0);
-        }
-        let last = self.base.end - 1;
-        match self.prefix_len {
-            2 => (self.base.start, self.base.end),
-            1 => (self.comp.l1_node_of(self.base.start), self.comp.l1_node_of(last) + 1),
-            _ => (
-                self.comp.l0_node_of(self.comp.l1_node_of(self.base.start)),
-                self.comp.l0_node_of(self.comp.l1_node_of(last)) + 1,
-            ),
-        }
-    }
-
-    fn open(&mut self) {
-        let opening = self.prefix_len + self.levels.len();
-        let (lo, hi) = match self.levels.last() {
-            None => self.root_window(),
-            Some(top) => {
-                assert!(top.cur < top.hi, "open() on exhausted level");
-                match opening {
-                    1 => self.comp.l0_children(top.cur),
-                    _ => self.comp.l1_children(top.cur),
-                }
-            }
-        };
-        self.levels.push(CsrLevel { cur: lo, hi });
-    }
-
-    fn up(&mut self) {
-        self.levels.pop().expect("up() at root");
-    }
-
-    #[inline]
-    fn at_end(&self) -> bool {
-        let top = self.levels.last().expect("at_end() requires an open level");
-        top.cur >= top.hi
-    }
-
-    /// Decode the key of node `i` at absolute level `level`.
-    #[inline]
-    fn key_at(&self, level: usize, i: u32) -> u32 {
-        match level {
-            0 => self.comp.key0(i),
-            1 => self.comp.key1(i),
-            _ => self.comp.key2(i),
-        }
-    }
-
-    #[inline]
-    fn key(&self) -> u32 {
-        let top = self.levels.last().expect("key() requires an open level");
-        debug_assert!(top.cur < top.hi, "key() at end");
-        self.key_at(self.abs_level(), top.cur)
-    }
-
-    #[inline]
-    fn run(&self) -> RowRange {
-        let top = self.levels.last().expect("run() requires an open level");
-        debug_assert!(top.cur < top.hi, "run() at end");
-        match self.abs_level() {
-            0 => self.comp.l0_leaf_range(top.cur),
-            1 => self.comp.l1_leaf_range(top.cur),
-            _ => RowRange { start: top.cur, end: top.cur + 1 },
-        }
-    }
-
-    fn next_key(&mut self) {
-        let top = self.levels.last_mut().expect("next_key() requires an open level");
-        debug_assert!(top.cur < top.hi, "next_key() at end");
-        top.cur += 1;
-    }
-
-    fn seek(&mut self, v: u32) -> SeekOutcome {
-        let level = self.abs_level();
-        let top = *self.levels.last().expect("seek() requires an open level");
-        if top.cur >= top.hi || self.key_at(level, top.cur) >= v {
-            return SeekOutcome::Linear;
-        }
-        let (pos, outcome) = match level {
-            0 => self.comp.seek0(top.cur as usize, top.hi as usize, v),
-            1 => self.comp.seek1(top.cur as usize, top.hi as usize, v),
-            _ => self.comp.seek2(top.cur as usize, top.hi as usize, v),
-        };
-        debug_assert!(pos as u32 >= top.cur, "seek must be monotone");
-        self.levels.last_mut().expect("level present").cur = pos as u32;
-        outcome
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::order::IndexOrder;
-    use crate::store::Layout;
     use kgoa_rdf::Triple;
 
-    fn index_in(layout: Layout) -> TrieIndex {
+    fn sample_index() -> TrieIndex {
         let triples: Vec<Triple> = vec![
             [1, 10, 100],
             [1, 10, 101],
@@ -611,7 +475,7 @@ mod tests {
         .into_iter()
         .map(Triple::from)
         .collect();
-        TrieIndex::build_with_layout(IndexOrder::Spo, &triples, layout)
+        TrieIndex::build(IndexOrder::Spo, &triples)
     }
 
     /// Collect all keys at the current level.
@@ -626,109 +490,97 @@ mod tests {
 
     #[test]
     fn level0_keys() {
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            let mut c = TrieCursor::over_index(&idx);
-            c.open();
-            assert_eq!(keys_at_level(&mut c), vec![1, 2, 3], "layout {layout}");
-        }
+        let idx = sample_index();
+        let mut c = TrieCursor::over_index(&idx);
+        c.open();
+        assert_eq!(keys_at_level(&mut c), vec![1, 2, 3]);
     }
 
     #[test]
     fn descend_and_ascend() {
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            let mut c = TrieCursor::over_index(&idx);
-            c.open(); // subjects
-            assert_eq!(c.key(), 1);
-            c.open(); // predicates of subject 1
-            assert_eq!(keys_at_level(&mut c), vec![10, 11], "layout {layout}");
-            c.up();
-            c.next_key(); // subject 2
-            assert_eq!(c.key(), 2);
-            c.open();
-            assert_eq!(keys_at_level(&mut c), vec![10, 12], "layout {layout}");
-        }
+        let idx = sample_index();
+        let mut c = TrieCursor::over_index(&idx);
+        c.open(); // subjects
+        assert_eq!(c.key(), 1);
+        c.open(); // predicates of subject 1
+        assert_eq!(keys_at_level(&mut c), vec![10, 11]);
+        c.up();
+        c.next_key(); // subject 2
+        assert_eq!(c.key(), 2);
+        c.open();
+        assert_eq!(keys_at_level(&mut c), vec![10, 12]);
     }
 
     #[test]
     fn seek_moves_forward_only() {
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            let mut c = TrieCursor::over_index(&idx);
-            c.open();
-            c.seek(2);
-            assert_eq!(c.key(), 2, "layout {layout}");
-            c.seek(1); // no-op: already past
-            assert_eq!(c.key(), 2, "layout {layout}");
-            c.seek(4);
-            assert!(c.at_end(), "layout {layout}");
-            c.seek(9); // seek at end is a no-op
-            assert!(c.at_end(), "layout {layout}");
-        }
+        let idx = sample_index();
+        let mut c = TrieCursor::over_index(&idx);
+        c.open();
+        c.seek(2);
+        assert_eq!(c.key(), 2);
+        c.seek(1); // no-op: already past
+        assert_eq!(c.key(), 2);
+        c.seek(4);
+        assert!(c.at_end());
+        c.seek(9); // seek at end is a no-op
+        assert!(c.at_end());
     }
 
     #[test]
     fn seek_to_missing_key_lands_on_next() {
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            let mut c = TrieCursor::over_index(&idx);
-            c.open();
-            c.open(); // predicates of subject 1: {10, 11}
-            c.seek(11);
-            assert_eq!(c.key(), 11, "layout {layout}");
-            c.up();
-            c.next_key();
-            c.open(); // predicates of subject 2: {10, 12}
-            c.seek(11);
-            assert_eq!(c.key(), 12, "layout {layout}");
-        }
+        let idx = sample_index();
+        let mut c = TrieCursor::over_index(&idx);
+        c.open();
+        c.open(); // predicates of subject 1: {10, 11}
+        c.seek(11);
+        assert_eq!(c.key(), 11);
+        c.up();
+        c.next_key();
+        c.open(); // predicates of subject 2: {10, 12}
+        c.seek(11);
+        assert_eq!(c.key(), 12);
     }
 
     #[test]
     fn seek_to_exact_max_and_past_last() {
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            // Leaf level of (2, 12): single key 105.
-            let mut c = TrieCursor::new(&idx, idx.range2(2, 12), 2);
-            c.open();
-            c.seek(105); // exact max key
-            assert!(!c.at_end(), "layout {layout}");
-            assert_eq!(c.key(), 105, "layout {layout}");
-            c.seek(106); // past the last key
-            assert!(c.at_end(), "layout {layout}");
-            // Level 0: exact max subject is 3.
-            let mut c = TrieCursor::over_index(&idx);
-            c.open();
-            c.seek(3);
-            assert_eq!(c.key(), 3, "layout {layout}");
-            c.seek(u32::MAX);
-            assert!(c.at_end(), "layout {layout}");
-        }
+        let idx = sample_index();
+        // Leaf level of (2, 12): single key 105.
+        let mut c = TrieCursor::new(&idx, idx.range2(2, 12), 2);
+        c.open();
+        c.seek(105); // exact max key
+        assert!(!c.at_end());
+        assert_eq!(c.key(), 105);
+        c.seek(106); // past the last key
+        assert!(c.at_end());
+        // Level 0: exact max subject is 3.
+        let mut c = TrieCursor::over_index(&idx);
+        c.open();
+        c.seek(3);
+        assert_eq!(c.key(), 3);
+        c.seek(u32::MAX);
+        assert!(c.at_end());
     }
 
     #[test]
     fn duplicate_keys_at_level_boundary() {
         // Key 10 ends subject 1's predicate window and starts subject 2's:
         // the cursor must not leak across the parent boundary.
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            let mut c = TrieCursor::over_index(&idx);
-            c.open();
-            c.open(); // predicates of subject 1: {10, 11}
-            c.seek(10);
-            assert_eq!(c.key(), 10, "layout {layout}");
-            assert_eq!(c.run().len(), 2, "layout {layout}: (1,10) has 2 objects");
-            c.next_key();
-            assert_eq!(c.key(), 11, "layout {layout}");
-            c.next_key();
-            assert!(c.at_end(), "layout {layout}: must stop at subject 1's boundary");
-            c.up();
-            c.next_key(); // subject 2
-            c.open();
-            assert_eq!(c.key(), 10, "layout {layout}: subject 2 restarts at key 10");
-            assert_eq!(c.run().len(), 1, "layout {layout}: (2,10) has 1 object");
-        }
+        let idx = sample_index();
+        let mut c = TrieCursor::over_index(&idx);
+        c.open();
+        c.open(); // predicates of subject 1: {10, 11}
+        c.seek(10);
+        assert_eq!(c.key(), 10);
+        assert_eq!(c.run().len(), 2, "(1,10) has 2 objects");
+        c.next_key();
+        assert_eq!(c.key(), 11);
+        c.next_key();
+        assert!(c.at_end(), "must stop at subject 1's boundary");
+        c.up();
+        c.next_key(); // subject 2
+        c.open();
+        assert_eq!(c.key(), 10, "subject 2 restarts at key 10");
+        assert_eq!(c.run().len(), 1, "(2,10) has 1 object");
     }
 
     #[test]
@@ -736,118 +588,100 @@ mod tests {
         // A long leaf run: nearby seeks stay linear, distant seeks gallop.
         let triples: Vec<Triple> =
             (0..64u32).map(|i| Triple::from([1, 10, 1000 + 2 * i])).collect();
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, layout);
-            let mut c = TrieCursor::new(&idx, idx.range2(1, 10), 2);
-            c.open();
-            assert_eq!(c.seek(1002), SeekOutcome::Linear, "layout {layout}");
-            assert_eq!(c.key(), 1002);
-            assert_eq!(c.seek(1111), SeekOutcome::Gallop, "layout {layout}");
-            assert_eq!(c.key(), 1112, "layout {layout}: lands on next key");
-            assert_eq!(c.seek(1000), SeekOutcome::Linear, "layout {layout}: no-op seek");
-        }
+        let idx = TrieIndex::build(IndexOrder::Spo, &triples);
+        let mut c = TrieCursor::new(&idx, idx.range2(1, 10), 2);
+        c.open();
+        assert_eq!(c.seek(1002), SeekOutcome::Linear);
+        assert_eq!(c.key(), 1002);
+        assert_eq!(c.seek(1111), SeekOutcome::Gallop);
+        assert_eq!(c.key(), 1112, "lands on next key");
+        assert_eq!(c.seek(1000), SeekOutcome::Linear, "no-op seek");
     }
 
     #[test]
     fn run_counts_fanout() {
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            let mut c = TrieCursor::over_index(&idx);
-            c.open();
-            assert_eq!(c.run().len(), 3, "layout {layout}"); // subject 1 has 3 triples
-            c.open();
-            assert_eq!(c.run().len(), 2, "layout {layout}"); // (1, 10) has 2 objects
-        }
+        let idx = sample_index();
+        let mut c = TrieCursor::over_index(&idx);
+        c.open();
+        assert_eq!(c.run().len(), 3); // subject 1 has 3 triples
+        c.open();
+        assert_eq!(c.run().len(), 2); // (1, 10) has 2 objects
     }
 
     #[test]
     fn prefixed_cursor_exposes_remaining_levels() {
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            let base = idx.range2(1, 10); // objects of (1, 10)
-            let mut c = TrieCursor::new(&idx, base, 2);
-            assert_eq!(c.max_depth(), 1);
-            c.open();
-            assert_eq!(keys_at_level(&mut c), vec![100, 101], "layout {layout}");
-        }
+        let idx = sample_index();
+        let base = idx.range2(1, 10); // objects of (1, 10)
+        let mut c = TrieCursor::new(&idx, base, 2);
+        assert_eq!(c.max_depth(), 1);
+        c.open();
+        assert_eq!(keys_at_level(&mut c), vec![100, 101]);
     }
 
     #[test]
     fn prefixed_cursor_with_one_fixed_attribute() {
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            let base = idx.range1(2); // subject 2
-            let mut c = TrieCursor::new(&idx, base, 1);
-            assert_eq!(c.max_depth(), 2);
-            c.open();
-            assert_eq!(c.key(), 10, "layout {layout}");
-            c.open();
-            assert_eq!(keys_at_level(&mut c), vec![100], "layout {layout}");
-            c.up();
-            c.next_key();
-            assert_eq!(c.key(), 12, "layout {layout}");
-        }
+        let idx = sample_index();
+        let base = idx.range1(2); // subject 2
+        let mut c = TrieCursor::new(&idx, base, 1);
+        assert_eq!(c.max_depth(), 2);
+        c.open();
+        assert_eq!(c.key(), 10);
+        c.open();
+        assert_eq!(keys_at_level(&mut c), vec![100]);
+        c.up();
+        c.next_key();
+        assert_eq!(c.key(), 12);
     }
 
     #[test]
     fn leaf_level_iteration() {
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            let mut c = TrieCursor::over_index(&idx);
-            c.open();
-            c.open();
-            c.open(); // objects of (1, 10)
-            assert_eq!(keys_at_level(&mut c), vec![100, 101], "layout {layout}");
-        }
+        let idx = sample_index();
+        let mut c = TrieCursor::over_index(&idx);
+        c.open();
+        c.open();
+        c.open(); // objects of (1, 10)
+        assert_eq!(keys_at_level(&mut c), vec![100, 101]);
     }
 
     #[test]
     fn empty_base_is_immediately_at_end() {
-        for layout in Layout::ALL {
-            let idx = index_in(layout);
-            let mut c = TrieCursor::new(&idx, RowRange::EMPTY, 2);
-            c.open();
-            assert!(c.at_end(), "layout {layout}");
-            c.seek(5); // seek on an empty level is a no-op
-            assert!(c.at_end(), "layout {layout}");
-        }
+        let idx = sample_index();
+        let mut c = TrieCursor::new(&idx, RowRange::EMPTY, 2);
+        c.open();
+        assert!(c.at_end());
+        c.seek(5); // seek on an empty level is a no-op
+        assert!(c.at_end());
     }
 
     #[test]
-    fn layouts_agree_on_full_walk() {
-        // Walk both layouts through an identical open/seek/next script and
-        // require identical keys and runs at every point.
+    fn full_walk_agrees_with_prefix_ranges() {
+        // Walk an open/seek/next script and require every key and run to
+        // be the one the point lookups give for the same prefix.
         let triples: Vec<Triple> = (0..40u32)
             .map(|i| Triple::from([i % 5, 10 + (i % 3), 100 + i]))
             .collect();
-        let csr = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, Layout::Csr);
-        let comp = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, Layout::Compressed);
-        let mut a = TrieCursor::over_index(&csr);
-        let mut b = TrieCursor::over_index(&comp);
-        a.open();
-        b.open();
-        while !a.at_end() {
-            assert!(!b.at_end());
-            assert_eq!(a.key(), b.key());
-            assert_eq!(a.run(), b.run());
-            a.open();
-            b.open();
-            a.seek(11);
-            b.seek(11);
-            while !a.at_end() {
-                assert!(!b.at_end());
-                assert_eq!(a.key(), b.key());
-                assert_eq!(a.run(), b.run());
-                a.next_key();
-                b.next_key();
+        let idx = TrieIndex::build(IndexOrder::Spo, &triples);
+        let mut c = TrieCursor::over_index(&idx);
+        c.open();
+        let mut subjects = Vec::new();
+        while !c.at_end() {
+            let a = c.key();
+            subjects.push(a);
+            assert_eq!(c.run(), idx.range1(a), "subject {a}");
+            c.open();
+            c.seek(11);
+            let mut predicates = Vec::new();
+            while !c.at_end() {
+                let b = c.key();
+                predicates.push(b);
+                assert_eq!(c.run(), idx.range2(a, b), "prefix ({a},{b})");
+                c.next_key();
             }
-            assert!(b.at_end());
-            a.up();
-            b.up();
-            a.next_key();
-            b.next_key();
+            assert_eq!(predicates, vec![11, 12], "subject {a}");
+            c.up();
+            c.next_key();
         }
-        assert!(b.at_end());
+        assert_eq!(subjects, vec![0, 1, 2, 3, 4]);
     }
 
     /// Exhaustively walk a cursor, returning (depth, key, fanout) tuples
@@ -899,14 +733,11 @@ mod tests {
             .chain(inserts.iter())
             .copied()
             .collect();
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &base, layout)
-                .with_delta(&inserts, &deletes);
-            let rebuilt = TrieIndex::build_with_layout(IndexOrder::Spo, &live, layout);
-            let got = walk_all(&mut TrieCursor::over_index(&idx));
-            let expect = walk_all(&mut TrieCursor::over_index(&rebuilt));
-            assert_eq!(got, expect, "layout {layout}");
-        }
+        let idx = TrieIndex::build(IndexOrder::Spo, &base).with_delta(&inserts, &deletes);
+        let rebuilt = TrieIndex::build(IndexOrder::Spo, &live);
+        let got = walk_all(&mut TrieCursor::over_index(&idx));
+        let expect = walk_all(&mut TrieCursor::over_index(&rebuilt));
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -922,22 +753,19 @@ mod tests {
             .chain(inserts.iter())
             .copied()
             .collect();
-        for layout in Layout::ALL {
-            let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &base, layout)
-                .with_delta(&inserts, &deletes);
-            let rebuilt = TrieIndex::build_with_layout(IndexOrder::Spo, &live, layout);
-            let mut a = TrieCursor::over_index(&idx);
-            let mut b = TrieCursor::over_index(&rebuilt);
-            a.open();
-            b.open();
-            for target in [0u32, 2, 3, 4, 5, 9, 10] {
-                a.seek(target);
-                b.seek(target);
-                assert_eq!(a.at_end(), b.at_end(), "layout {layout} seek {target}");
-                if !a.at_end() {
-                    assert_eq!(a.key(), b.key(), "layout {layout} seek {target}");
-                    assert_eq!(a.fanout(), b.fanout(), "layout {layout} seek {target}");
-                }
+        let idx = TrieIndex::build(IndexOrder::Spo, &base).with_delta(&inserts, &deletes);
+        let rebuilt = TrieIndex::build(IndexOrder::Spo, &live);
+        let mut a = TrieCursor::over_index(&idx);
+        let mut b = TrieCursor::over_index(&rebuilt);
+        a.open();
+        b.open();
+        for target in [0u32, 2, 3, 4, 5, 9, 10] {
+            a.seek(target);
+            b.seek(target);
+            assert_eq!(a.at_end(), b.at_end(), "seek {target}");
+            if !a.at_end() {
+                assert_eq!(a.key(), b.key(), "seek {target}");
+                assert_eq!(a.fanout(), b.fanout(), "seek {target}");
             }
         }
     }
@@ -945,30 +773,16 @@ mod tests {
     #[test]
     fn merged_cursor_on_empty_main() {
         let adds = [Triple::from([5, 6, 7])];
-        for layout in Layout::ALL {
-            let idx =
-                TrieIndex::build_with_layout(IndexOrder::Spo, &[], layout).with_delta(&adds, &[]);
-            let mut c = TrieCursor::over_index(&idx);
-            c.open();
-            assert_eq!(keys_at_level(&mut c), vec![5], "layout {layout}");
-        }
+        let idx = TrieIndex::build(IndexOrder::Spo, &[]).with_delta(&adds, &[]);
+        let mut c = TrieCursor::over_index(&idx);
+        c.open();
+        assert_eq!(keys_at_level(&mut c), vec![5]);
     }
 
     #[test]
     #[should_panic(expected = "open() past leaf level")]
     fn open_past_leaf_panics() {
-        let idx = index_in(Layout::Csr);
-        let mut c = TrieCursor::over_index(&idx);
-        c.open();
-        c.open();
-        c.open();
-        c.open();
-    }
-
-    #[test]
-    #[should_panic(expected = "open() past leaf level")]
-    fn open_past_leaf_panics_compressed() {
-        let idx = index_in(Layout::Compressed);
+        let idx = sample_index();
         let mut c = TrieCursor::over_index(&idx);
         c.open();
         c.open();

@@ -110,7 +110,7 @@ impl TrieIndex {
         let adds = permute_sorted(&batch.insert);
         let dels = permute_sorted(&batch.delete);
         let rows = merge_rows(&self.to_rows(), &adds, &dels);
-        TrieIndex::from_sorted_rows_in(order, rows, self.layout())
+        TrieIndex::from_sorted_rows(order, rows)
     }
 }
 

@@ -294,10 +294,6 @@ well_known! {
             "Random walks completed (accepted + rejected), all estimators.",
         TRIE_SEEK_BATCH => "index.trie.seek_batch":
             "Prefix probes resolved through the sorted batch-seek entry points.",
-        INDEX_BLOCK_SKIPS => "index.block.skips":
-            "Compressed-layout blocks skipped via the per-block directory during seeks.",
-        INDEX_BLOCK_UNPACKS => "index.block.unpacks":
-            "Compressed-layout blocks unpacked to finish a directory-skipped seek.",
         SUPERVISOR_EXACT => "supervisor.rung.exact":
             "Supervised queries served by the exact CTJ rung.",
         SUPERVISOR_DEGRADED_AJ => "supervisor.rung.audit_join":
@@ -376,8 +372,6 @@ well_known! {
             "Largest per-predicate rejection/tip-rate delta vs the previous epoch (basis points).",
         QUALITY_DRIFTED_PREDICATES => "obs.quality.drifted_predicates":
             "Predicates whose walk-rate delta vs the previous epoch exceeds the drift limit.",
-        INDEX_BITS_PER_KEY => "index.compressed.bits_per_key":
-            "Mean payload bits per key of the most recently built compressed index (ceil).",
     }
     histograms {
         SUPERVISE_NS => "supervisor.supervise_ns":

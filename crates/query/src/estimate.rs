@@ -21,8 +21,9 @@ use crate::walk::WalkPlan;
 /// Exact number of triples matching a pattern's constants (variables free).
 ///
 /// O(1) for the pattern shapes exploration queries produce (constants on P,
-/// P+O, P+S, S, O or none); falls back to a cheap upper bound for the rare
-/// S+O shape when neither SOP nor OSP index is built.
+/// P+O, P+S, S, O or none); the rare S+O shape gets a cheap upper bound,
+/// `min(|SPO range of s|, |OPS range of o|)`, since the four paper orders
+/// hold no S+O prefix.
 pub fn pattern_cardinality(ig: &IndexedGraph, pattern: &TriplePattern) -> u64 {
     let s = pattern.s.as_const();
     let p = pattern.p.as_const();
@@ -39,14 +40,10 @@ pub fn pattern_cardinality(ig: &IndexedGraph, pattern: &TriplePattern) -> u64 {
             ig.require(IndexOrder::Pos).range2(p.raw(), o.raw()).len() as u64
         }
         (Some(s), None, Some(o)) => {
-            if let Some(idx) = ig.index(IndexOrder::Sop) {
-                idx.range2(s.raw(), o.raw()).len() as u64
-            } else {
-                // Upper bound: the smaller of the two one-constant ranges.
-                let a = ig.require(IndexOrder::Spo).range1(s.raw()).len() as u64;
-                let b = ig.require(IndexOrder::Ops).range1(o.raw()).len() as u64;
-                a.min(b)
-            }
+            // Upper bound: the smaller of the two one-constant ranges.
+            let a = ig.require(IndexOrder::Spo).range1(s.raw()).len() as u64;
+            let b = ig.require(IndexOrder::Ops).range1(o.raw()).len() as u64;
+            a.min(b)
         }
         (Some(s), Some(p), Some(o)) => {
             u64::from(ig.require(IndexOrder::Spo).contains_row(s.raw(), p.raw(), o.raw()))

@@ -286,8 +286,8 @@ impl WalkPlan {
     /// Extract a step's out-variable bindings directly from a row position
     /// in `index` (which must be the step's access order). The hot-path
     /// variant of [`WalkPlan::extract`]: only the suffix levels the step
-    /// actually binds are reconstructed — on the CSR layout a step with a
-    /// 2-value prefix loads a single `u32` instead of a full row.
+    /// actually binds are reconstructed — a step with a 2-value prefix
+    /// loads a single `u32` instead of a full row.
     #[inline]
     pub fn extract_at(&self, index: &TrieIndex, step: usize, pos: u32, assignment: &mut [u32]) {
         let s = &self.steps[step];
@@ -539,8 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn extract_at_agrees_with_extract_on_both_layouts() {
-        use kgoa_index::Layout;
+    fn extract_at_agrees_with_extract() {
         let mut b = GraphBuilder::new();
         for (s, p, o) in [(1, 10, 2), (1, 10, 3), (2, 10, 4), (2, 11, 4), (3, 11, 1)] {
             let s = b.dict_mut().intern_iri(format!("u:{s}"));
@@ -561,18 +560,16 @@ mod tests {
             true,
         )
         .unwrap();
-        for layout in Layout::ALL {
-            let ig = kgoa_index::IndexedGraph::build_with_layout(g.clone(), layout);
-            let plan = WalkPlan::canonical(&q, &IndexOrder::PAPER_DEFAULT).unwrap();
-            for step in 0..plan.len() {
-                let idx = plan.index_for(&ig, step);
-                for pos in 0..idx.len() as u32 {
-                    let mut a = vec![0u32; q.var_count()];
-                    let mut b = vec![0u32; q.var_count()];
-                    plan.extract(step, idx.row(pos), &mut a);
-                    plan.extract_at(idx, step, pos, &mut b);
-                    assert_eq!(a, b, "layout {layout} step {step} pos {pos}");
-                }
+        let ig = kgoa_index::IndexedGraph::build(g);
+        let plan = WalkPlan::canonical(&q, &IndexOrder::PAPER_DEFAULT).unwrap();
+        for step in 0..plan.len() {
+            let idx = plan.index_for(&ig, step);
+            for pos in 0..idx.len() as u32 {
+                let mut a = vec![0u32; q.var_count()];
+                let mut b = vec![0u32; q.var_count()];
+                plan.extract(step, idx.row(pos), &mut a);
+                plan.extract_at(idx, step, pos, &mut b);
+                assert_eq!(a, b, "step {step} pos {pos}");
             }
         }
     }

@@ -20,7 +20,6 @@
 
 pub mod dictionary;
 pub mod error;
-pub mod freq;
 pub mod graph;
 pub mod hierarchy;
 pub mod ntriples;
@@ -29,7 +28,6 @@ pub mod triple;
 
 pub use dictionary::Dictionary;
 pub use error::RdfError;
-pub use freq::DenseRemap;
 pub use graph::{root_orphan_classes, Graph, GraphBuilder, VocabIds};
 pub use hierarchy::{subclass_closure, ClassHierarchy};
 pub use term::{vocab, Term, TermId, TermKind};

@@ -2,19 +2,18 @@
 //!
 //! Three properties, end to end over real graphs:
 //!
-//! 1. **The physical layout is invisible**: CSR and compressed indexes give
-//!    identical estimates, half-widths, walk and per-step counters at batch
-//!    1, 7 and 256, and leave the RNG stream at the same position. At batch
-//!    1 the estimates also reproduce golden digests recorded from the
-//!    sequential per-walk loop this repository carried until ISSUE 22, so
-//!    the stream that loop produced stays locked.
+//! 1. **The sequential stream is locked**: at batch 1 the estimates
+//!    reproduce golden digests recorded from the sequential per-walk loop
+//!    this repository carried until ISSUE 22. At batch 1, 7 and 256 every
+//!    requested walk is counted, and a replayed run ends at the same RNG
+//!    stream position with identical estimates, half-widths and per-step
+//!    counters.
 //! 2. **Larger batches stay unbiased**: on seeded fuzz graphs the batched
 //!    estimators converge to the exact answer.
 //! 3. **Adaptive tipping converges** within the static threshold's error
 //!    envelope while actually moving the threshold machinery end to end.
 
 use kgoa::engine::mean_absolute_error;
-use kgoa::index::Layout;
 use kgoa::online::{run_walks, run_walks_batched, Tipping};
 use kgoa::prelude::*;
 use kgoa::query::TriplePattern;
@@ -32,8 +31,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// A seeded three-hop fuzz graph: `s -p-> m -q-> o -r-> c` with random
 /// fan-outs, plus dead ends so rejection paths are exercised. Fully
-/// deterministic in `seed`, so calling it twice yields identical graphs
-/// (the layout tests rely on this to build each physical layout).
+/// deterministic in `seed`.
 fn fuzz_graph(seed: u64) -> (Graph, ExplorationQuery) {
     let mut b = GraphBuilder::new();
     let p = b.dict_mut().intern_iri("u:p");
@@ -112,8 +110,9 @@ fn digest(est: &GroupedEstimates) -> u64 {
 
 /// Digests of the estimates the deleted sequential loops (`WanderJoin::walk`,
 /// `AuditJoin::walk`) produced at commit 2915f46, the parent of ISSUE 22,
-/// recorded there with `run_walks` on both layouts: `[distinct off, on]`,
-/// each `(after the first run, after 100 more walks)`.
+/// recorded there with `run_walks` (identical on the CSR and the
+/// since-deleted compressed layout): `[distinct off, on]`, each `(after the
+/// first run, after 100 more walks)`.
 const WJ_GOLDEN: [(u64, u64); 2] = [
     (0x8acf_6c67_c38b_b60d, 0xe7ac_7ee9_5297_400e),
     (0xe40a_60c9_4221_acc5, 0x0da3_a810_120d_8039),
@@ -123,17 +122,17 @@ const AJ_GOLDEN: [(u64, u64); 2] = [
     (0x3fc2_bec5_7841_3a8f, 0x4b9d_23a3_d3cf_cce8),
 ];
 
-/// Batch sizes the layout checks visit: one walk per batch (the stream the
+/// Batch sizes the stream checks visit: one walk per batch (the stream the
 /// golden digests were recorded on), a size that divides neither walk
 /// count, and the production default.
 const BATCHES: [u64; 3] = [1, 7, 256];
 
-/// Run `walks` walks at every size in [`BATCHES`] on a CSR and a compressed
-/// index of the same (deterministically regenerated) graph and check the
-/// two agree on everything observable, RNG stream position included; at
-/// batch 1 the estimates must also be the golden ones.
-fn check_layouts<'g, A: OnlineAggregator>(
-    [csr, packed]: &'g [IndexedGraph; 2],
+/// Run `walks` walks at every size in [`BATCHES`] on two aggregators built
+/// alike and check that every walk is counted and that the two agree on
+/// everything observable, RNG stream position included; at batch 1 the
+/// estimates must also be the golden ones.
+fn check_stream<'g, A: OnlineAggregator>(
+    ig: &'g IndexedGraph,
     make: impl Fn(&'g IndexedGraph) -> A,
     step_stats: impl Fn(&A) -> Vec<[u64; 3]>,
     walks: u64,
@@ -141,7 +140,7 @@ fn check_layouts<'g, A: OnlineAggregator>(
     ctx: &str,
 ) {
     for batch in BATCHES {
-        let (mut a, mut b) = (make(csr), make(packed));
+        let (mut a, mut b) = (make(ig), make(ig));
         run_walks_batched(&mut a, walks, batch);
         run_walks_batched(&mut b, walks, batch);
         assert_eq!(a.stats(), b.stats(), "{ctx} batch {batch}");
@@ -157,6 +156,7 @@ fn check_layouts<'g, A: OnlineAggregator>(
         // walk at a time must keep them bit-identical.
         run_walks(&mut a, 100);
         run_walks(&mut b, 100);
+        assert_eq!(a.stats().walks, walks + 100, "{ctx} batch {batch}");
         assert_eq!(
             bits(&a.estimates()),
             bits(&b.estimates()),
@@ -169,19 +169,14 @@ fn check_layouts<'g, A: OnlineAggregator>(
     }
 }
 
-fn both_layouts(seed: u64) -> ([IndexedGraph; 2], ExplorationQuery) {
-    let indexes =
-        Layout::ALL.map(|layout| IndexedGraph::build_with_layout(fuzz_graph(seed).0, layout));
-    (indexes, fuzz_graph(seed).1)
-}
-
 #[test]
-fn wander_join_batch_one_is_bit_identical_across_layouts() {
-    let (indexes, query) = both_layouts(0xB00B_5EED);
+fn wander_join_reproduces_golden_stream() {
+    let (graph, query) = fuzz_graph(0xB00B_5EED);
+    let ig = IndexedGraph::build(graph);
     for (distinct, golden) in [false, true].into_iter().zip(WJ_GOLDEN) {
         let q = query.clone().with_distinct(distinct);
-        check_layouts(
-            &indexes,
+        check_stream(
+            &ig,
             |ig| WanderJoin::new(ig, &q, 17).expect("wj"),
             |wj| wj.step_stats().map(|(visits, dead)| [visits, dead, 0]).collect(),
             900,
@@ -192,13 +187,14 @@ fn wander_join_batch_one_is_bit_identical_across_layouts() {
 }
 
 #[test]
-fn audit_join_batch_one_is_bit_identical_across_layouts() {
-    let (indexes, query) = both_layouts(0xC0FF_EE00);
+fn audit_join_reproduces_golden_stream() {
+    let (graph, query) = fuzz_graph(0xC0FF_EE00);
+    let ig = IndexedGraph::build(graph);
     for (distinct, golden) in [false, true].into_iter().zip(AJ_GOLDEN) {
         let q = query.clone().with_distinct(distinct);
         let cfg = AuditJoinConfig { tipping: Tipping::Static(8.0), seed: 23 };
-        check_layouts(
-            &indexes,
+        check_stream(
+            &ig,
             |ig| AuditJoin::new(ig, &q, cfg).expect("aj"),
             |aj| {
                 assert!(aj.stats().tipped > 0, "threshold 8.0 must actually tip");

@@ -7,7 +7,7 @@
 //! number reproduces exactly.
 
 use kgoa_index::{
-    pack2, IndexOrder, IndexedGraph, Layout, LiveRange, RowRange, TrieCursor, TrieIndex,
+    pack2, IndexOrder, IndexedGraph, LiveRange, RowRange, TrieCursor, TrieIndex,
 };
 use kgoa_rdf::{subclass_closure, GraphBuilder, TermId, Triple};
 use rand::rngs::SmallRng;
@@ -53,8 +53,7 @@ fn ranges_agree_with_scan() {
         let mut rng = SmallRng::seed_from_u64(0x1DE_0000 + case);
         let triples = build(&raw_triples(&mut rng));
         let order = IndexOrder::ALL[rng.gen_range(0usize..6)];
-        let layout = Layout::ALL[(case % 2) as usize];
-        let idx = TrieIndex::build_with_layout(order, &triples, layout);
+        let idx = TrieIndex::build(order, &triples);
         assert_eq!(idx.len(), triples.len(), "case {case}");
         let mut rows: Vec<[u32; 3]> = triples.iter().map(|t| order.permute(*t)).collect();
         rows.sort_unstable();
@@ -127,8 +126,7 @@ fn cursor_enumerates_distinct_sorted_keys() {
             continue;
         }
         let order = IndexOrder::ALL[rng.gen_range(0usize..6)];
-        let layout = Layout::ALL[(case % 2) as usize];
-        let idx = TrieIndex::build_with_layout(order, &triples, layout);
+        let idx = TrieIndex::build(order, &triples);
         let [a_pos, b_pos, c_pos] = order.positions();
         let mut cur = TrieCursor::over_index(&idx);
         cur.open();
@@ -175,8 +173,7 @@ fn seek_is_lower_bound() {
             continue;
         }
         let target = rng.gen_range(0u32..20);
-        let layout = Layout::ALL[(case % 2) as usize];
-        let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, layout);
+        let idx = TrieIndex::build(IndexOrder::Spo, &triples);
         let mut cur = TrieCursor::over_index(&idx);
         cur.open();
         cur.seek(target);
