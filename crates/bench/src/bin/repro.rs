@@ -25,10 +25,9 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use kgoa_bench::{
-    ablate_cache, ablate_order, ablate_tipping, churn_bench, deadline_sweep, fig11, fig8,
-    fig9_10, load_datasets, monitor_bench, obs_overhead, prepare_workload, profile_report,
-    quality_bench, sample_time, scale_bench, table1, trace_report, verify_engines, BenchConfig,
-    Dataset, PreparedQuery,
+    ablate_cache, ablate_order, ablate_tipping, churn_bench, deadline_sweep, fig11, fig8, fig9_10,
+    load_datasets, obs_overhead, prepare_workload, profile_report, quality_bench, sample_time,
+    scale_bench, table1, trace_report, verify_engines, BenchConfig, Dataset, PreparedQuery,
 };
 use kgoa_datagen::Scale;
 
@@ -155,12 +154,6 @@ const EXPERIMENTS: &[Experiment] = &[
         name: "churn",
         help: "live updates under query load: MVCC epoch gate (nonzero exit on fail)",
         run: |c| churn_bench(c.cfg),
-        needs_workload: false,
-    },
-    Experiment {
-        name: "monitor",
-        help: "observability plane scrape gate: /metrics, /healthz, slow-query capture",
-        run: |c| monitor_bench(c.cfg),
         needs_workload: false,
     },
     Experiment {

@@ -12,7 +12,6 @@
 pub mod churn;
 pub mod experiments;
 pub mod metrics;
-pub mod monitor;
 pub mod profiler;
 pub mod quality;
 pub mod telemetry;
@@ -24,7 +23,6 @@ pub use experiments::{
     fig9_10, sample_time, table1, verify_engines,
 };
 pub use metrics::{fmt_duration, fmt_pct, selectivity, tukey, Tukey};
-pub use monitor::monitor_bench;
 pub use profiler::{folded_path_for, profile_report};
 pub use quality::quality_bench;
 pub use telemetry::{obs_overhead, scale_bench, trace_report, TRACE_SCHEMA};

@@ -1,6 +1,6 @@
 //! `repro quality` — the estimator-quality plane, gated end to end.
 //!
-//! Brings up the PR 8 stack against a live epoch-managed workload and
+//! Brings up the quality plane against a live epoch-managed workload and
 //! gates on the acceptance criteria:
 //!
 //! 1. **CI honesty** — every degraded chart is offered to the background
@@ -9,27 +9,23 @@
 //!    at least the nominal level minus a small slack `ε`.
 //! 2. **Convergence telemetry** — a streaming parallel run under the
 //!    armed quality plane must produce per-`(engine, rung)` convergence
-//!    summaries, exported both through `/quality` (JSON) and `/metrics`
-//!    (labeled Prometheus series).
+//!    summaries, and [`kgoa_obs::quality::summary_json`] must carry them
+//!    under its documented schema.
 //! 3. **Stats-drift trip** (`--features fault-inject`) — an injected
 //!    staleness scenario (a merge delivering a burst of dead-end
-//!    entities) must move per-predicate rejection rates enough across
-//!    epochs to fire the deterministic `stats_drift` watchdog rule and
-//!    flip `/healthz`, with the rule named in the body.
+//!    entities) must move per-predicate rejection rates across epochs
+//!    until `obs.quality.stats_drift_bp` reaches the policy's drift
+//!    limit and at least one predicate is flagged as drifted.
 //!
-//! The HTTP side reuses the same zero-dependency `std::net` client as
-//! `repro monitor`.
+//! Every gate reads the quality plane in-process.
 
 use std::fmt::Write as _;
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kgoa_core::{
-    install_auditor, run_parallel_streaming, start_monitoring, uninstall_auditor,
-    AuditJoinConfig, AuditorConfig, Budget, EpochConfig, EpochManager, MonitorConfig,
-    ParallelAlgo, StreamConfig, SupervisorConfig,
+    install_auditor, run_parallel_streaming, uninstall_auditor, AuditJoinConfig, AuditorConfig,
+    Budget, EpochConfig, EpochManager, ParallelAlgo, StreamConfig, SupervisorConfig,
 };
 use kgoa_datagen::{generate, KgConfig};
 #[cfg(feature = "fault-inject")]
@@ -38,7 +34,7 @@ use kgoa_explore::{Expansion, Session};
 use kgoa_index::IndexOrder;
 #[cfg(feature = "fault-inject")]
 use kgoa_index::UpdateBatch;
-use kgoa_obs::{Json, ObsServer, QualityPolicy, RecorderConfig, WatchdogConfig};
+use kgoa_obs::{Json, QualityPolicy};
 use kgoa_query::WalkPlan;
 use kgoa_rdf::Triple;
 
@@ -49,30 +45,6 @@ use crate::workload::BenchConfig;
 /// a few percent; a plane whose honesty drifts past this is broken, not
 /// unlucky.
 const COVERAGE_EPSILON: f64 = 0.10;
-
-/// One blocking GET against the scrape listener; returns status + body.
-fn http_get(addr: SocketAddr, path: &str) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| format!("timeout: {e}"))?;
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: kgoa\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .map_err(|e| format!("write: {e}"))?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).map_err(|e| format!("read: {e}"))?;
-    let text = String::from_utf8_lossy(&raw);
-    let (head, body) =
-        text.split_once("\r\n\r\n").ok_or_else(|| format!("no header/body split: {text:?}"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line: {head:?}"))?;
-    Ok((status, body.to_string()))
-}
 
 /// Run a round of forced-degradation governed expansions on the pinned
 /// session, waiting out each offered audit so the round's coverage is
@@ -114,24 +86,6 @@ pub fn quality_bench(cfg: &BenchConfig) -> (String, bool) {
     kgoa_obs::set_enabled(true);
     let policy = QualityPolicy::default();
     kgoa_obs::quality::arm(policy.clone());
-
-    // Watchdog thresholds for the drill: the coverage alarm sits *below*
-    // this gate's own coverage assertion (nominal − ε), so a passing run
-    // never trips it, and the heartbeat is generous for loaded CI hosts.
-    let watchdog = WatchdogConfig {
-        coverage_min_bp: ((policy.nominal_coverage - 2.0 * COVERAGE_EPSILON) * 10_000.0) as i64,
-        coverage_min_audits: 3,
-        drift_limit_bp: policy.drift_limit_bp,
-        heartbeat_gap: Duration::from_secs(10),
-        ..WatchdogConfig::default()
-    };
-    let mut monitor = start_monitoring(MonitorConfig {
-        recorder: RecorderConfig { tick: Duration::from_millis(25), capacity: 256 },
-        watchdog: watchdog.clone(),
-    });
-    let mut server = ObsServer::start_with("127.0.0.1:0", watchdog).expect("bind listener");
-    let addr = server.local_addr();
-    writeln!(report, "listener: http://{addr}\n").unwrap();
 
     // Live workload: epoch-managed graph with a pre-interned staleness
     // burst (entities typed into C0 with no other edges — pure dead ends
@@ -245,69 +199,20 @@ pub fn quality_bench(cfg: &BenchConfig) -> (String, bool) {
         );
     }
 
-    // Gate 3: /quality serves the summary JSON with its schema.
-    match http_get(addr, "/quality") {
-        Ok((status, body)) => {
-            let parsed = Json::parse(&body).ok();
-            let schema = parsed
-                .as_ref()
-                .and_then(|j| j.get("schema").and_then(Json::as_str))
-                .unwrap_or("")
-                .to_string();
-            let has_sections = parsed
-                .as_ref()
-                .is_some_and(|j| j.get("coverage").is_some() && j.get("convergence").is_some());
-            gate(
-                &mut report,
-                "/quality schema",
-                status == 200 && schema == kgoa_obs::QUALITY_SCHEMA && has_sections,
-                format!("HTTP {status}, {schema}"),
-            );
-        }
-        Err(e) => {
-            gate(&mut report, "/quality schema", false, e);
-        }
-    }
+    // Gate 3: the in-process summary document carries its schema and
+    // every section.
+    let summary = kgoa_obs::quality::summary_json();
+    let schema = summary.get("schema").and_then(Json::as_str).unwrap_or("");
+    let sections = ["policy", "convergence", "coverage", "drift"];
+    gate(
+        &mut report,
+        "quality summary schema",
+        schema == kgoa_obs::QUALITY_SCHEMA && sections.iter().all(|k| summary.get(k).is_some()),
+        format!("{schema}, sections {sections:?}"),
+    );
 
-    // Gate 4: /metrics carries the labeled quality series and the
-    // coverage gauge.
-    match http_get(addr, "/metrics") {
-        Ok((status, body)) => {
-            gate(
-                &mut report,
-                "/metrics quality series",
-                status == 200
-                    && body.contains("kgoa_quality_runs_total{engine=\"parallel\"")
-                    && body.contains("kgoa_obs_quality_coverage_bp"),
-                "labeled convergence series + coverage gauge exported".into(),
-            );
-        }
-        Err(e) => {
-            gate(&mut report, "/metrics quality series", false, e);
-        }
-    }
-
-    // Gate 5: /healthz is healthy before the staleness injection...
-    let rec = kgoa_obs::Recorder::global().expect("monitoring installed the recorder");
-    rec.sample_now();
-    match http_get(addr, "/healthz") {
-        Ok((status, body)) => {
-            gate(
-                &mut report,
-                "/healthz baseline",
-                status == 200 && body.contains("\"status\": \"healthy\""),
-                format!(
-                    "HTTP {status}, {}",
-                    body.lines().find(|l| l.contains("status")).unwrap_or("?").trim()
-                ),
-            );
-        }
-        Err(e) => {
-            gate(&mut report, "/healthz baseline", false, e);
-        }
-    }
-
-    // ...and the injected stats-staleness scenario trips `stats_drift`.
+    // Gate 4 (fault-inject): the injected stats-staleness scenario
+    // drives the drift gauge to the policy limit and flags a predicate.
     #[cfg(feature = "fault-inject")]
     {
         // The burst merges in a flood of dead-end C0 members: property
@@ -320,22 +225,16 @@ pub fn quality_bench(cfg: &BenchConfig) -> (String, bool) {
         session.repin(&mgr);
         degraded_round(&mut session, &sup, &auditor, 3);
         let drift_bp = kgoa_obs::metrics::QUALITY_STATS_DRIFT_BP.get();
-        rec.sample_now();
-        match http_get(addr, "/healthz") {
-            Ok((status, body)) => {
-                let tripped =
-                    body.contains("\"status\": \"degraded\"") && body.contains("stats_drift");
-                gate(
-                    &mut report,
-                    "stats-drift trip",
-                    status == 200 && tripped,
-                    format!("HTTP {status}, max drift {drift_bp}bp"),
-                );
-            }
-            Err(e) => {
-                gate(&mut report, "stats-drift trip", false, e);
-            }
-        }
+        let drifted = kgoa_obs::metrics::QUALITY_DRIFTED_PREDICATES.get();
+        gate(
+            &mut report,
+            "stats-drift trip",
+            drift_bp >= policy.drift_limit_bp && drifted > 0,
+            format!(
+                "max drift {drift_bp}bp (limit {}bp), {drifted} predicates drifted",
+                policy.drift_limit_bp
+            ),
+        );
     }
     #[cfg(not(feature = "fault-inject"))]
     {
@@ -350,8 +249,6 @@ pub fn quality_bench(cfg: &BenchConfig) -> (String, bool) {
 
     uninstall_auditor();
     kgoa_obs::quality::disarm();
-    server.stop();
-    monitor.stop();
     kgoa_obs::set_enabled(false);
     writeln!(
         report,

@@ -96,7 +96,7 @@ pub fn trace_report(
         ..SupervisorConfig::default()
     };
     let generous = SupervisorConfig {
-        deadline: std::time::Duration::from_secs(30),
+        deadline: Duration::from_secs(30),
         audit: aj_cfg,
         ..SupervisorConfig::default()
     };
@@ -307,12 +307,8 @@ pub fn scale_bench(
 /// more than 5% slower than the enabled one. The enabled path does
 /// strictly more work, so it is the conservative baseline.
 ///
-/// PR 7 extends the gate to the observability plane: a third arm runs
-/// the same evaluation with the recorder ticking, the SLO tracker
-/// armed, and an idle scrape listener bound (plus a cross-arm check
-/// that the idle plane adds ≤ 5% to the bare disabled median), and a
-/// fourth arm measures the supervised path so `slo::record` sits on
-/// the measured path.
+/// A streaming Audit Join run is then held to the same bar twice: bare,
+/// and with the estimator-quality plane installed but disarmed.
 pub fn obs_overhead(
     datasets: &[Dataset],
     workload: &[PreparedQuery],
@@ -380,62 +376,12 @@ pub fn obs_overhead(
         .unwrap();
         (d, ok)
     };
-    let (bare_disabled, ok) = medians(&mut report, "ctj", &measure);
+    let (_, ok) = medians(&mut report, "ctj", &measure);
     all_ok &= ok;
     let (_, ok) = medians(&mut report, "pool-ctj×2", &measure_pool);
     all_ok &= ok;
 
-    // Arm 3: the same CTJ evaluation with the whole observability plane
-    // live — recorder ticking on the worker pool, SLO tracker armed, an
-    // idle scrape listener bound — so the plane's background cost is
-    // held to the same disabled-path bar. The cross-arm check then
-    // compares this arm's disabled median against the bare arm's: an
-    // idle listener and a 25ms recorder tick must not measurably tax
-    // query execution itself.
-    let server = kgoa_obs::ObsServer::start("127.0.0.1:0").expect("bind obs listener");
-    let mut monitor = kgoa_core::start_monitoring(kgoa_core::MonitorConfig {
-        recorder: kgoa_obs::RecorderConfig { tick: Duration::from_millis(25), capacity: 256 },
-        watchdog: kgoa_obs::WatchdogConfig::default(),
-    });
-    kgoa_obs::slo::arm(kgoa_obs::SloPolicy {
-        objective: Duration::from_secs(3600),
-        overrides: Vec::new(),
-        capture: false,
-    });
-    let (plane_disabled, ok) = medians(&mut report, "ctj+plane", &measure);
-    all_ok &= ok;
-    let idle_ratio = plane_disabled / bare_disabled;
-    let idle_ok = plane_disabled <= bare_disabled * TOLERANCE;
-    all_ok &= idle_ok;
-    writeln!(
-        report,
-        "idle plane: bare disabled median {:.3}ms vs under-plane {:.3}ms, ratio {:.3} \
-         (gate ≤ {TOLERANCE})",
-        bare_disabled / 1e6,
-        plane_disabled / 1e6,
-        idle_ratio
-    )
-    .unwrap();
-
-    // Arm 4: the supervised path with the SLO tracker armed, so
-    // `slo::record` itself (one relaxed load when breaches are
-    // impossible at a 1h objective) is on the measured path.
-    let scfg = SupervisorConfig::with_deadline(Duration::from_secs(30));
-    let measure_slo = |enable: bool| -> f64 {
-        kgoa_obs::set_enabled(enable);
-        let t = Instant::now();
-        match supervise(ig, &q.generated.query, &scfg).expect("supervised ctj") {
-            SupervisedResult::Exact { counts, .. } => {
-                assert_eq!(counts, q.exact_distinct, "supervised CTJ must match ground truth");
-            }
-            SupervisedResult::Degraded { .. } => panic!("30s deadline must serve exact"),
-        }
-        t.elapsed().as_nanos() as f64
-    };
-    let (_, ok) = medians(&mut report, "supervise+slo", &measure_slo);
-    all_ok &= ok;
-
-    // Arm 5 (PR 8): the estimator-quality plane present but *disarmed* —
+    // Arm 3: the estimator-quality plane present but *disarmed* —
     // coverage auditor installed, convergence rings absent. A streaming
     // parallel run crosses the plane's fast paths (one relaxed load per
     // merged snapshot and per completed run); the disarmed plane must
@@ -482,9 +428,6 @@ pub fn obs_overhead(
     .unwrap();
     kgoa_core::uninstall_auditor();
 
-    kgoa_obs::slo::disarm();
-    monitor.stop();
-    drop(server);
     kgoa_obs::set_enabled(was_enabled);
     writeln!(report, "{}", if all_ok { "PASS" } else { "FAIL: disabled path regressed" })
         .unwrap();

@@ -31,7 +31,6 @@ pub mod aggregate;
 pub mod audit;
 mod batch;
 pub mod epoch;
-pub mod monitor;
 pub mod online;
 pub mod parallel;
 pub mod partitioned;
@@ -51,7 +50,6 @@ pub use audit::{
 pub use epoch::{EpochConfig, EpochGuard, EpochManager, EpochSnapshot};
 #[cfg(feature = "fault-inject")]
 pub use epoch::MergeCrashPoint;
-pub use monitor::{start_monitoring, MonitorConfig, MonitorHandle};
 pub use online::{
     mean_ci_half_width, run_governed, run_timed, run_traced, run_walks, run_walks_batched,
     OnlineAggregator, Snapshot,

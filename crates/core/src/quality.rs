@@ -6,11 +6,10 @@
 //! **exactly** (partitioned Cached Trie Join under a small deadline) on the
 //! same pinned epoch the estimate saw, and each audited group's interval
 //! either contains the exact count or it does not. The hit fraction feeds
-//! the `obs.quality.coverage_bp` gauge, which the watchdog's
-//! `coverage_below_nominal` rule compares against the nominal level.
+//! the `obs.quality.coverage_bp` gauge, which `repro quality` compares
+//! against the nominal level.
 //!
-//! Scheduling follows the [`crate::monitor`] discipline for background
-//! work on the shared [`WorkerPool`]:
+//! Background work on the shared [`WorkerPool`] follows four rules:
 //!
 //! - audits are *detached* pool jobs, never run on the serving thread;
 //! - at most one audit is in flight — an offer that arrives while one is

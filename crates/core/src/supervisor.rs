@@ -286,7 +286,6 @@ pub fn supervise(
                         ("elapsed_us", start.elapsed().as_micros().to_string()),
                     ],
                 );
-                slo_record("exact", start);
                 return Ok(SupervisedResult::Exact { counts, elapsed: start.elapsed() });
             }
             Ok(Err(EngineError::BudgetExceeded(b))) => DegradeReason::Budget(b.reason),
@@ -331,7 +330,6 @@ pub fn supervise(
                     ("elapsed_us", start.elapsed().as_micros().to_string()),
                 ],
             );
-            slo_record("audit_join", start);
             return Ok(SupervisedResult::Degraded {
                 estimates,
                 provenance: Degraded {
@@ -381,7 +379,6 @@ pub fn supervise(
                     ("elapsed_us", start.elapsed().as_micros().to_string()),
                 ],
             );
-            slo_record("wander_join", start);
             Ok(SupervisedResult::Degraded {
                 estimates,
                 provenance: Degraded { reason, elapsed: start.elapsed(), walks, estimator: "wj" },
@@ -400,7 +397,6 @@ pub fn supervise(
                     ("elapsed_us", start.elapsed().as_micros().to_string()),
                 ],
             );
-            slo_record("exhausted", start);
             Err(SupervisorError::Exhausted { reason, elapsed: start.elapsed() })
         }
     }
@@ -416,19 +412,6 @@ fn drift_record(query: &ExplorationQuery, stats: &crate::WalkStats, epoch: Optio
         return;
     }
     kgoa_obs::quality::record_predicate_rates(epoch, &crate::audit::predicate_rates(query, stats));
-}
-
-/// Record one supervised outcome with the SLO tracker, stamped with the
-/// current profile's trace id so objective breaches keep an exemplar
-/// pointing at the captured flamegraph. No-op while the tracker is
-/// disarmed (one relaxed load).
-fn slo_record(rung: &'static str, start: Instant) {
-    kgoa_obs::slo::record(
-        "supervisor",
-        rung,
-        start.elapsed(),
-        kgoa_obs::profile::current_trace_id(),
-    );
 }
 
 /// The wall-clock slice left for a degraded rung, floored at

@@ -336,24 +336,8 @@ impl<'g> Session<'g> {
         exp: Expansion,
         config: &SupervisorConfig,
     ) -> Result<GovernedChart, ExploreError> {
-        // When the SLO tracker wants slow-query profiles and no profile
-        // is live, run under a profile scope so a breach has its
-        // flamegraph captured; the report is dropped here and only
-        // retained by the tracker if the query actually breached.
-        if kgoa_obs::slo::capture_armed() && !kgoa_obs::profile::active() {
-            return self.expand_profiled(exp, config).map(|(chart, _report)| chart);
-        }
-        self.expand_governed_inner(exp, config)
-    }
-
-    fn expand_governed_inner(
-        &mut self,
-        exp: Expansion,
-        config: &SupervisorConfig,
-    ) -> Result<GovernedChart, ExploreError> {
         let _span = kgoa_obs::Span::timed(&kgoa_obs::metrics::EXPAND_NS);
         kgoa_obs::metrics::EXPLORE_EXPANSIONS.inc();
-        let start = std::time::Instant::now();
         let query = self.expansion_query(exp)?;
         let kind = exp.produces();
         // Stamp pinned sessions' epoch into the supervisor config so
@@ -361,15 +345,12 @@ impl<'g> Session<'g> {
         // attribute their walk rates to.
         let epoch = self.epoch();
         let config = &SupervisorConfig { epoch: config.epoch.or(epoch), ..*config };
-        let (outcome, rung) = match supervise(self.graph(), &query, config) {
-            Ok(SupervisedResult::Exact { counts, .. }) => (
-                GovernedChart {
-                    chart: Chart::from_counts(kind, &counts),
-                    provenance: None,
-                    error: None,
-                },
-                "exact",
-            ),
+        let outcome = match supervise(self.graph(), &query, config) {
+            Ok(SupervisedResult::Exact { counts, .. }) => GovernedChart {
+                chart: Chart::from_counts(kind, &counts),
+                provenance: None,
+                error: None,
+            },
             Ok(SupervisedResult::Degraded { estimates, provenance }) => {
                 // Offer the completed estimated chart to the background
                 // coverage auditor (near-free when the quality plane is
@@ -377,33 +358,19 @@ impl<'g> Session<'g> {
                 if let Some(epoch) = epoch {
                     kgoa_core::quality::offer_chart(&query, &estimates, epoch);
                 }
-                let rung =
-                    if provenance.estimator == "aj" { "audit_join" } else { "wander_join" };
-                (
-                    GovernedChart {
-                        chart: Chart::from_estimates(kind, &estimates),
-                        provenance: Some(provenance),
-                        error: None,
-                    },
-                    rung,
-                )
+                GovernedChart {
+                    chart: Chart::from_estimates(kind, &estimates),
+                    provenance: Some(provenance),
+                    error: None,
+                }
             }
             Err(SupervisorError::Query(e)) => return Err(ExploreError::Query(e)),
-            Err(e @ SupervisorError::Exhausted { .. }) => (
-                GovernedChart {
-                    chart: Chart { kind, bars: Vec::new() },
-                    provenance: None,
-                    error: Some(e),
-                },
-                "exhausted",
-            ),
+            Err(e @ SupervisorError::Exhausted { .. }) => GovernedChart {
+                chart: Chart { kind, bars: Vec::new() },
+                provenance: None,
+                error: Some(e),
+            },
         };
-        kgoa_obs::slo::record(
-            "session",
-            rung,
-            start.elapsed(),
-            kgoa_obs::profile::current_trace_id(),
-        );
         self.history.expanded(exp);
         Ok(outcome)
     }
@@ -413,10 +380,7 @@ impl<'g> Session<'g> {
     /// LFTJ per-variable seek/probe counts, CTJ per-step cache traffic,
     /// walk accept/reject tallies — are collected into a
     /// [`kgoa_obs::ProfileReport`] and returned alongside the chart
-    /// instead of smearing into the global histograms. When the
-    /// [SLO tracker](kgoa_obs::slo) flags the query as breaching its
-    /// latency objective, the report is also handed to the slow-query
-    /// log so the flamegraph stays retrievable by trace id.
+    /// instead of smearing into the global histograms.
     pub fn expand_profiled(
         &mut self,
         exp: Expansion,
@@ -425,10 +389,9 @@ impl<'g> Session<'g> {
         let profile = kgoa_obs::QueryProfile::begin(format!("expand:{exp:?}"));
         let result = {
             let _attach = profile.handle().attach("main");
-            self.expand_governed_inner(exp, config)
+            self.expand_governed(exp, config)
         };
         let report = profile.finish();
-        kgoa_obs::slo::store_profile_if_breached(&report);
         result.map(|chart| (chart, report))
     }
 

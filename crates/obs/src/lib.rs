@@ -10,13 +10,10 @@
 //! [snapshot](snapshot) (schema [`snapshot::SCHEMA`]) plus a
 //! human-readable text rendering.
 //!
-//! On top of the in-process instruments sits the observability plane:
-//! a windowed time-series [recorder](recorder) (schema
-//! [`recorder::SERIES_SCHEMA`]), a Prometheus text
-//! [exposition](export) with an optional `std::net` scrape listener
-//! (feature `obs-http`), an [SLO tracker](slo) with a slow-query log
-//! and automatic profile capture, and a rule-based stall
-//! [watchdog](watchdog) behind `/healthz`.
+//! Next to them sits the estimator-quality plane ([quality](quality),
+//! schema [`quality::QUALITY_SCHEMA`]): CI coverage, stats drift and
+//! convergence summaries. Every instrument is read inside the process
+//! that recorded it.
 //!
 //! ## Cost model
 //!
@@ -42,34 +39,24 @@
 #![warn(missing_docs)]
 
 pub mod events;
-pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod quality;
-pub mod recorder;
 pub mod registry;
-pub mod slo;
 pub mod snapshot;
 pub mod span;
 pub mod trace;
-pub mod watchdog;
 
 pub use events::{Event, Level};
-#[cfg(feature = "obs-http")]
-pub use export::ObsServer;
-pub use export::{check_exposition, render_prometheus, ExpositionSummary};
 pub use json::{Json, JsonError};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use profile::{ProfileHandle, ProfileReport, QueryProfile, SpanNode, PROFILE_SCHEMA};
 pub use quality::{ConvergenceSummary, PredicateRates, QualityPolicy, QUALITY_SCHEMA};
-pub use recorder::{Recorder, RecorderConfig, Window, SERIES_SCHEMA};
 pub use registry::Registry;
-pub use slo::{SloPolicy, KeySummary};
 pub use snapshot::{snapshot, HistogramSnapshot, Snapshot, SCHEMA};
 pub use span::Span;
 pub use trace::{ConvergenceTrace, TracePoint};
-pub use watchdog::{HealthReport, Verdict, WatchdogConfig};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

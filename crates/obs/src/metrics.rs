@@ -102,7 +102,7 @@ impl Gauge {
 
 /// Number of histogram buckets: bucket 0 holds the value 0, bucket `b`
 /// (1..=64) holds values in `[2^(b-1), 2^b)`.
-pub const BUCKETS: usize = 65;
+const BUCKETS: usize = 65;
 
 /// A log-bucketed histogram of `u64` samples (typically nanoseconds).
 ///
@@ -148,7 +148,7 @@ impl Histogram {
     }
 
     /// Inclusive upper bound of a bucket (saturating at `u64::MAX`).
-    pub fn bucket_bound(b: usize) -> u64 {
+    fn bucket_bound(b: usize) -> u64 {
         match b {
             0 => 0,
             64.. => u64::MAX,
@@ -184,7 +184,7 @@ impl Histogram {
     /// sentinel for [`min`](Self::min), [`max`](Self::max),
     /// [`mean`](Self::mean), and [`quantile`](Self::quantile) is 0 —
     /// exporters that must distinguish "empty" from "all samples were
-    /// zero" check this first (the Prometheus exposition layer does).
+    /// zero" check this first.
     pub fn is_empty(&self) -> bool {
         self.count() == 0
     }
@@ -223,14 +223,6 @@ impl Histogram {
         self.max.load(R)
     }
 
-    /// Number of samples recorded into bucket `b` (`0..`[`BUCKETS`]).
-    /// Out-of-range indices read as 0. Exposed for exporters that need
-    /// the raw distribution (Prometheus `_bucket` lines, the recorder's
-    /// windowed deltas).
-    pub fn bucket_count(&self, b: usize) -> u64 {
-        self.buckets.get(b).map_or(0, |c| c.load(R))
-    }
-
     /// Approximate quantile `q` in `[0, 1]`: walks the bucket counts and
     /// returns the bound of the bucket containing the rank, clamped to
     /// the observed `[min, max]`. Empty-histogram sentinel: 0 (see
@@ -245,7 +237,9 @@ impl Histogram {
         for b in 0..BUCKETS {
             seen += self.buckets[b].load(R);
             if seen >= rank {
-                return Self::bucket_bound(b).clamp(self.min(), self.max());
+                // Not `clamp`: a `reset` racing a `record` can briefly
+                // show min > max, and `u64::clamp` panics on that.
+                return Self::bucket_bound(b).max(self.min()).min(self.max());
             }
         }
         self.max()
@@ -324,20 +318,6 @@ well_known! {
             "Background merges that published a new delta-free main.",
         SUPERVISOR_SHED_PRESSURE => "supervisor.shed.ingest_pressure":
             "Supervised queries whose exact rung was shed under ingest pressure.",
-        RECORDER_TICKS => "obs.recorder.ticks":
-            "Time-series recorder sampling windows captured.",
-        RECORDER_TICKS_SKIPPED => "obs.recorder.ticks_skipped":
-            "Recorder ticks skipped because the previous sample job was still queued.",
-        SLO_RECORDED => "obs.slo.recorded":
-            "Query outcomes recorded by the SLO tracker.",
-        SLO_BREACHES => "obs.slo.breaches":
-            "Recorded queries that breached their latency objective.",
-        SLO_PROFILES_CAPTURED => "obs.slo.profiles_captured":
-            "Query profiles retained by the SLO slow-query log.",
-        WATCHDOG_ALERTS => "obs.watchdog.alerts":
-            "Watchdog rule evaluations that fired an alert.",
-        HTTP_REQUESTS => "obs.http.requests":
-            "Requests served by the obs-http scrape listener.",
         QUALITY_RUNS => "obs.quality.runs":
             "Estimator runs whose convergence trajectory was recorded.",
         QUALITY_CONVERGED => "obs.quality.converged":
@@ -362,8 +342,6 @@ well_known! {
             "Live rows in the current epoch's delta overlay (adds + tombstones).",
         EPOCH_CURRENT => "index.epoch.current":
             "Identifier of the currently published epoch.",
-        WATCHDOG_VERDICT => "obs.watchdog.verdict":
-            "Last watchdog verdict: 0 healthy, 1 degraded, 2 unhealthy.",
         QUALITY_COVERAGE_BP => "obs.quality.coverage_bp":
             "Empirical CI coverage over audited groups, in basis points (10000 = 100%).",
         QUALITY_AUDITED_GROUPS => "obs.quality.audited_groups":
@@ -485,9 +463,21 @@ mod tests {
         assert_eq!(h.quantile(0.0), 0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.quantile(1.0), 0);
-        for b in 0..BUCKETS {
-            assert_eq!(h.bucket_count(b), 0);
-        }
+        assert!(h.buckets.iter().all(|b| b.load(R) == 0));
+    }
+
+    #[test]
+    fn quantile_survives_a_reset_racing_a_record() {
+        // The state a concurrent reader can see while `reset` and
+        // `record` interleave: a counted sample and a bucket, but the
+        // min/max slots already back at their empty sentinels.
+        let h = Histogram::new("test.race");
+        h.count.store(1, R);
+        h.min.store(u64::MAX, R);
+        h.max.store(0, R);
+        h.buckets[Histogram::bucket(100)].store(1, R);
+        assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(h.quantile(1.0), 0);
     }
 
     #[test]
@@ -501,13 +491,13 @@ mod tests {
         crate::set_enabled(false);
         assert!(!h.is_empty());
         assert!((h.mean() - 201.2).abs() < 1e-9);
-        assert_eq!(h.bucket_count(Histogram::bucket(0)), 1);
-        assert_eq!(h.bucket_count(Histogram::bucket(1)), 1);
+        let bucket_count = |b: usize| h.buckets[b].load(R);
+        assert_eq!(bucket_count(Histogram::bucket(0)), 1);
+        assert_eq!(bucket_count(Histogram::bucket(1)), 1);
         // 2 and 3 share bucket 2.
-        assert_eq!(h.bucket_count(2), 2);
-        assert_eq!(h.bucket_count(Histogram::bucket(1000)), 1);
-        assert_eq!(h.bucket_count(BUCKETS + 7), 0, "out of range reads as 0");
-        let total: u64 = (0..BUCKETS).map(|b| h.bucket_count(b)).sum();
+        assert_eq!(bucket_count(2), 2);
+        assert_eq!(bucket_count(Histogram::bucket(1000)), 1);
+        let total: u64 = (0..BUCKETS).map(bucket_count).sum();
         assert_eq!(total, h.count(), "bucket counts partition the samples");
     }
 

@@ -161,11 +161,6 @@ impl QueryProfile {
         }
     }
 
-    /// The process-unique trace id of this profile.
-    pub fn trace_id(&self) -> u64 {
-        self.inner.trace_id
-    }
-
     /// A cloneable handle for attaching *other* threads (capture it
     /// before spawning workers).
     pub fn handle(&self) -> ProfileHandle {
@@ -237,16 +232,6 @@ pub fn current_handle() -> Option<ProfileHandle> {
     CURRENT.with(|c| {
         c.borrow().as_ref().map(|ctx| ProfileHandle { inner: Arc::clone(&ctx.inner) })
     })
-}
-
-/// Trace id of the profile this thread is attached to, if any. Lets
-/// instrumentation (the SLO tracker, the supervisor) stamp exemplars
-/// with the trace without holding a [`ProfileHandle`].
-pub fn current_trace_id() -> Option<u64> {
-    if !profiling_possible() {
-        return None;
-    }
-    CURRENT.with(|c| c.borrow().as_ref().map(|ctx| ctx.inner.trace_id))
 }
 
 /// RAII guard for a thread attachment; restores the previous attachment

@@ -1,12 +1,11 @@
 //! Estimator-quality plane: convergence telemetry, empirical CI
 //! coverage, and stats-drift detection.
 //!
-//! The latency/liveness plane ([`crate::slo`], [`crate::watchdog`])
-//! tells us whether answers arrive on time; nothing there tells us
-//! whether the answers are any *good*. The paper's contract is honest
-//! anytime estimates — confidence intervals that cover the truth at
-//! their nominal rate and shrink as walks accumulate — so this module
-//! tracks three statistical signals:
+//! Latency histograms tell us whether answers arrive on time; nothing
+//! there tells us whether the answers are any *good*. The paper's
+//! contract is honest anytime estimates — confidence intervals that
+//! cover the truth at their nominal rate and shrink as walks
+//! accumulate — so this module tracks three statistical signals:
 //!
 //! 1. **Convergence** — per `(engine, rung)` rolling rings of
 //!    time-to-±`ci_target_rel`-relative-CI and half-width-trajectory
@@ -21,14 +20,13 @@
 //!    thresholds may be stale, and that staleness shows up as a step
 //!    change in observed rejection rates on the new epoch.
 //!
-//! All three surface as well-known gauges/counters (sampled into
-//! recorder windows, where the `coverage_below_nominal` and
-//! `stats_drift` watchdog rules read them), as labeled Prometheus
-//! series, and as the `/quality` JSON document ([`summary_json`]).
+//! All three surface as well-known gauges/counters (`obs.quality.*`)
+//! and as the in-process JSON document [`summary_json`] (schema
+//! [`QUALITY_SCHEMA`]), which `repro quality` reads and checks.
 //!
-//! Like the SLO tracker, the plane is **disarmed by default** and the
-//! disarmed fast path is one relaxed atomic load, preserving the
-//! `repro obs-overhead` ≤ 1.05× budget.
+//! The plane is **disarmed by default** and the disarmed fast path is
+//! one relaxed atomic load, preserving the `repro obs-overhead` ≤ 1.05×
+//! budget.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -234,8 +232,7 @@ pub fn record_trace(engine: &'static str, trace: &ConvergenceTrace) {
 /// Record one completed coverage audit: `audited` per-group CIs were
 /// checked against exact truth and `covered` of them contained it.
 /// `detail` names the audited chart in the miss event. Updates the
-/// running coverage gauge read by the `coverage_below_nominal`
-/// watchdog rule.
+/// running `obs.quality.coverage_bp` gauge.
 pub fn record_audit(covered: u64, audited: u64, detail: &str) {
     if !armed() || audited == 0 {
         return;
@@ -295,8 +292,7 @@ pub struct PredicateRates {
 /// baseline; thereafter every call recomputes the largest
 /// rejection/tip-rate delta (basis points) between the current epoch
 /// and the baseline over predicates with enough walks on both sides,
-/// exporting it as the `obs.quality.stats_drift_bp` gauge the
-/// `stats_drift` watchdog rule reads.
+/// exporting it as the `obs.quality.stats_drift_bp` gauge.
 pub fn record_predicate_rates(epoch: u64, rates: &[PredicateRates]) {
     if !armed() || rates.is_empty() {
         return;
@@ -411,10 +407,10 @@ pub fn convergence_summary() -> Vec<ConvergenceSummary> {
     out
 }
 
-/// Schema identifier of the `/quality` JSON document.
+/// Schema identifier of the [`summary_json`] document.
 pub const QUALITY_SCHEMA: &str = "kgoa-obs/quality-v1";
 
-/// Render the full quality-plane state as the `/quality` JSON document.
+/// Render the full quality-plane state as one JSON document.
 pub fn summary_json() -> Json {
     let guard = state();
     let (policy, audited, covered, max_drift_bp, drifted, cur_epoch, last_epoch) = match guard
