@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use kgoa_bench::{
     ablate_cache, ablate_order, ablate_tipping, churn_bench, deadline_sweep, fig11, fig8, fig9_10,
-    load_datasets, obs_overhead, prepare_workload, profile_report, quality_bench, sample_time,
-    scale_bench, table1, trace_report, verify_engines, BenchConfig, Dataset, PreparedQuery,
+    load_datasets, obs_overhead, prepare_workload, profile_report, sample_time, scale_bench,
+    table1, trace_report, verify_engines, BenchConfig, Dataset, PreparedQuery,
 };
 use kgoa_datagen::Scale;
 
@@ -154,12 +154,6 @@ const EXPERIMENTS: &[Experiment] = &[
         name: "churn",
         help: "live updates under query load: MVCC epoch gate (nonzero exit on fail)",
         run: |c| churn_bench(c.cfg),
-        needs_workload: false,
-    },
-    Experiment {
-        name: "quality",
-        help: "estimator-quality gate: coverage audit, convergence telemetry, drift trip",
-        run: |c| quality_bench(c.cfg),
         needs_workload: false,
     },
     Experiment {

@@ -4,7 +4,7 @@
 use std::process::{Command, Output};
 
 /// Every experiment `repro` accepts, in registry order.
-const SURVIVING: [&str; 17] = [
+const SURVIVING: [&str; 16] = [
     "table1",
     "verify",
     "fig8",
@@ -20,7 +20,6 @@ const SURVIVING: [&str; 17] = [
     "trace",
     "profile",
     "churn",
-    "quality",
     "obs-overhead",
 ];
 
@@ -52,6 +51,7 @@ fn removed_commands_and_options_print_the_surviving_usage() {
         &["walks"],
         &["parallel"],
         &["monitor"],
+        &["quality"],
         &["table1", "--baseline", "x"],
         &[index_ab.as_str()],
         &[parity.as_str()],

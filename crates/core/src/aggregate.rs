@@ -83,8 +83,8 @@ impl AggregateEstimates {
 
 /// Audit Join extended with a SUM estimator (COUNT is tracked alongside,
 /// so AVG comes for free). Non-distinct semantics. This is an [`AuditJoin`]
-/// carrying the SUM finisher, so the config's tipping policy (adaptive
-/// included), budgets and walk counters are Audit Join's own.
+/// carrying the SUM finisher, so the config's tipping policy, budgets and
+/// walk counters are Audit Join's own.
 pub struct SumAuditJoin<'g> {
     aj: AuditJoin<'g>,
 }

@@ -27,15 +27,8 @@ use crate::aggregate::NumericValues;
 use crate::online::OnlineAggregator;
 use crate::pinned::{PrAb, PrAbStats};
 
-/// The paper's static tipping threshold (§V-B), and the starting point of
-/// the adaptive controller.
+/// The paper's static tipping threshold (§V-B).
 pub const DEFAULT_TIPPING_THRESHOLD: f64 = 1024.0;
-
-/// How many walks pass between adaptive-controller retunes. The threshold
-/// only ever changes *between* walks, as a deterministic function of the
-/// walks already completed, so the estimator stays unbiased (the stopping
-/// rule of walk `k` never depends on walk `k`'s own randomness).
-const RETUNE_WINDOW: u64 = 256;
 
 /// Tipping-point policy for an Audit Join run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,10 +36,6 @@ pub enum Tipping {
     /// Tip when the estimated suffix completions fall strictly below this
     /// fixed threshold (Fig. 7 line 11).
     Static(f64),
-    /// Start at [`DEFAULT_TIPPING_THRESHOLD`] and retune online every
-    /// [`RETUNE_WINDOW`] walks from the observed rejection/tip rates and
-    /// the CTJ cache-miss cost of the tipped suffixes.
-    Adaptive,
     /// Never tip: pure random walks with the unbiased distinct estimator
     /// (Wander Join's walk with Audit Join's accumulator).
     Off,
@@ -69,13 +58,12 @@ impl Tipping {
         }
     }
 
-    /// The threshold a run starts with. `Off` maps to `0.0`: the tipping
+    /// The threshold a run tips at. `Off` maps to `0.0`: the tipping
     /// comparison is strict (`est_rem < threshold`) and the estimate is
     /// never negative, so a zero threshold never fires.
-    pub fn initial_threshold(self) -> f64 {
+    pub fn threshold(self) -> f64 {
         match self {
             Tipping::Static(t) => t,
-            Tipping::Adaptive => DEFAULT_TIPPING_THRESHOLD,
             Tipping::Off => 0.0,
         }
     }
@@ -89,19 +77,6 @@ pub struct AuditJoinConfig {
     pub tipping: Tipping,
     /// RNG seed.
     pub seed: u64,
-}
-
-/// Online tipping-controller state ([`Tipping::Adaptive`] runs only).
-struct TipCtl {
-    /// Walk count at which the next retune fires.
-    next: u64,
-    /// Counter snapshot at the last retune (the window is the delta).
-    last: WalkStats,
-    /// CTJ cache misses at the last retune (exact-suffix cost signal).
-    last_misses: u64,
-    /// Upper clamp: tipping above the estimated full-join size would make
-    /// every walk an exact evaluation of the whole query.
-    hi: f64,
 }
 
 /// The SUM finisher (see [`crate::aggregate`]): a walk that feeds `w` to
@@ -129,11 +104,8 @@ pub struct AuditJoin<'g> {
     distinct: bool,
     alpha: Var,
     beta: Var,
-    /// The *current* tipping threshold (fixed for Static/Off policies,
-    /// retuned between walks by the controller for Adaptive).
+    /// The tipping threshold (`0.0` under [`Tipping::Off`]).
     threshold: f64,
-    /// Controller state; `Some` only under [`Tipping::Adaptive`].
-    ctl: Option<TipCtl>,
     assignment: Vec<u32>,
     accum: GroupAccumulator,
     stats: WalkStats,
@@ -184,13 +156,7 @@ impl<'g> AuditJoin<'g> {
         let prab = PrAb::new(ig, query.clone(), std::sync::Arc::clone(&plan));
         let n = plan.len();
         let (step_index, fixed_ranges) = resolve_steps(ig, &plan);
-        let threshold = config.tipping.initial_threshold();
-        let ctl = (config.tipping == Tipping::Adaptive).then(|| TipCtl {
-            next: RETUNE_WINDOW,
-            last: WalkStats::default(),
-            last_misses: 0,
-            hi: est.full_join().max(DEFAULT_TIPPING_THRESHOLD),
-        });
+        let threshold = config.tipping.threshold();
         Ok(AuditJoin {
             step_index,
             fixed_ranges,
@@ -201,7 +167,6 @@ impl<'g> AuditJoin<'g> {
             alpha: query.alpha(),
             beta: query.beta(),
             threshold,
-            ctl,
             assignment: vec![0u32; query.var_count()],
             plan,
             accum: GroupAccumulator::new(),
@@ -216,49 +181,6 @@ impl<'g> AuditJoin<'g> {
             value_sum: None,
             batch: crate::batch::BatchScratch::default(),
         })
-    }
-
-    /// The tipping threshold currently in effect (the adaptive controller
-    /// moves it between walks; static policies never do).
-    pub fn tip_threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Retune the adaptive tipping threshold from the last window of
-    /// walks. Deterministic in the walk history; no-op for static
-    /// policies or mid-window.
-    fn maybe_retune(&mut self) {
-        let Some(ctl) = &mut self.ctl else { return };
-        if self.stats.walks < ctl.next {
-            return;
-        }
-        let misses = self.counter.cache_stats().misses;
-        let walks = self.stats.walks - ctl.last.walks;
-        if walks > 0 {
-            let rej = (self.stats.rejected - ctl.last.rejected) as f64 / walks as f64;
-            let tips = self.stats.tipped - ctl.last.tipped;
-            let tip = tips as f64 / walks as f64;
-            if rej > 0.15 {
-                // Walks are dying mid-path: raise the threshold so they
-                // tip into an exact suffix before reaching the dead ends.
-                // Scale the correction by how bad the window was.
-                let f = if rej > 0.5 { 4.0 } else { 2.0 };
-                self.threshold = (self.threshold.max(1.0) * f).min(ctl.hi);
-            } else if rej < 0.02 && tip > 0.5 {
-                // Nothing is dying and most walks pay for an exact suffix.
-                // If those suffixes still miss the CTJ cache (at least one
-                // fresh exact computation per tip — the cache never
-                // amortizes), tip later to cheapen them; a warm cache
-                // means tips are near-free and the threshold stays.
-                let miss_rate = (misses - ctl.last_misses) as f64 / tips.max(1) as f64;
-                if miss_rate >= 1.0 {
-                    self.threshold = (self.threshold * 0.5).max(1.0);
-                }
-            }
-        }
-        ctl.last = self.stats;
-        ctl.last_misses = misses;
-        ctl.next = self.stats.walks + RETUNE_WINDOW;
     }
 
     /// The raw per-group accumulator (used by the parallel runner).
@@ -531,8 +453,7 @@ impl OnlineAggregator for AuditJoin<'_> {
     }
 
     /// The batch is charged as one [`ExecBudget::charge_walks`] call
-    /// (possibly admitting fewer than `n`); the adaptive controller
-    /// retunes between batches only.
+    /// (possibly admitting fewer than `n`).
     fn step_batch_governed(
         &mut self,
         budget: &ExecBudget,
@@ -541,7 +462,6 @@ impl OnlineAggregator for AuditJoin<'_> {
         if n == 0 {
             return Ok(0);
         }
-        self.maybe_retune();
         budget.fault_walks(n);
         let admitted = budget.charge_walks(n)?;
         // The finishers borrow all of `self`, so the scratch steps outside
@@ -768,66 +688,6 @@ pub fn try_suffix_group_counts(
         )?;
     }
     Ok(())
-}
-
-/// Compare an estimated chart against exact truth: `(hits, audited)`.
-///
-/// Only groups the estimator has a *finite* confidence interval for are
-/// audited (a group with no interval makes no coverage claim to check).
-/// A group is a hit when the exact count lies within the reported 95%
-/// interval — over many audits the hit fraction is the empirical coverage
-/// the `kgoa_obs::quality` plane tracks against the nominal 0.95.
-pub fn coverage_hits(
-    truth: &kgoa_engine::GroupedCounts,
-    est: &kgoa_engine::GroupedEstimates,
-) -> (u64, u64) {
-    let mut hits = 0u64;
-    let mut audited = 0u64;
-    for (&g, &x) in &est.estimates {
-        let Some(&hw) = est.half_widths.get(&g) else { continue };
-        if !hw.is_finite() || !x.is_finite() {
-            continue;
-        }
-        audited += 1;
-        let exact = truth.get(kgoa_rdf::TermId(g)) as f64;
-        if (exact - x).abs() <= hw {
-            hits += 1;
-        }
-    }
-    (hits, audited)
-}
-
-/// Attribute a run's aggregate walk counters to each distinct *constant*
-/// predicate of the query, producing the per-predicate rate samples the
-/// stats-drift detector compares across epochs.
-///
-/// Attribution is per-query rather than per-step: a walk that dies at a
-/// variable-predicate step still reflects on the selectivity of the
-/// constant predicates that anchored the walk (e.g. the `rdf:type` pattern
-/// present in every exploration query), and the drift detector only needs
-/// a stable, deterministic signal per predicate — not a causal blame
-/// assignment.
-pub fn predicate_rates(
-    query: &ExplorationQuery,
-    stats: &WalkStats,
-) -> Vec<kgoa_obs::PredicateRates> {
-    let mut seen = Vec::new();
-    for pat in query.patterns() {
-        let Some(p) = pat.p.as_const() else { continue };
-        if seen.contains(&p.raw()) {
-            continue;
-        }
-        seen.push(p.raw());
-    }
-    seen.sort_unstable();
-    seen.into_iter()
-        .map(|predicate| kgoa_obs::PredicateRates {
-            predicate,
-            walks: stats.walks,
-            rejected: stats.rejected,
-            tipped: stats.tipped,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1146,192 +1006,8 @@ mod tests {
     fn tipping_scalar_round_trip() {
         assert_eq!(Tipping::from_threshold(0.0), Tipping::Off);
         assert_eq!(Tipping::from_threshold(37.5), Tipping::Static(37.5));
-        assert_eq!(Tipping::Off.initial_threshold(), 0.0);
-        assert_eq!(Tipping::Static(2.0).initial_threshold(), 2.0);
-        assert_eq!(Tipping::Adaptive.initial_threshold(), DEFAULT_TIPPING_THRESHOLD);
+        assert_eq!(Tipping::Off.threshold(), 0.0);
+        assert_eq!(Tipping::Static(2.0).threshold(), 2.0);
         assert_eq!(Tipping::default(), Tipping::Static(DEFAULT_TIPPING_THRESHOLD));
-    }
-
-    #[test]
-    fn adaptive_tipping_converges_within_static_envelope() {
-        let (ig, p, q, r) = deep_graph();
-        let query = deep_query(p, q, r, false);
-        let exact = YannakakisEngine.evaluate(&ig, &query).unwrap();
-        let mae = |tipping: Tipping| {
-            let mut aj =
-                AuditJoin::new(&ig, &query, AuditJoinConfig { tipping, seed: 21 }).unwrap();
-            run_walks(&mut aj, 8_000);
-            let est = aj.estimates();
-            let mut e = 0.0;
-            let mut k = 0usize;
-            for (g, c) in exact.iter() {
-                e += (est.get(g) - c as f64).abs() / c as f64;
-                k += 1;
-            }
-            e / k as f64
-        };
-        let static_mae = mae(Tipping::default());
-        let adaptive_mae = mae(Tipping::Adaptive);
-        // The controller must settle inside the static default's error
-        // envelope (same walk budget, generous slack for the warmup
-        // window where the threshold is still moving).
-        assert!(
-            adaptive_mae <= (static_mae * 2.0).max(0.05),
-            "adaptive MAE {adaptive_mae} vs static {static_mae}"
-        );
-    }
-
-    #[test]
-    fn adaptive_tipping_is_deterministic() {
-        let (ig, p, q, r) = deep_graph();
-        let query = deep_query(p, q, r, true);
-        let cfg = AuditJoinConfig { tipping: Tipping::Adaptive, seed: 31 };
-        let mut a = AuditJoin::new(&ig, &query, cfg).unwrap();
-        let mut b = AuditJoin::new(&ig, &query, cfg).unwrap();
-        run_walks(&mut a, 1_000);
-        run_walks(&mut b, 1_000);
-        assert_eq!(a.tip_threshold(), b.tip_threshold());
-        for (g, x) in a.estimates().estimates.iter() {
-            assert_eq!(b.estimates().estimates.get(g), Some(x));
-        }
-    }
-
-    #[test]
-    fn adaptive_controller_lowers_threshold_when_tips_stay_cold() {
-        // Wide fan: every walk tips at step 1 into an exact suffix over 5
-        // previously-unseen mids. Grouping by the mid (α and β bound before
-        // the final pattern, as in `caches_warm_up_across_walks`) routes
-        // the per-mid r-suffix masses through the CTJ cache — ≈5 misses
-        // per tip, forever cold — so the controller should cheapen the
-        // tips by lowering the threshold from the static default.
-        let mut b = GraphBuilder::new();
-        let p = b.dict_mut().intern_iri("u:p");
-        let q = b.dict_mut().intern_iri("u:q");
-        let r = b.dict_mut().intern_iri("u:r");
-        let s = b.dict_mut().intern_iri("u:s");
-        let c0 = b.dict_mut().intern_iri("u:c0");
-        for oi in 0..2000u32 {
-            let o = b.dict_mut().intern_iri(format!("u:o{oi}"));
-            b.add(Triple::new(s, p, o));
-            for mi in 0..5u32 {
-                let m = b.dict_mut().intern_iri(format!("u:m{oi}_{mi}"));
-                b.add(Triple::new(o, q, m));
-                if mi == 0 {
-                    b.add(Triple::new(m, r, c0));
-                }
-            }
-        }
-        let ig = IndexedGraph::build(b.build());
-        let query = ExplorationQuery::new(
-            vec![
-                TriplePattern::new(Var(0), p, Var(1)),
-                TriplePattern::new(Var(1), q, Var(2)),
-                TriplePattern::new(Var(2), r, Var(3)),
-            ],
-            Var(2),
-            Var(1),
-            true,
-        )
-        .unwrap();
-        let mut aj = AuditJoin::new(
-            &ig,
-            &query,
-            AuditJoinConfig { tipping: Tipping::Adaptive, seed: 4 },
-        )
-        .unwrap();
-        assert_eq!(aj.tip_threshold(), DEFAULT_TIPPING_THRESHOLD);
-        run_walks(&mut aj, 600);
-        assert!(aj.stats().tipped > 0);
-        assert!(aj.cache_stats().misses > 0, "tips must exercise the CTJ cache");
-        assert!(
-            aj.tip_threshold() < DEFAULT_TIPPING_THRESHOLD,
-            "cold tips should pull the threshold down: {}",
-            aj.tip_threshold()
-        );
-    }
-
-    #[test]
-    fn coverage_hits_counts_only_finite_intervals() {
-        let mut truth = kgoa_engine::GroupedCounts::new();
-        truth.add(1, 100);
-        truth.add(2, 50);
-        truth.add(3, 10);
-        let mut est = kgoa_engine::GroupedEstimates::default();
-        // Group 1: inside the interval (|100 - 98| <= 5).
-        est.estimates.insert(1, 98.0);
-        est.half_widths.insert(1, 5.0);
-        // Group 2: outside the interval (|50 - 40| > 3).
-        est.estimates.insert(2, 40.0);
-        est.half_widths.insert(2, 3.0);
-        // Group 3: no finite interval yet — not audited.
-        est.estimates.insert(3, 11.0);
-        est.half_widths.insert(3, f64::INFINITY);
-        // Group 4: estimate with no interval entry at all — not audited.
-        est.estimates.insert(4, 7.0);
-        assert_eq!(coverage_hits(&truth, &est), (1, 2));
-    }
-
-    #[test]
-    fn coverage_hits_audits_groups_absent_from_truth() {
-        // An estimated group the exact result does not contain has truth 0:
-        // a tight interval away from zero is a miss, a wide one a hit.
-        let truth = kgoa_engine::GroupedCounts::new();
-        let mut est = kgoa_engine::GroupedEstimates::default();
-        est.estimates.insert(9, 4.0);
-        est.half_widths.insert(9, 1.0);
-        assert_eq!(coverage_hits(&truth, &est), (0, 1));
-        est.half_widths.insert(9, 10.0);
-        assert_eq!(coverage_hits(&truth, &est), (1, 1));
-    }
-
-    #[test]
-    fn predicate_rates_dedupes_constants_and_sorts() {
-        let (_, p, q) = graph();
-        // p appears twice; rates must list each constant predicate once,
-        // sorted by raw id, each carrying the run's aggregate counters.
-        let query = ExplorationQuery::new(
-            vec![
-                TriplePattern::new(Var(0), p, Var(1)),
-                TriplePattern::new(Var(1), q, Var(2)),
-                TriplePattern::new(Var(2), p, Var(3)),
-            ],
-            Var(3),
-            Var(1),
-            false,
-        )
-        .unwrap();
-        let stats = WalkStats { walks: 100, rejected: 30, tipped: 10, ..WalkStats::default() };
-        let rates = predicate_rates(&query, &stats);
-        assert_eq!(rates.len(), 2);
-        let mut preds: Vec<u32> = rates.iter().map(|r| r.predicate).collect();
-        assert!(preds.windows(2).all(|w| w[0] < w[1]));
-        preds.sort_unstable();
-        assert_eq!(preds, {
-            let mut v = vec![p.raw(), q.raw()];
-            v.sort_unstable();
-            v
-        });
-        for r in &rates {
-            assert_eq!((r.walks, r.rejected, r.tipped), (100, 30, 10));
-        }
-    }
-
-    #[test]
-    fn predicate_rates_skip_variable_predicates() {
-        let (_, p, _q) = graph();
-        let query = ExplorationQuery::new(
-            vec![
-                TriplePattern::new(Var(0), p, Var(1)),
-                TriplePattern::new(Var(1), Var(2), Var(3)),
-            ],
-            Var(3),
-            Var(1),
-            false,
-        )
-        .unwrap();
-        let stats = WalkStats { walks: 8, ..WalkStats::default() };
-        let rates = predicate_rates(&query, &stats);
-        assert_eq!(rates.len(), 1);
-        assert_eq!(rates[0].predicate, p.raw());
     }
 }

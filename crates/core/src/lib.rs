@@ -37,15 +37,14 @@ pub mod partitioned;
 pub mod pool;
 pub mod order;
 pub mod pinned;
-pub mod quality;
 pub mod supervisor;
 pub mod wander;
 
 pub use accum::{GroupAccumulator, WalkStats, Z_95};
 pub use aggregate::{exact_group_sums, AggregateEstimates, NumericValues, SumAuditJoin};
 pub use audit::{
-    coverage_hits, predicate_rates, suffix_group_counts, suffix_masses, try_suffix_group_counts,
-    try_suffix_masses, AuditJoin, AuditJoinConfig, Tipping, DEFAULT_TIPPING_THRESHOLD,
+    suffix_group_counts, suffix_masses, try_suffix_group_counts, try_suffix_masses, AuditJoin,
+    AuditJoinConfig, Tipping, DEFAULT_TIPPING_THRESHOLD,
 };
 pub use epoch::{EpochConfig, EpochGuard, EpochManager, EpochSnapshot};
 #[cfg(feature = "fault-inject")]
@@ -60,7 +59,6 @@ pub use parallel::{
 };
 pub use partitioned::{partitioned_count, ExactAlgo};
 pub use pool::WorkerPool;
-pub use quality::{install_auditor, uninstall_auditor, AuditorConfig, CoverageAuditor};
 pub use supervisor::{
     supervise, DegradeReason, Degraded, SupervisedResult, SupervisorConfig, SupervisorError,
 };

@@ -164,7 +164,6 @@ pub fn run_traced<A: OnlineAggregator + ?Sized>(
         let total: f64 = est.estimates.values().sum();
         trace.record(agg.stats().walks, total, mean_ci_half_width(&est), start.elapsed());
     }
-    kgoa_obs::quality::record_trace("traced", &trace);
     trace
 }
 

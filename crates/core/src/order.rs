@@ -103,8 +103,7 @@ pub fn select_plan(
 /// trial samples and thus wider confidence intervals. A plan-time walk-cost
 /// model ([`kgoa_query::SuffixEstimator::walk_cost`] at the configured
 /// tipping threshold) breaks remaining ties toward orders whose expected
-/// sampled-prefix plus exact-suffix work is cheapest — this is also the
-/// starting point the adaptive tipping controller retunes from.
+/// sampled-prefix plus exact-suffix work is cheapest.
 pub fn select_plan_audit(
     ig: &IndexedGraph,
     query: &ExplorationQuery,
@@ -112,7 +111,7 @@ pub fn select_plan_audit(
     trial: std::time::Duration,
 ) -> Result<WalkPlan, QueryError> {
     use crate::online::run_timed;
-    let threshold = config.tipping.initial_threshold();
+    let threshold = config.tipping.threshold();
     let mut best: Option<(f64, f64, f64, Vec<usize>)> = None;
     for order in walk_orders(query) {
         let plan = WalkPlan::build(query, &order, &IndexOrder::PAPER_DEFAULT)?;
@@ -194,21 +193,6 @@ mod tests {
             select_plan(&ig, &query(p, q), OrderSelection::BestOf { trial_walks: 500 }, 1)
                 .unwrap();
         // The backward order starts at the q-pattern (index 1).
-        assert_eq!(plan.steps()[0].pattern_idx, 1);
-    }
-
-    #[test]
-    fn audit_selection_accepts_adaptive_tipping() {
-        let (ig, p, q) = asymmetric();
-        let cfg = crate::audit::AuditJoinConfig {
-            tipping: crate::audit::Tipping::Adaptive,
-            seed: 1,
-        };
-        let plan =
-            select_plan_audit(&ig, &query(p, q), cfg, std::time::Duration::from_millis(5))
-                .unwrap();
-        // The backward order never rejects, so it wins under any tipping
-        // configuration.
         assert_eq!(plan.steps()[0].pattern_idx, 1);
     }
 

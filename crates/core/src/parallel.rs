@@ -134,19 +134,6 @@ pub struct ParallelSnapshot {
     pub elapsed: Duration,
 }
 
-impl ParallelSnapshot {
-    /// This snapshot as a convergence-trace sample: total estimate over
-    /// groups, the mean CI half-width, walks, and elapsed time.
-    pub fn trace_point(&self) -> kgoa_obs::TracePoint {
-        kgoa_obs::TracePoint {
-            walks: self.stats.walks,
-            estimate: self.estimates.estimates.values().sum(),
-            ci_half_width: self.mean_ci_half_width,
-            elapsed: self.elapsed,
-        }
-    }
-}
-
 /// Errors from [`run_parallel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParallelError {
@@ -318,10 +305,6 @@ pub fn run_parallel_streaming(
     // worker a handle *captured before spawning* so their spans land in
     // the caller's tree (labelled per worker) instead of vanishing.
     let profile = kgoa_obs::profile::current_handle();
-    // When the quality plane is armed, the merge loop accumulates the
-    // snapshot trajectory and reports it as one convergence run.
-    let quality_armed = kgoa_obs::quality::armed();
-    let mut trajectory: Vec<kgoa_obs::TracePoint> = Vec::new();
 
     let merged_batches = WorkerPool::global().scope(|scope| {
         for t in 0..threads {
@@ -397,9 +380,6 @@ pub fn run_parallel_streaming(
                     batches_merged: batches,
                     elapsed: start.elapsed(),
                 };
-                if quality_armed {
-                    trajectory.push(snapshot.trace_point());
-                }
                 observer(&snapshot);
             }
             if finished == threads {
@@ -462,14 +442,6 @@ pub fn run_parallel_streaming(
         batches_merged: batches,
         elapsed: start.elapsed(),
     };
-    if quality_armed {
-        trajectory.push(final_snapshot.trace_point());
-        let rung = match algo {
-            ParallelAlgo::WanderJoin => "wander_join",
-            ParallelAlgo::AuditJoin(_) => "audit_join",
-        };
-        kgoa_obs::quality::record_convergence("parallel", rung, &trajectory);
-    }
     observer(&final_snapshot);
     Ok(ParallelOutcome {
         estimates: final_snapshot.estimates,
@@ -763,9 +735,6 @@ mod tests {
                 crate::online::mean_ci_half_width(&s.estimates),
                 "snapshot mean CI half-width must match the shared helper"
             );
-            let p = s.trace_point();
-            assert_eq!(p.walks, s.stats.walks);
-            assert_eq!(p.ci_half_width, s.mean_ci_half_width);
         }
         let last = snapshots.last().unwrap();
         assert_eq!(last.stats.walks, out.stats.walks);

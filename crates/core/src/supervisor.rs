@@ -68,11 +68,6 @@ pub struct SupervisorConfig {
     /// Audit Join configuration for the degraded path (the seed also
     /// derives the Wander Join fallback's seed).
     pub audit: AuditJoinConfig,
-    /// Epoch id of the graph snapshot being queried, if the caller runs
-    /// under an [`crate::EpochManager`]. When set (and the quality plane
-    /// is armed), degraded runs report per-predicate walk rates to the
-    /// stats-drift detector, which compares rates across epochs.
-    pub epoch: Option<u64>,
     /// Deterministic fault plan applied to the exact and Audit Join rungs
     /// (the Wander Join rung always runs on a clean budget, so the ladder
     /// has a fault-free last resort).
@@ -89,7 +84,6 @@ impl Default for SupervisorConfig {
             exact_threads: 1,
             ingest_pressure: false,
             audit: AuditJoinConfig::default(),
-            epoch: None,
             #[cfg(feature = "fault-inject")]
             faults: None,
         }
@@ -317,7 +311,6 @@ pub fn supervise(
     match attempt {
         Ok(Ok((estimates, stats))) => {
             let walks = stats.walks;
-            drift_record(query, &stats, config.epoch);
             kgoa_obs::metrics::SUPERVISOR_DEGRADED_AJ.inc();
             kgoa_obs::events::emit_with(
                 kgoa_obs::Level::Info,
@@ -366,7 +359,6 @@ pub fn supervise(
     match attempt {
         Ok(Ok((estimates, stats))) => {
             let walks = stats.walks;
-            drift_record(query, &stats, config.epoch);
             kgoa_obs::metrics::SUPERVISOR_DEGRADED_WJ.inc();
             kgoa_obs::events::emit_with(
                 kgoa_obs::Level::Info,
@@ -400,18 +392,6 @@ pub fn supervise(
             Err(SupervisorError::Exhausted { reason, elapsed: start.elapsed() })
         }
     }
-}
-
-/// Feed a degraded run's walk counters to the stats-drift detector,
-/// attributed per constant predicate of the query. No-op unless the
-/// caller supplied an epoch id and the quality plane is armed (one
-/// relaxed load before any allocation).
-fn drift_record(query: &ExplorationQuery, stats: &crate::WalkStats, epoch: Option<u64>) {
-    let Some(epoch) = epoch else { return };
-    if !kgoa_obs::quality::armed() || stats.walks == 0 {
-        return;
-    }
-    kgoa_obs::quality::record_predicate_rates(epoch, &crate::audit::predicate_rates(query, stats));
 }
 
 /// The wall-clock slice left for a degraded rung, floored at
@@ -476,6 +456,20 @@ mod tests {
         )
         .unwrap();
         match out {
+            SupervisedResult::Exact { counts, .. } => assert_eq!(counts, exact),
+            other => panic!("expected exact, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unbounded_deadline_returns_exact() {
+        // `Duration::MAX` is a caller's "no deadline": its exact slice
+        // overflows `Instant`, which must mean no deadline, not a panic.
+        let (ig, p, q) = graph();
+        let query = query(p, q);
+        let exact = YannakakisEngine.evaluate(&ig, &query).unwrap();
+        let out = supervise(&ig, &query, &SupervisorConfig::with_deadline(Duration::MAX));
+        match out.unwrap() {
             SupervisedResult::Exact { counts, .. } => assert_eq!(counts, exact),
             other => panic!("expected exact, got {other:?}"),
         }

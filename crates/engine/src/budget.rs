@@ -375,13 +375,14 @@ impl ExecBudgetBuilder {
         self
     }
 
-    /// Build the budget; the deadline clock starts now.
+    /// Build the budget; the deadline clock starts now. A deadline too far
+    /// away for `Instant` (e.g. `Duration::MAX`) means no deadline.
     pub fn build(self) -> ExecBudget {
         let start = Instant::now();
         ExecBudget {
             inner: Some(Arc::new(Inner {
                 start,
-                deadline: self.deadline.map(|d| start + d),
+                deadline: self.deadline.and_then(|d| start.checked_add(d)),
                 cancelled: AtomicBool::new(false),
                 tuples: AtomicU64::new(0),
                 tuple_limit: self.tuple_limit.unwrap_or(u64::MAX),
@@ -472,6 +473,13 @@ mod tests {
         let err = b.check().unwrap_err();
         assert_eq!(err.reason, BudgetReason::DeadlineExpired);
         assert!(err.elapsed >= Duration::from_millis(5));
+    }
+
+    #[test]
+    fn unrepresentable_deadline_means_none() {
+        let b = ExecBudget::with_deadline(Duration::MAX);
+        b.check().unwrap();
+        assert_eq!(b.remaining(), None);
     }
 
     #[test]

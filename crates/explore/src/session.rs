@@ -340,30 +340,17 @@ impl<'g> Session<'g> {
         kgoa_obs::metrics::EXPLORE_EXPANSIONS.inc();
         let query = self.expansion_query(exp)?;
         let kind = exp.produces();
-        // Stamp pinned sessions' epoch into the supervisor config so
-        // degraded runs feed the stats-drift detector with an epoch to
-        // attribute their walk rates to.
-        let epoch = self.epoch();
-        let config = &SupervisorConfig { epoch: config.epoch.or(epoch), ..*config };
         let outcome = match supervise(self.graph(), &query, config) {
             Ok(SupervisedResult::Exact { counts, .. }) => GovernedChart {
                 chart: Chart::from_counts(kind, &counts),
                 provenance: None,
                 error: None,
             },
-            Ok(SupervisedResult::Degraded { estimates, provenance }) => {
-                // Offer the completed estimated chart to the background
-                // coverage auditor (near-free when the quality plane is
-                // disarmed; never computes on this thread).
-                if let Some(epoch) = epoch {
-                    kgoa_core::quality::offer_chart(&query, &estimates, epoch);
-                }
-                GovernedChart {
-                    chart: Chart::from_estimates(kind, &estimates),
-                    provenance: Some(provenance),
-                    error: None,
-                }
-            }
+            Ok(SupervisedResult::Degraded { estimates, provenance }) => GovernedChart {
+                chart: Chart::from_estimates(kind, &estimates),
+                provenance: Some(provenance),
+                error: None,
+            },
             Err(SupervisorError::Query(e)) => return Err(ExploreError::Query(e)),
             Err(e @ SupervisorError::Exhausted { .. }) => GovernedChart {
                 chart: Chart { kind, bars: Vec::new() },

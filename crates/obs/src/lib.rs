@@ -8,12 +8,8 @@
 //! [profiler](profile) ([`QueryProfile`] span trees with operator
 //! counters, schema [`profile::PROFILE_SCHEMA`]), and a stable JSON
 //! [snapshot](snapshot) (schema [`snapshot::SCHEMA`]) plus a
-//! human-readable text rendering.
-//!
-//! Next to them sits the estimator-quality plane ([quality](quality),
-//! schema [`quality::QUALITY_SCHEMA`]): CI coverage, stats drift and
-//! convergence summaries. Every instrument is read inside the process
-//! that recorded it.
+//! human-readable text rendering. Every instrument is read inside the
+//! process that recorded it.
 //!
 //! ## Cost model
 //!
@@ -42,7 +38,6 @@ pub mod events;
 pub mod json;
 pub mod metrics;
 pub mod profile;
-pub mod quality;
 pub mod registry;
 pub mod snapshot;
 pub mod span;
@@ -52,7 +47,6 @@ pub use events::{Event, Level};
 pub use json::{Json, JsonError};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use profile::{ProfileHandle, ProfileReport, QueryProfile, SpanNode, PROFILE_SCHEMA};
-pub use quality::{ConvergenceSummary, PredicateRates, QualityPolicy, QUALITY_SCHEMA};
 pub use registry::Registry;
 pub use snapshot::{snapshot, HistogramSnapshot, Snapshot, SCHEMA};
 pub use span::Span;

@@ -318,18 +318,6 @@ well_known! {
             "Background merges that published a new delta-free main.",
         SUPERVISOR_SHED_PRESSURE => "supervisor.shed.ingest_pressure":
             "Supervised queries whose exact rung was shed under ingest pressure.",
-        QUALITY_RUNS => "obs.quality.runs":
-            "Estimator runs whose convergence trajectory was recorded.",
-        QUALITY_CONVERGED => "obs.quality.converged":
-            "Recorded runs that reached the relative-CI convergence target.",
-        QUALITY_AUDITS => "obs.quality.audits":
-            "Coverage audits completed (exact truth recomputed for a sampled chart).",
-        QUALITY_AUDIT_MISSES => "obs.quality.audit_misses":
-            "Audited confidence intervals that did not contain the exact truth.",
-        QUALITY_AUDIT_FAILURES => "obs.quality.audit_failures":
-            "Coverage audits abandoned by a panic or an exhausted audit budget.",
-        QUALITY_AUDIT_SKIPPED => "obs.quality.audit_skipped":
-            "Audit candidates skipped (sampling, in-flight guard, or stale epoch).",
     }
     gauges {
         PARALLEL_ACTIVE_WORKERS => "core.parallel.active_workers":
@@ -342,14 +330,6 @@ well_known! {
             "Live rows in the current epoch's delta overlay (adds + tombstones).",
         EPOCH_CURRENT => "index.epoch.current":
             "Identifier of the currently published epoch.",
-        QUALITY_COVERAGE_BP => "obs.quality.coverage_bp":
-            "Empirical CI coverage over audited groups, in basis points (10000 = 100%).",
-        QUALITY_AUDITED_GROUPS => "obs.quality.audited_groups":
-            "Total per-group confidence intervals audited so far.",
-        QUALITY_STATS_DRIFT_BP => "obs.quality.stats_drift_bp":
-            "Largest per-predicate rejection/tip-rate delta vs the previous epoch (basis points).",
-        QUALITY_DRIFTED_PREDICATES => "obs.quality.drifted_predicates":
-            "Predicates whose walk-rate delta vs the previous epoch exceeds the drift limit.",
     }
     histograms {
         SUPERVISE_NS => "supervisor.supervise_ns":
@@ -364,10 +344,6 @@ well_known! {
             "Plan step (1-based) at which Audit Join walks tipped.",
         PARALLEL_WORKER_WALKS => "core.parallel.worker_walks":
             "Walks completed per parallel worker.",
-        QUALITY_TIME_TO_CI_US => "obs.quality.time_to_ci_us":
-            "Time for an estimator run to first reach the relative-CI target (µs).",
-        QUALITY_AUDIT_NS => "obs.quality.audit_ns":
-            "Latency of budgeted exact-truth recomputations in the coverage auditor (ns).",
     }
 }
 

@@ -1,6 +1,6 @@
 //! Integration suite for the walk loop (DESIGN.md §4j).
 //!
-//! Three properties, end to end over real graphs:
+//! Two properties, end to end over real graphs:
 //!
 //! 1. **The sequential stream is locked**: at batch 1 the estimates
 //!    reproduce golden digests recorded from the sequential per-walk loop
@@ -10,8 +10,6 @@
 //!    counters.
 //! 2. **Larger batches stay unbiased**: on seeded fuzz graphs the batched
 //!    estimators converge to the exact answer.
-//! 3. **Adaptive tipping converges** within the static threshold's error
-//!    envelope while actually moving the threshold machinery end to end.
 
 use kgoa::engine::mean_absolute_error;
 use kgoa::online::{run_walks, run_walks_batched, Tipping};
@@ -234,28 +232,4 @@ fn batched_estimates_stay_unbiased_on_fuzz_graphs() {
             assert!(mae < 0.10, "fuzz {seed} batch {batch}: AJ MAE {mae:.3}");
         }
     }
-}
-
-#[test]
-fn adaptive_tipping_converges_within_static_envelope() {
-    let (graph, query) = fuzz_graph(0xDEAD_BEEF);
-    let ig = IndexedGraph::build(graph);
-    let exact = CtjEngine.evaluate(&ig, &query).expect("ctj");
-    let walks = 8_000;
-    let static_mae = {
-        let cfg = AuditJoinConfig { tipping: Tipping::Static(1024.0), seed: 42 };
-        let mut aj = AuditJoin::new(&ig, &query, cfg).expect("aj");
-        run_walks_batched(&mut aj, walks, 64);
-        mean_absolute_error(&exact, &aj.estimates())
-    };
-    let cfg = AuditJoinConfig { tipping: Tipping::Adaptive, seed: 42 };
-    let mut aj = AuditJoin::new(&ig, &query, cfg).expect("aj");
-    run_walks_batched(&mut aj, walks, 64);
-    let adaptive_mae = mean_absolute_error(&exact, &aj.estimates());
-    let threshold = aj.tip_threshold();
-    assert!(threshold.is_finite() && threshold > 0.0);
-    assert!(
-        adaptive_mae <= (static_mae * 2.0).max(0.05),
-        "adaptive MAE {adaptive_mae:.4} outside static envelope ({static_mae:.4})"
-    );
 }
