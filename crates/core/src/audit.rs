@@ -251,14 +251,17 @@ impl<'g> AuditJoin<'g> {
     }
 
     /// Walk completed: δ is a full path. The online `Pr(a, b)` computation
-    /// for an uncached pair is governed too (nothing is accumulated when it
-    /// trips, so the aborted walk contributes nothing).
-    fn finish_full(&mut self, prob_inv: f64, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
+    /// for an uncached pair ticks the batch's meter (nothing is accumulated
+    /// when it trips, so the aborted walk contributes nothing).
+    fn finish_full(
+        &mut self,
+        prob_inv: f64,
+        meter: &mut BudgetMeter,
+    ) -> Result<(), BudgetExceeded> {
         let a = self.assignment[self.alpha.index()];
         if self.distinct {
             let b = self.assignment[self.beta.index()];
-            let mut meter = budget.meter();
-            let pr = self.prab.try_pr(a, b, &mut meter)?;
+            let pr = self.prab.try_pr(a, b, meter)?;
             debug_assert!(pr > 0.0, "completed walk implies Pr(a,b) > 0");
             self.accum.add(a, 1.0 / pr);
         } else {
@@ -271,17 +274,22 @@ impl<'g> AuditJoin<'g> {
         Ok(())
     }
 
-    /// Tipping point reached before step `step`: replace the remaining walk
-    /// with an exact computation, governed by `budget` (nothing has been
-    /// accumulated when it trips, so an aborted walk contributes nothing).
-    /// Returns whether anything was contributed.
+    /// Tipping point reached before step `step`, whose range under the
+    /// walk's bindings the batch seek already resolved: replace the
+    /// remaining walk with an exact computation that ticks the batch's
+    /// meter (nothing has been accumulated when it trips, so an aborted
+    /// walk contributes nothing). Returns whether anything was contributed;
+    /// an empty `range` has no completions, so nothing is.
     fn finish_tipped(
         &mut self,
         step: usize,
+        range: LiveRange,
         prob_inv: f64,
-        budget: &ExecBudget,
+        meter: &mut BudgetMeter,
     ) -> Result<bool, BudgetExceeded> {
-        let mut meter = budget.meter();
+        if range.is_empty() {
+            return Ok(false);
+        }
         if self.distinct {
             self.masses.clear();
             try_suffix_masses(
@@ -292,10 +300,11 @@ impl<'g> AuditJoin<'g> {
                 self.alpha,
                 self.beta,
                 step,
+                Some(range),
                 1.0,
                 &mut self.assignment,
                 &mut self.masses,
-                &mut meter,
+                meter,
             )?;
             if self.masses.is_empty() {
                 return Ok(false);
@@ -304,7 +313,7 @@ impl<'g> AuditJoin<'g> {
             self.terms.extend(self.masses.iter().map(|(&key, &m)| (key, m)));
             self.terms.sort_unstable_by_key(|&(key, _)| key);
             for (key, m) in &mut self.terms {
-                let pr = self.prab.try_pr((*key >> 32) as u32, *key as u32, &mut meter)?;
+                let pr = self.prab.try_pr((*key >> 32) as u32, *key as u32, meter)?;
                 debug_assert!(pr > 0.0);
                 *m /= pr;
             }
@@ -333,9 +342,10 @@ impl<'g> AuditJoin<'g> {
                 self.alpha,
                 self.value_sum.as_ref().map(|sum| (self.beta, &sum.values)),
                 step,
+                Some(range),
                 &mut self.assignment,
                 &mut self.group_counts,
-                &mut meter,
+                meter,
             )?;
             if self.group_counts.is_empty() {
                 return Ok(false);
@@ -354,12 +364,13 @@ impl<'g> AuditJoin<'g> {
     /// admitted walks advance one plan step at a time, each step's RNG
     /// words drawn in one refill in walk order (a step-major stream), the
     /// next step's ranges resolved by one sorted batch seek. The budget is
-    /// checked once per plan step plus once per tipped suffix, and the
-    /// exact computations at a tipping point tick a [`BudgetMeter`], so
-    /// even a cold cache cannot overshoot a deadline by more than one
-    /// stride. A trip loses only the walks still in flight: they are not
-    /// counted and contribute nothing, so the estimator stays unbiased
-    /// over the walks of the batch that had already finished.
+    /// checked once per plan step, and every exact computation of the
+    /// batch — tipped suffixes and `Pr(a, b)` — ticks one shared
+    /// [`BudgetMeter`], which checks at its first tick and then once per
+    /// stride, so even a cold cache cannot overshoot a deadline by more
+    /// than one stride. A trip loses only the walks still in flight: they
+    /// are not counted and contribute nothing, so the estimator stays
+    /// unbiased over the walks of the batch that had already finished.
     fn walk_batch_core(
         &mut self,
         budget: &ExecBudget,
@@ -369,6 +380,7 @@ impl<'g> AuditJoin<'g> {
         use kgoa_obs::metrics as m;
         let vc = self.plan.var_count();
         let steps_n = self.plan.len();
+        let mut meter = budget.meter();
         bs.reset(n, vc);
         // Step 0 has no in-binding, so its range is one of the constants.
         bs.ranges.fill(self.fixed_ranges[0].expect("step 0 has no in-variable"));
@@ -393,7 +405,7 @@ impl<'g> AuditJoin<'g> {
                     }
                     bs.alive[w] = false;
                     self.assignment.copy_from_slice(&bs.assignments[w * vc..(w + 1) * vc]);
-                    self.finish_full(bs.weights[w], budget)?;
+                    self.finish_full(bs.weights[w], &mut meter)?;
                     self.stats.walks += 1;
                     self.stats.full += 1;
                     m::WALKS.inc();
@@ -423,9 +435,9 @@ impl<'g> AuditJoin<'g> {
                 let next = bs.next_ranges[w];
                 let est_rem = self.est.remaining(i + 1, next.len() as u64);
                 if est_rem < self.threshold {
-                    budget.check()?;
                     self.assignment.copy_from_slice(&bs.assignments[w * vc..(w + 1) * vc]);
-                    let contributed = self.finish_tipped(i + 1, bs.weights[w], budget)?;
+                    let contributed =
+                        self.finish_tipped(i + 1, next, bs.weights[w], &mut meter)?;
                     self.stats.walks += 1;
                     m::WALKS.inc();
                     if contributed {
@@ -540,6 +552,7 @@ pub fn suffix_masses(
         alpha,
         beta,
         step,
+        None,
         weight,
         assignment,
         out,
@@ -551,9 +564,11 @@ pub fn suffix_masses(
 /// [`suffix_masses`] under a cooperative budget, over the per-step index
 /// and constant-range tables the caller resolved once for `plan`: the
 /// enumeration ticks the meter per recursion node and aborts (with `out`
-/// partially filled) when it trips.
+/// partially filled) when it trips. `first` is `step`'s range when the
+/// caller has already resolved it under `assignment`; deeper steps resolve
+/// their own.
 #[allow(clippy::too_many_arguments)]
-pub fn try_suffix_masses(
+pub(crate) fn try_suffix_masses(
     plan: &WalkPlan,
     step_index: &[&TrieIndex],
     fixed_ranges: &[Option<LiveRange>],
@@ -561,6 +576,7 @@ pub fn try_suffix_masses(
     alpha: Var,
     beta: Var,
     step: usize,
+    first: Option<LiveRange>,
     weight: f64,
     assignment: &mut [u32],
     out: &mut FxHashMap<u64, f64>,
@@ -577,7 +593,8 @@ pub fn try_suffix_masses(
     }
     debug_assert!(step < plan.len(), "all variables bound at plan end");
     let index = step_index[step];
-    let range = step_range(plan, step_index, fixed_ranges, step, assignment);
+    let range =
+        first.unwrap_or_else(|| step_range(plan, step_index, fixed_ranges, step, assignment));
     if range.is_empty() {
         return Ok(());
     }
@@ -593,6 +610,7 @@ pub fn try_suffix_masses(
             alpha,
             beta,
             step + 1,
+            None,
             w,
             assignment,
             out,
@@ -625,6 +643,7 @@ pub fn suffix_group_counts(
         alpha,
         None,
         step,
+        None,
         assignment,
         &mut counts,
         &mut meter,
@@ -636,14 +655,14 @@ pub fn suffix_group_counts(
 }
 
 /// [`suffix_group_counts`] under a cooperative budget, over the same
-/// per-step tables as [`try_suffix_masses`]: the enumeration ticks the
-/// meter per recursion node and aborts (with `out` partially filled) when
-/// it trips. With `value = (β, values)` it enumerates until β is bound as
-/// well and adds `value(β) · count` of every closed branch to the group's
-/// second component (the value is constant from there on); the counts are
-/// the same integers either way.
+/// per-step tables and optional first range as [`try_suffix_masses`]: the
+/// enumeration ticks the meter per recursion node and aborts (with `out`
+/// partially filled) when it trips. With `value = (β, values)` it
+/// enumerates until β is bound as well and adds `value(β) · count` of
+/// every closed branch to the group's second component (the value is
+/// constant from there on); the counts are the same integers either way.
 #[allow(clippy::too_many_arguments)]
-pub fn try_suffix_group_counts(
+pub(crate) fn try_suffix_group_counts(
     plan: &WalkPlan,
     step_index: &[&TrieIndex],
     fixed_ranges: &[Option<LiveRange>],
@@ -651,6 +670,7 @@ pub fn try_suffix_group_counts(
     alpha: Var,
     value: Option<(Var, &NumericValues)>,
     step: usize,
+    first: Option<LiveRange>,
     assignment: &mut [u32],
     out: &mut FxHashMap<u32, (u64, f64)>,
     meter: &mut BudgetMeter,
@@ -670,7 +690,8 @@ pub fn try_suffix_group_counts(
     }
     debug_assert!(step < plan.len(), "α and β are bound by the end of the plan");
     let index = step_index[step];
-    let range = step_range(plan, step_index, fixed_ranges, step, assignment);
+    let range =
+        first.unwrap_or_else(|| step_range(plan, step_index, fixed_ranges, step, assignment));
     for pos in index.positions(range) {
         meter.tick()?;
         plan.extract_at(index, step, pos, assignment);
@@ -682,6 +703,7 @@ pub fn try_suffix_group_counts(
             alpha,
             value,
             step + 1,
+            None,
             assignment,
             out,
             meter,

@@ -7,7 +7,7 @@ use kgoa_core::{
     exact_group_sums, run_governed, run_walks_batched, AuditJoin, AuditJoinConfig,
     OnlineAggregator, SumAuditJoin, Tipping, WanderJoin,
 };
-use kgoa_engine::{BudgetReason, ExecBudget, GroupedEstimates};
+use kgoa_engine::{BudgetMeter, BudgetReason, ExecBudget, GroupedEstimates};
 use kgoa_index::IndexedGraph;
 use kgoa_query::{ExplorationQuery, TriplePattern, Var};
 use kgoa_rdf::{GraphBuilder, TermId, Triple};
@@ -58,6 +58,45 @@ fn chain(distinct: bool) -> (IndexedGraph, ExplorationQuery) {
     .unwrap();
     (IndexedGraph::build(b.build()), query)
 }
+
+/// A two-hop star `s -p-> o -q-> t`: 30 subjects each reach one or two of
+/// `objects` objects, and object `i` has `fanout(i)` targets. Grouped by
+/// the target, counting subjects: under an infinite threshold every walk
+/// tips before its second step, and the tipped suffix enumerates exactly
+/// that object's targets.
+fn star(
+    objects: usize,
+    fanout: impl Fn(usize) -> usize,
+    distinct: bool,
+) -> (IndexedGraph, ExplorationQuery) {
+    let mut b = GraphBuilder::new();
+    let [p, q] = ["u:p", "u:q"].map(|n| b.dict_mut().intern_iri(n));
+    let objs: Vec<TermId> =
+        (0..objects).map(|i| b.dict_mut().intern_iri(format!("u:o{i}"))).collect();
+    for si in 0..30 {
+        let s = b.dict_mut().intern_iri(format!("u:s{si}"));
+        for k in 0..1 + si % 2 {
+            b.add(Triple::new(s, p, objs[(si + 3 * k) % objects]));
+        }
+    }
+    for (oi, &o) in objs.iter().enumerate() {
+        for ti in 0..fanout(oi) {
+            let t = b.dict_mut().intern_iri(format!("u:t{ti}"));
+            b.add(Triple::new(o, q, t));
+        }
+    }
+    let query = ExplorationQuery::new(
+        vec![TriplePattern::new(Var(0), p, Var(1)), TriplePattern::new(Var(1), q, Var(2))],
+        Var(2),
+        Var(0),
+        distinct,
+    )
+    .unwrap();
+    (IndexedGraph::build(b.build()), query)
+}
+
+const TIP_ALL: AuditJoinConfig =
+    AuditJoinConfig { tipping: Tipping::Static(f64::INFINITY), seed: 3 };
 
 const TIPPING: AuditJoinConfig = AuditJoinConfig { tipping: Tipping::Static(4.0), seed: 29 };
 
@@ -177,4 +216,61 @@ fn sum_finisher_is_governed_and_leaves_the_counts_alone() {
     assert_eq!(stats.full + stats.tipped + stats.rejected, stats.walks);
     let est = saj.estimates();
     assert_eq!(est.sum.len(), est.count.len());
+}
+
+#[test]
+fn one_meter_per_batch_charges_the_rows_not_a_stride_per_walk() {
+    // Every walk tips onto a suffix of one or two rows. A batch's exact
+    // work shares one meter, whose first tick charges a whole stride, so
+    // the tuple counter may exceed the rows ticked by at most one stride
+    // per batch — not by one per walk.
+    const BATCHES: u64 = 10;
+    const BATCH: u64 = 256;
+    for distinct in [false, true] {
+        let (ig, query) = star(10, |i| 1 + i % 2, distinct);
+        let mut aj = AuditJoin::new(&ig, &query, TIP_ALL).unwrap();
+        let budget = ExecBudget::builder().build();
+        for _ in 0..BATCHES {
+            assert_eq!(aj.step_batch_governed(&budget, BATCH).unwrap(), BATCH);
+        }
+        let stats = aj.stats();
+        assert_eq!(stats.tipped, BATCHES * BATCH, "distinct={distinct}: {stats:?}");
+        // Suffix rows (at most two per walk) plus the rows `Pr(a, b)`
+        // enumerated for uncached pairs (zero when counting).
+        let rows = 2 * stats.walks + aj.prab_stats().rows;
+        let stride = u64::from(BudgetMeter::STRIDE);
+        assert!(
+            budget.tuples() <= BATCHES * stride + rows,
+            "distinct={distinct}: {} tuples charged for {rows} rows in {BATCHES} batches",
+            budget.tuples()
+        );
+    }
+}
+
+#[test]
+fn deadline_trips_inside_a_tipped_suffix_and_keeps_finished_walks_whole() {
+    // Every walk tips onto a suffix of 5 000 rows, so one batch is far more
+    // work than the deadline allows and the batch meter must trip inside
+    // a suffix enumeration.
+    let (ig, query) = star(2, |_| 5_000, false);
+    let mut aj = AuditJoin::new(&ig, &query, TIP_ALL).unwrap();
+    let start = std::time::Instant::now();
+    let budget = ExecBudget::with_deadline(std::time::Duration::from_millis(2));
+    let stop = aj.step_batch_governed(&budget, 256).unwrap_err();
+    let elapsed = start.elapsed();
+    assert_eq!(stop.reason, BudgetReason::DeadlineExpired);
+    assert!(elapsed.as_millis() < 12, "batch returned {elapsed:?} after a 2 ms deadline");
+    // The walks that finished are the first `k` of the batch, whole: a run
+    // of just those `k` walks (the same step-0 draws, in the same order)
+    // ends in the same counters and bit-identical estimates, so the walk
+    // the deadline cut short added nothing.
+    let k = aj.stats().walks;
+    assert!(k < 256, "{:?}", aj.stats());
+    assert_eq!(aj.stats().tipped, k);
+    let mut replay = AuditJoin::new(&ig, &query, TIP_ALL).unwrap();
+    if k > 0 {
+        assert_eq!(replay.step_batch_governed(&ExecBudget::unlimited(), k).unwrap(), k);
+    }
+    assert_eq!(aj.stats(), replay.stats());
+    assert_eq!(bits(&aj.estimates()), bits(&replay.estimates()));
 }

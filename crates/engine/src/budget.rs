@@ -269,7 +269,10 @@ impl ExecBudget {
 
     /// An amortizing checkpoint handle for one hot loop. The first tick
     /// performs a full check (so an already-exhausted budget is caught
-    /// before any real work), then one check per [`BudgetMeter::STRIDE`].
+    /// before any real work) and charges a full stride, then one check per
+    /// [`BudgetMeter::STRIDE`]. A fresh meter therefore costs a clock read
+    /// and a stride of tuples on its first tick: a hot loop reuses one
+    /// meter across its items and must not build one per item.
     pub fn meter(&self) -> BudgetMeter {
         BudgetMeter { budget: self.clone(), ticks: BudgetMeter::STRIDE - 1 }
     }
@@ -419,7 +422,10 @@ impl BudgetMeter {
     /// Cooperative checkpoint: cheap nearly always, a full
     /// [`ExecBudget::check`] every [`Self::STRIDE`] calls. Each stride also
     /// charges [`Self::STRIDE`] units to the budget's tuple counter, so a
-    /// `tuple_limit` bounds total engine work to within one stride. Also
+    /// `tuple_limit` bounds total engine work to within one stride. The
+    /// first tick of a fresh meter already completes a stride (see
+    /// [`ExecBudget::meter`]), so a meter built per item charges at least
+    /// [`Self::STRIDE`] tuples per item whatever work the item does. Also
     /// drives the `fail_seek_at` fault hook, which counts *ticks*, not
     /// strides.
     #[inline]
