@@ -275,7 +275,7 @@ impl<'g> AuditJoin<'g> {
     }
 
     /// Tipping point reached before step `step`, whose range under the
-    /// walk's bindings the batch seek already resolved: replace the
+    /// walk's bindings the walk loop already resolved: replace the
     /// remaining walk with an exact computation that ticks the batch's
     /// meter (nothing has been accumulated when it trips, so an aborted
     /// walk contributes nothing). Returns whether anything was contributed;
@@ -362,8 +362,8 @@ impl<'g> AuditJoin<'g> {
 
     /// The walk loop (lines 5–20 of Fig. 7 for `n` walks at once): the
     /// admitted walks advance one plan step at a time, each step's RNG
-    /// words drawn in one refill in walk order (a step-major stream), the
-    /// next step's ranges resolved by one sorted batch seek. The budget is
+    /// words drawn in one refill in walk order (a step-major stream), then
+    /// each survivor's next range resolved by one index lookup. The budget is
     /// checked once per plan step, and every exact computation of the
     /// batch — tipped suffixes and `Pr(a, b)` — ticks one shared
     /// [`BudgetMeter`], which checks at its first tick and then once per
@@ -412,9 +412,9 @@ impl<'g> AuditJoin<'g> {
                 }
                 break;
             }
-            // Resolve every survivor's next range with one sorted batch
-            // seek, then tip the walks whose estimated completions fall
-            // below the threshold; the rest carry their range forward.
+            // Resolve every survivor's next range, then tip the walks whose
+            // estimated completions fall below the threshold; the rest
+            // carry their range forward.
             crate::batch::resolve_step_ranges(
                 self.step_index[i + 1],
                 &self.plan.steps()[i + 1],
@@ -422,8 +422,6 @@ impl<'g> AuditJoin<'g> {
                 &bs.assignments,
                 vc,
                 &bs.alive,
-                &mut bs.probes1,
-                &mut bs.probes2,
                 &mut bs.next_ranges,
             );
             for w in 0..n {

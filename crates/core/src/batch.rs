@@ -3,11 +3,11 @@
 //! Both [`crate::wander::WanderJoin`] and [`crate::audit::AuditJoin`] advance
 //! a batch of walks one plan step at a time. Per-walk state lives in parallel
 //! vectors indexed by walk slot so a step pass streams over contiguous
-//! memory, and the per-step index probes are collected, sorted by key, and
-//! resolved through the batch-seek entry points of `kgoa-index`.
+//! memory; each live walk's range for the step is then one index lookup,
+//! O(1) at level 0.
 
-use kgoa_index::{pack2, LiveRange, TrieIndex};
-use kgoa_query::{PrefixComp, WalkPlan, WalkStep};
+use kgoa_index::{LiveRange, TrieIndex};
+use kgoa_query::{WalkPlan, WalkStep};
 use rand::RngCore;
 
 /// Reusable per-batch walk state. Owned by the aggregator and recycled
@@ -28,10 +28,6 @@ pub(crate) struct BatchScratch {
     /// RNG words for the current step, one per surviving walk, refilled in
     /// bulk with a single `fill_u64` call.
     pub raw: Vec<u64>,
-    /// 1-value probe buffer: `(key, walk slot)`.
-    pub probes1: Vec<(u32, u32)>,
-    /// 2-value probe buffer: `(pack2 key, walk slot)`.
-    pub probes2: Vec<(u64, u32)>,
 }
 
 impl BatchScratch {
@@ -88,16 +84,14 @@ impl BatchScratch {
 }
 
 /// Resolve the live range of `step` for every live walk into
-/// `out[walk slot]`, batching the index probes in sorted key order.
+/// `out[walk slot]`.
 ///
 /// `fixed` short-circuits steps whose prefix is all-constant (the range was
 /// resolved once at plan time). Otherwise each live walk's inbound binding
-/// is read from `assignments` and composed with the access prefix:
-/// 1-level prefixes go through [`TrieIndex::seek1_batch`], 2-level prefixes
-/// through [`TrieIndex::seek2_batch`], and fully-bound existence checks
-/// fall back to the per-walk scalar path. Results are identical to
-/// `step.access.resolve_live` per walk; only the probe order differs.
-#[allow(clippy::too_many_arguments)]
+/// is read from `assignments` and resolved on its own with
+/// `step.access.resolve_live`: level-0 entry is O(1) through the index's
+/// rank directory, which measured faster than sorting the batch's probes
+/// for a galloping sweep.
 pub(crate) fn resolve_step_ranges(
     index: &TrieIndex,
     step: &WalkStep,
@@ -105,8 +99,6 @@ pub(crate) fn resolve_step_ranges(
     assignments: &[u32],
     var_count: usize,
     alive: &[bool],
-    probes1: &mut Vec<(u32, u32)>,
-    probes2: &mut Vec<(u64, u32)>,
     out: &mut [LiveRange],
 ) {
     if let Some(r) = fixed {
@@ -121,42 +113,10 @@ pub(crate) fn resolve_step_ranges(
         .in_var
         .expect("non-fixed batched step must have an inbound variable");
     let iv = in_var.index();
-    match step.access.prefix_len() {
-        1 => {
-            probes1.clear();
-            for (w, &live) in alive.iter().enumerate() {
-                if live {
-                    probes1.push((assignments[w * var_count + iv], w as u32));
-                }
-            }
-            probes1.sort_unstable_by_key(|&(k, _)| k);
-            index.seek1_batch(probes1, out);
-        }
-        2 => {
-            probes2.clear();
-            for (w, &live) in alive.iter().enumerate() {
-                if live {
-                    let in_value = assignments[w * var_count + iv];
-                    let mut vals = [0u32; 2];
-                    for (i, comp) in step.access.prefix.iter().enumerate() {
-                        vals[i] = match comp {
-                            PrefixComp::Const(c) => c.raw(),
-                            PrefixComp::InVar => in_value,
-                        };
-                    }
-                    probes2.push((pack2(vals[0], vals[1]), w as u32));
-                }
-            }
-            probes2.sort_unstable_by_key(|&(k, _)| k);
-            index.seek2_batch(probes2, out);
-        }
-        _ => {
-            for (w, &live) in alive.iter().enumerate() {
-                if live {
-                    let in_value = assignments[w * var_count + iv];
-                    out[w] = step.access.resolve_live(index, Some(in_value));
-                }
-            }
+    for (w, &live) in alive.iter().enumerate() {
+        if live {
+            let in_value = assignments[w * var_count + iv];
+            out[w] = step.access.resolve_live(index, Some(in_value));
         }
     }
 }

@@ -127,10 +127,10 @@ impl<'g> WanderJoin<'g> {
     }
 
     /// The walk loop: `n` admitted walks advance one plan step at a time.
-    /// The step's index probes are issued in sorted key order through the
-    /// batch-seek entry points and its RNG words are drawn in one refill,
-    /// in walk order — so the stream is step-major: walk `w` of a batch
-    /// draws its step-`i` word after every walk's step-`i − 1` word.
+    /// Each live walk resolves the step's range with one index lookup and
+    /// the step's RNG words are drawn in one refill, in walk order — so
+    /// the stream is step-major: walk `w` of a batch draws its step-`i`
+    /// word after every walk's step-`i − 1` word.
     fn walk_batch_core(&mut self, budget: &ExecBudget, n: usize) -> Result<(), BudgetExceeded> {
         let plan: &WalkPlan = &self.plan;
         let bs = &mut self.batch;
@@ -151,8 +151,6 @@ impl<'g> WanderJoin<'g> {
                 &bs.assignments,
                 vc,
                 &bs.alive,
-                &mut bs.probes1,
-                &mut bs.probes2,
                 &mut bs.ranges,
             );
             let dead = bs.sample_step(plan, si, index, &mut self.rng);

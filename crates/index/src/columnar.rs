@@ -6,6 +6,7 @@
 //! attribute. The CSR layout stores each level's keys contiguously:
 //!
 //! ```text
+//!           l0_rank:    [{bits, rank} ...]  one block per 64 ids: id → node
 //! level 0   l0_keys:    [a0 a1 a2 ...]                 (distinct, sorted)
 //!           l0_offsets: [0 .. .. ..]  ── l1 node ids ──┐
 //! level 1   l1_keys:    [b00 b01 | b10 ...]  ◄─────────┘ (sorted per parent)
@@ -17,11 +18,23 @@
 //! level's arrays, so a seek scans a contiguous `&[u32]` (4-byte stride, 16
 //! keys per cache line) and `next` is `pos + 1` — no run recomputation.
 //! Leaf positions coincide with positions in the sorted row array, so a
-//! bound prefix is a contiguous [`RowRange`] of leaves: [`ColumnarTrie::find0`]
-//! and [`ColumnarTrie::find1`] reach it by binary search (O(log fan-out),
-//! no side table), and sampling inside it stays O(1). The reverse maps
-//! `l1_of` (leaf → level-1 node) and `l0_of` (level-1 node → level-0 node)
-//! make full-row reconstruction O(1).
+//! bound prefix is a contiguous [`RowRange`] of leaves. [`ColumnarTrie::find0`]
+//! reaches a level-0 node in O(1) through the rank directory `l0_rank`
+//! (term ids are dense dictionary ids, so the level-0 key space is
+//! addressed, not searched), [`ColumnarTrie::find1`] by binary search of
+//! the node's child window (O(log fan-out)); there is no hash table, and
+//! sampling inside the range stays O(1). The reverse maps `l1_of` (leaf →
+//! level-1 node) and `l0_of` (level-1 node → level-0 node) make full-row
+//! reconstruction O(1).
+//!
+//! **Rank directory.** Block `k` covers ids `64k..64k + 64`: a `u64` with
+//! bit `i` set iff `64k + i` is a level-0 key, and the number of level-0
+//! keys below `64k`. A present key's node is that count plus the popcount
+//! of the bits below it — one block load. The directory is bounded by the
+//! data, not the key space: it has at most one block per level-0 key, and
+//! keys past the blocks it has (a sparse tail, e.g. one key at
+//! `u32::MAX`) resolve by binary search over the uncovered tail of
+//! `l0_keys`.
 
 use crate::store::RowRange;
 
@@ -92,10 +105,42 @@ pub(crate) fn gallop_lower_bound(
     (l, SeekOutcome::Gallop)
 }
 
+/// One 64-id block of the level-0 rank directory (see the module docs).
+#[derive(Debug, Clone, Copy, Default)]
+struct RankBlock {
+    /// Bit `i` set iff `64k + i` is a level-0 key, for block `k`.
+    bits: u64,
+    /// Number of level-0 keys below `64k`.
+    rank: u32,
+}
+
+/// The rank directory of sorted, distinct level-0 keys: `min((max key >>
+/// 6) + 1, keys.len())` blocks, so a sparse key space (one key at
+/// `u32::MAX`) costs one block. Keys past the last block are not in it.
+fn rank_directory(keys: &[u32]) -> Vec<RankBlock> {
+    let Some(&max) = keys.last() else { return Vec::new() };
+    let n = ((max >> 6) as usize + 1).min(keys.len());
+    let mut dir = vec![RankBlock::default(); n];
+    for &k in keys.iter().take_while(|&&k| ((k >> 6) as usize) < n) {
+        dir[(k >> 6) as usize].bits |= 1u64 << (k & 63);
+    }
+    let mut rank = 0u32;
+    for b in &mut dir {
+        b.rank = rank;
+        rank += b.bits.count_ones();
+    }
+    // `find0` derives the covered prefix of `l0_keys` from the last block.
+    debug_assert_eq!(rank as usize, keys.partition_point(|&k| ((k >> 6) as usize) < n));
+    dir
+}
+
 /// One order's triples in columnar CSR trie form. See the module docs for
 /// the layout diagram.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnarTrie {
+    /// Rank directory over the level-0 key space. The count of level-0 keys
+    /// it covers is derived from its last block, not stored.
+    l0_rank: Vec<RankBlock>,
     /// Distinct level-0 keys, sorted.
     l0_keys: Vec<u32>,
     /// `l0_offsets[i]..l0_offsets[i+1]` — level-1 node ids under level-0
@@ -158,6 +203,7 @@ impl ColumnarTrie {
         t.l1_keys.shrink_to_fit();
         t.l1_offsets.shrink_to_fit();
         t.l0_of.shrink_to_fit();
+        t.l0_rank = rank_directory(&t.l0_keys);
         t
     }
 
@@ -241,11 +287,18 @@ impl ColumnarTrie {
         RowRange { start: lo, end: hi }
     }
 
-    /// The level-0 node whose key is `a`, if present: a binary search over
-    /// the sorted level-0 keys.
+    /// The level-0 node whose key is `a`, if present: one rank-directory
+    /// block and a popcount when `a` falls inside the directory, else a
+    /// binary search over the level-0 keys past it.
     #[inline]
     pub fn find0(&self, a: u32) -> Option<u32> {
-        self.l0_keys.binary_search(&a).ok().map(|i| i as u32)
+        if let Some(b) = self.l0_rank.get((a >> 6) as usize) {
+            let bit = 1u64 << (a & 63);
+            return (b.bits & bit != 0).then(|| b.rank + (b.bits & (bit - 1)).count_ones());
+        }
+        let covered = self.l0_rank.last().map_or(0, |b| (b.rank + b.bits.count_ones()) as usize);
+        let tail = &self.l0_keys[covered..];
+        tail.binary_search(&a).ok().map(|i| (covered + i) as u32)
     }
 
     /// The level-1 node with key `b` under level-0 node `l0`, if present:
@@ -306,11 +359,12 @@ impl ColumnarTrie {
         }
     }
 
-    /// Heap memory held by the level arrays, in bytes — their capacities,
-    /// which [`ColumnarTrie::from_sorted_rows`] keeps equal to their
-    /// lengths.
+    /// Heap memory held by the level arrays and the rank directory, in
+    /// bytes — their capacities, which [`ColumnarTrie::from_sorted_rows`]
+    /// keeps equal to their lengths.
     pub fn memory_bytes(&self) -> usize {
-        4 * (self.l0_keys.capacity()
+        std::mem::size_of::<RankBlock>() * self.l0_rank.capacity()
+            + 4 * (self.l0_keys.capacity()
             + self.l0_offsets.capacity()
             + self.l1_keys.capacity()
             + self.l1_offsets.capacity()
@@ -393,8 +447,11 @@ mod tests {
         for a in arrays {
             assert_eq!(a.capacity(), a.len(), "array sized exactly");
         }
+        assert_eq!(t.l0_rank.capacity(), t.l0_rank.len(), "directory sized exactly");
+        assert_eq!(t.l0_rank.len(), 1, "keys 1..=3 share block 0");
+        assert_eq!(std::mem::size_of::<RankBlock>(), 16);
         let capacity: usize = arrays.iter().map(|a| a.capacity()).sum();
-        assert_eq!(t.memory_bytes(), 4 * capacity);
+        assert_eq!(t.memory_bytes(), 4 * capacity + 16 * t.l0_rank.capacity());
     }
 
     #[test]
@@ -402,7 +459,39 @@ mod tests {
         let t = ColumnarTrie::from_sorted_rows(&[]);
         assert!(t.is_empty());
         assert_eq!(t.l0_len(), 0);
+        assert!(t.l0_rank.is_empty());
+        assert_eq!(t.find0(0), None);
+        assert_eq!(t.find0(u32::MAX), None);
         assert_eq!(t.memory_bytes(), 8); // two sentinel offsets
+    }
+
+    #[test]
+    fn rank_directory_agrees_with_binary_search() {
+        let keyed = |keys: &[u32]| keys.iter().map(|&k| [k, 0, 0]).collect::<Vec<_>>();
+        let table: Vec<(&str, Vec<u32>)> = vec![
+            ("empty", vec![]),
+            ("single key 0", vec![0]),
+            ("block edges", vec![63, 64, 65, 127, 128]),
+            ("dense run", (0..1000).collect()),
+            ("spaced past a block", (0..40).map(|i| i * 97 + 5).collect()),
+            ("outruns the cap", vec![0, 1_000_000, u32::MAX]),
+        ];
+        for (name, keys) in &table {
+            let t = ColumnarTrie::from_sorted_rows(&keyed(keys));
+            assert!(t.l0_rank.len() <= keys.len(), "{name}: at most one block per key");
+            // Every key's neighbours, plus absent ids between and beyond.
+            let mut probes = vec![0, 1, 62, 999, 1000, 1_000_001, u32::MAX - 1, u32::MAX];
+            probes.extend(keys.iter().flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]));
+            for a in probes {
+                let expect = t.l0_keys.binary_search(&a).ok().map(|i| i as u32);
+                assert_eq!(t.find0(a), expect, "{name}: find0({a})");
+            }
+        }
+        // The capped case: three keys, three blocks (ids 0..192) holding
+        // key 0; 1 000 000 and u32::MAX live in the binary-searched tail.
+        let t = ColumnarTrie::from_sorted_rows(&keyed(&[0, 1_000_000, u32::MAX]));
+        assert_eq!(t.l0_rank.len(), 3);
+        assert_eq!((t.find0(1_000_000), t.find0(u32::MAX)), (Some(1), Some(2)));
     }
 
     #[test]

@@ -187,8 +187,8 @@ impl IndexedGraph {
         self.graph.is_empty()
     }
 
-    /// True if the graph contains the triple: one binary search per level
-    /// of the SPO trie.
+    /// True if the graph contains the triple: a rank-directory lookup at
+    /// level 0 of the SPO trie, then a binary search per level below it.
     pub fn contains(&self, t: Triple) -> bool {
         self.require(IndexOrder::Spo).contains_row(t.s.raw(), t.p.raw(), t.o.raw())
     }

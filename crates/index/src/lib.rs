@@ -6,8 +6,9 @@
 //! attribute orders (SPO, OPS, PSO, POS) stores the graph's triples in
 //! sorted order, so every 1- and 2-attribute prefix is a contiguous range.
 //! Where the paper reaches that range through hash tables beside the
-//! array, this crate enters through the trie's own level arrays — one
-//! binary search per bound level, no side table — and keeps what the
+//! array, this crate enters through the trie's own level arrays — O(1) at
+//! level 0 through a rank directory over the dense term ids, a binary
+//! search of the child window at level 1, no hash table — and keeps what the
 //! engines need from the range: **O(1) uniform sampling** inside it for
 //! Wander Join / Audit Join random walks, and **O(log n) seeks** for the
 //! worst-case-optimal trie joins (LFTJ / CTJ).

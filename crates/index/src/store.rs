@@ -4,9 +4,10 @@
 //! bound prefix reaches its contiguous range in O(1). Here the trie is its
 //! own index: the level arrays already encode the range of every 1- and
 //! 2-value prefix, so [`TrieIndex::range1`] / [`TrieIndex::range2`] enter
-//! by one point lookup per bound level (`find0`, then `find1` inside the
-//! child window — O(log fan-out)) and no side table is built, stored or
-//! rebuilt on merge. Sampling *inside* the range stays O(1)
+//! by one point lookup per bound level — `find0`, O(1) through the
+//! level-0 rank directory, then `find1` inside the child window,
+//! O(log fan-out) — and no hash table is built, stored or rebuilt on
+//! merge. Sampling *inside* the range stays O(1)
 //! ([`RowRange::pick`]); galloping search handles the third level. Leaf
 //! positions are positions in the sorted row array, so ranges, sampling
 //! and cache keys are plain row numbers.
@@ -168,7 +169,7 @@ impl TrieIndex {
     }
 
     /// Crate-internal access to the main part's level arrays, for cursors
-    /// and batch seeks.
+    /// and tests.
     #[inline]
     pub(crate) fn trie(&self) -> &ColumnarTrie {
         &self.core.trie
@@ -199,7 +200,8 @@ impl TrieIndex {
     }
 
     /// The range of rows whose first attribute equals `a`: one level-0
-    /// point lookup, O(log distinct level-0 keys).
+    /// point lookup, O(1) through the rank directory (a binary search only
+    /// for keys past its last block).
     #[inline]
     pub fn range1(&self, a: u32) -> RowRange {
         let t = &self.core.trie;
@@ -391,10 +393,17 @@ mod tests {
         // Gapped keys (2i + 1), so every key has an absent neighbour on
         // both sides and "between two keys" is always probed.
         let l0_of = |n: u32| (0..n).map(|i| [2 * i + 1, 7, 7]).collect::<Vec<_>>();
+        // Level-0 keys exactly `keys`, for the rank directory's cases.
+        let keyed = |keys: &[u32]| keys.iter().map(|&k| [k, 7, 7]).collect::<Vec<_>>();
         let table: Vec<(&str, Vec<[u32; 3]>)> = vec![
             ("empty", vec![]),
             ("one triple", vec![[5, 6, 7]]),
             ("one triple at u32::MAX", vec![[u32::MAX; 3]]),
+            ("single key 0", keyed(&[0])),
+            ("keys at the 64-id block edges", keyed(&[63, 64, 65, 127, 128])),
+            ("dense run 0..1000", keyed(&(0..1000).collect::<Vec<_>>())),
+            ("keys more than 64 apart", keyed(&(0..40).map(|i| i * 97 + 5).collect::<Vec<_>>())),
+            ("keys past the directory cap", keyed(&[0, 1_000_000, u32::MAX])),
             ("gaps", vec![[10, 1, 1], [10, 3, 1], [10, 3, 2], [20, 5, 1], [30, 1, 9]]),
             ("128 level-0 keys", l0_of(128)),
             ("129 level-0 keys", l0_of(129)),
@@ -483,6 +492,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rank_directory_is_bounded_by_the_data() {
+        // An uncapped directory over ids 0..=u32::MAX would be 1 GiB.
+        let idx = TrieIndex::build(IndexOrder::Spo, &[t(u32::MAX, u32::MAX, u32::MAX)]);
+        assert!(idx.memory_bytes() <= 1024, "{} bytes", idx.memory_bytes());
+        assert_eq!(idx.range1(u32::MAX).len(), 1);
     }
 
     #[test]

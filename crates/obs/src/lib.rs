@@ -26,7 +26,7 @@
 //! ## Naming convention
 //!
 //! Metric names are `<crate>.<component>.<metric>` (e.g.
-//! `index.trie.seeks`, `index.trie.seek_batch`, `core.walks.total`),
+//! `index.trie.seeks`, `core.walks.total`),
 //! lowercase, dot-separated, with `_ns` / `_us` suffixes for durations.
 //!
 //! All state is process-global and lock-free on the write path; use

@@ -286,8 +286,6 @@ well_known! {
             "Binary-search seeks on trie cursors (LFTJ hot path).",
         WALKS => "core.walks.total":
             "Random walks completed (accepted + rejected), all estimators.",
-        TRIE_SEEK_BATCH => "index.trie.seek_batch":
-            "Prefix probes resolved through the sorted batch-seek entry points.",
         SUPERVISOR_EXACT => "supervisor.rung.exact":
             "Supervised queries served by the exact CTJ rung.",
         SUPERVISOR_DEGRADED_AJ => "supervisor.rung.audit_join":

@@ -101,9 +101,10 @@ impl WalkAccess {
     /// Resolve the candidate row range for this access within `index`
     /// (which must be the index for [`WalkAccess::order`]).
     ///
-    /// One binary search per bound level: O(log fan-out) for prefixes of
-    /// length ≤ 2, one more over the leaf keys for the fully-bound
-    /// existence check. Sampling inside the returned range is O(1).
+    /// One point lookup per bound level: O(1) at level 0 (the index's rank
+    /// directory), a binary search of the child window at level 1, one
+    /// more over the leaf keys for the fully-bound existence check.
+    /// Sampling inside the returned range is O(1).
     pub fn resolve(&self, index: &TrieIndex, in_value: Option<u32>) -> RowRange {
         let vals = self.prefix_values(in_value);
         match self.prefix.len() {
