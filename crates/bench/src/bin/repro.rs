@@ -15,19 +15,20 @@
 //!   --steps N                         max exploration depth (default 4)
 //!   --seed N                          workload seed
 //!   --tipping X                       AJ tipping threshold (default 1024)
-//!   --threads N                       cap on the scale thread sweep (default 8)
 //!   --batch N                         walks per SoA batch (default 256)
 //!   --out PATH                        JSON output path (trace, profile)
 //!   --paper                           paper protocol: 9 ticks × 1 s
 //! ```
+
+#![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use kgoa_bench::{
     ablate_cache, ablate_order, ablate_tipping, churn_bench, deadline_sweep, fig11, fig8, fig9_10,
-    load_datasets, obs_overhead, prepare_workload, profile_report, sample_time, scale_bench,
-    table1, trace_report, verify_engines, BenchConfig, Dataset, PreparedQuery,
+    load_datasets, obs_overhead, prepare_workload, profile_report, sample_time, table1,
+    trace_report, verify_engines, BenchConfig, Dataset, PreparedQuery,
 };
 use kgoa_datagen::Scale;
 
@@ -127,12 +128,6 @@ const EXPERIMENTS: &[Experiment] = &[
         needs_workload: true,
     },
     Experiment {
-        name: "scale",
-        help: "pool scaling: streaming estimates + partitioned exact (PR 5)",
-        run: |c| ok(scale_bench(c.datasets, c.workload, c.cfg)),
-        needs_workload: true,
-    },
-    Experiment {
         name: "deadlines",
         help: "supervised execution under a deadline sweep",
         run: |c| ok(deadline_sweep(c.datasets, c.workload, c.cfg)),
@@ -180,7 +175,6 @@ fn usage() -> ExitCode {
          --steps N                         max exploration depth (default 4)\n  \
          --seed N                          workload seed\n  \
          --tipping X                       AJ tipping threshold (default 1024)\n  \
-         --threads N                       cap on the scale thread sweep (default 8)\n  \
          --batch N                         walks per SoA batch (default 256)\n  \
          --out PATH                        JSON output path (trace, profile)\n  \
          --paper                           paper protocol: 9 ticks × 1 s"
@@ -234,10 +228,6 @@ fn main() -> ExitCode {
             },
             "--tipping" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
                 Some(v) => cfg.tipping_threshold = v,
-                None => return usage(),
-            },
-            "--threads" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.threads = v,
                 None => return usage(),
             },
             "--batch" => match take_value(&mut i).and_then(|v| v.parse().ok()) {

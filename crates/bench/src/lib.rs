@@ -8,6 +8,7 @@
 //! commits: that is `kgbench` (`benchmark/README.md`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod churn;
 pub mod experiments;
@@ -23,7 +24,7 @@ pub use experiments::{
 };
 pub use metrics::{fmt_duration, fmt_pct, selectivity, tukey, Tukey};
 pub use profiler::{folded_path_for, profile_report};
-pub use telemetry::{obs_overhead, scale_bench, trace_report, TRACE_SCHEMA};
+pub use telemetry::{obs_overhead, trace_report, TRACE_SCHEMA};
 pub use workload::{
     load_datasets, prepare_workload, run_fixed_walks, run_series,
     select_aj_plan, select_walk_plan, Algo, BenchConfig, Dataset, PreparedQuery, SeriesPoint,

@@ -1,5 +1,5 @@
-//! Telemetry-driven experiments: convergence traces, the pool scaling
-//! sweep, and the disabled-telemetry overhead gate.
+//! Telemetry-driven experiments: convergence traces and the
+//! disabled-telemetry overhead gate.
 //!
 //! These are the observability counterparts of [`crate::experiments`]:
 //! instead of reproducing a figure they exercise the `kgoa-obs` subsystem
@@ -10,10 +10,10 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use kgoa_core::{
-    partitioned_count, run_parallel_streaming, run_traced, supervise, AuditJoin, AuditJoinConfig,
-    Budget, ExactAlgo, ParallelAlgo, StreamConfig, SupervisedResult, SupervisorConfig, WanderJoin,
+    run_parallel, run_traced, supervise, AuditJoin, AuditJoinConfig, Budget, ParallelAlgo,
+    SupervisedResult, SupervisorConfig, WanderJoin,
 };
-use kgoa_engine::{CountEngine, CtjEngine, ExecBudget};
+use kgoa_engine::{CountEngine, CtjEngine};
 use kgoa_obs::Json;
 
 use crate::metrics::fmt_duration;
@@ -157,148 +157,6 @@ pub fn trace_report(
     report
 }
 
-/// One row of the `repro scale` thread sweep.
-struct ScalePoint {
-    threads: usize,
-    wj_walks_per_sec: f64,
-    aj_walks_per_sec: f64,
-    aj_mae: f64,
-    /// Mid-run merged snapshots the streaming observer saw before the
-    /// run completed — the evidence that parallel estimates are online.
-    aj_snapshots: u64,
-    ctj_ms: f64,
-    lftj_ms: f64,
-}
-
-/// Run the pool scaling sweep on the deepest workload query: streaming
-/// parallel WJ/AJ throughput and partitioned exact CTJ/LFTJ wall-clock
-/// at each thread count in {1, 2, 4, 8} capped by `cfg.threads`.
-fn scale_points<'a>(
-    datasets: &[Dataset],
-    workload: &'a [PreparedQuery],
-    cfg: &BenchConfig,
-) -> Option<(&'a PreparedQuery, Vec<ScalePoint>)> {
-    let q = workload.iter().max_by_key(|q| q.generated.step)?;
-    let ig = &datasets[q.dataset].ig;
-    let plan = select_walk_plan(ig, &q.generated.query, cfg);
-    let aj_cfg = AuditJoinConfig {
-        tipping: kgoa_core::Tipping::from_threshold(cfg.tipping_threshold),
-        seed: cfg.seed,
-    };
-    let mut points = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        if threads > cfg.threads.max(1) {
-            break;
-        }
-        let run = |algo: ParallelAlgo| {
-            let mut snapshots = 0u64;
-            let t0 = Instant::now();
-            let outcome = run_parallel_streaming(
-                ig,
-                &q.generated.query,
-                &plan,
-                algo,
-                threads,
-                Budget::Time(cfg.tick),
-                cfg.seed,
-                StreamConfig::default(),
-                |snap| {
-                    if snap.batches_merged > 0 {
-                        snapshots += 1;
-                    }
-                },
-            )
-            .expect("streaming parallel run");
-            let wall = t0.elapsed().as_secs_f64().max(1e-9);
-            let mae =
-                kgoa_engine::mean_absolute_error(&q.exact_distinct, &outcome.estimates);
-            (outcome.stats.walks as f64 / wall, mae, snapshots)
-        };
-        let (wj_walks_per_sec, _, _) = run(ParallelAlgo::WanderJoin);
-        let (aj_walks_per_sec, aj_mae, aj_snapshots) = run(ParallelAlgo::AuditJoin(aj_cfg));
-        let exact = |algo: ExactAlgo| {
-            let t0 = Instant::now();
-            let counts = partitioned_count(
-                ig,
-                &q.generated.query,
-                algo,
-                threads,
-                &ExecBudget::unlimited(),
-            )
-            .expect("partitioned exact");
-            assert_eq!(counts, q.exact_distinct, "partitioned exact must match ground truth");
-            t0.elapsed().as_secs_f64() * 1e3
-        };
-        let ctj_ms = exact(ExactAlgo::Ctj);
-        let lftj_ms = exact(ExactAlgo::Lftj);
-        points.push(ScalePoint {
-            threads,
-            wj_walks_per_sec,
-            aj_walks_per_sec,
-            aj_mae,
-            aj_snapshots,
-            ctj_ms,
-            lftj_ms,
-        });
-    }
-    Some((q, points))
-}
-
-/// `repro scale`: the pool scaling sweep as a human-readable report —
-/// walks/sec for streaming parallel Wander/Audit Join and wall-clock for
-/// partitioned exact CTJ/LFTJ at thread counts {1, 2, 4, 8} (capped by
-/// `--threads`). Every partitioned count is asserted equal to the
-/// workload's ground truth.
-pub fn scale_bench(
-    datasets: &[Dataset],
-    workload: &[PreparedQuery],
-    cfg: &BenchConfig,
-) -> String {
-    let mut report = String::new();
-    writeln!(report, "## Scale — worker pool: streaming estimates + partitioned exact joins\n")
-        .unwrap();
-    let Some((q, points)) = scale_points(datasets, workload, cfg) else {
-        return report;
-    };
-    writeln!(report, "query: {} ({:?} per online run)", q.id, cfg.tick).unwrap();
-    writeln!(
-        report,
-        "{:>8} {:>12} {:>12} {:>10} {:>6} {:>10} {:>10}",
-        "threads", "wj walks/s", "aj walks/s", "aj MAE", "snaps", "ctj", "lftj"
-    )
-    .unwrap();
-    for p in &points {
-        writeln!(
-            report,
-            "{:>8} {:>12.0} {:>12.0} {:>10} {:>6} {:>9.2}ms {:>9.2}ms",
-            p.threads,
-            p.wj_walks_per_sec,
-            p.aj_walks_per_sec,
-            crate::metrics::fmt_pct(p.aj_mae),
-            p.aj_snapshots,
-            p.ctj_ms,
-            p.lftj_ms,
-        )
-        .unwrap();
-    }
-    if let (Some(one), Some(best)) = (points.first(), points.last()) {
-        if best.threads > 1 {
-            writeln!(
-                report,
-                "\nat {} threads vs 1: wj ×{:.2}, aj ×{:.2} walks/s; ctj ×{:.2}, lftj ×{:.2} \
-                 wall-clock",
-                best.threads,
-                best.wj_walks_per_sec / one.wj_walks_per_sec.max(1e-9),
-                best.aj_walks_per_sec / one.aj_walks_per_sec.max(1e-9),
-                one.ctj_ms / best.ctj_ms.max(1e-9),
-                one.lftj_ms / best.lftj_ms.max(1e-9),
-            )
-            .unwrap();
-        }
-    }
-    report
-}
-
 /// `repro obs-overhead`: the CI gate behind the "near-zero cost when
 /// disabled" promise. Measures the median CTJ evaluation time on the
 /// deepest workload query with telemetry disabled and enabled
@@ -307,7 +165,8 @@ pub fn scale_bench(
 /// more than 5% slower than the enabled one. The enabled path does
 /// strictly more work, so it is the conservative baseline.
 ///
-/// A streaming two-worker Audit Join run is then held to the same bar.
+/// A two-worker [`run_parallel`] Audit Join run is then held to the same
+/// bar.
 pub fn obs_overhead(
     datasets: &[Dataset],
     workload: &[PreparedQuery],
@@ -324,28 +183,11 @@ pub fn obs_overhead(
     writeln!(report, "query: {} (CTJ evaluation, {samples} samples per arm)", q.id).unwrap();
 
     let was_enabled = kgoa_obs::enabled();
-    // Two workloads share the gate: the sequential CTJ evaluation (the
-    // original arm) and a 2-way pool-partitioned CTJ, so the pool's
-    // dispatch counters are also held to the near-zero-when-disabled bar.
     let measure = |enable: bool| -> f64 {
         kgoa_obs::set_enabled(enable);
         let t = Instant::now();
         let counts = CtjEngine.evaluate(ig, &q.generated.query).expect("ctj");
         assert_eq!(counts, q.exact_distinct, "CTJ must match ground truth");
-        t.elapsed().as_nanos() as f64
-    };
-    let measure_pool = |enable: bool| -> f64 {
-        kgoa_obs::set_enabled(enable);
-        let t = Instant::now();
-        let counts = partitioned_count(
-            ig,
-            &q.generated.query,
-            ExactAlgo::Ctj,
-            2,
-            &ExecBudget::unlimited(),
-        )
-        .expect("partitioned ctj");
-        assert_eq!(counts, q.exact_distinct, "partitioned CTJ must match ground truth");
         t.elapsed().as_nanos() as f64
     };
     let mut all_ok = true;
@@ -375,18 +217,16 @@ pub fn obs_overhead(
         d <= e * TOLERANCE
     };
     all_ok &= medians(&mut report, "ctj", &measure);
-    all_ok &= medians(&mut report, "pool-ctj×2", &measure_pool);
 
-    // Arm 3: a streaming parallel run, so the worker and merge-loop
+    // Arm 2: a parallel run on the pool, so the worker and pool dispatch
     // counters are held to the same bar.
-    let plan = std::sync::Arc::new(
+    let plan =
         kgoa_query::WalkPlan::canonical(&q.generated.query, &kgoa_index::IndexOrder::PAPER_DEFAULT)
-            .expect("canonical plan"),
-    );
-    let measure_stream = |enable: bool| -> f64 {
+            .expect("canonical plan");
+    let measure_parallel = |enable: bool| -> f64 {
         kgoa_obs::set_enabled(enable);
         let t = Instant::now();
-        run_parallel_streaming(
+        run_parallel(
             ig,
             &q.generated.query,
             &plan,
@@ -394,13 +234,11 @@ pub fn obs_overhead(
             2,
             Budget::WalksPerWorker(512),
             17,
-            StreamConfig::default(),
-            |_| {},
         )
-        .expect("streaming run");
+        .expect("parallel run");
         t.elapsed().as_nanos() as f64
     };
-    all_ok &= medians(&mut report, "stream-aj×2", &measure_stream);
+    all_ok &= medians(&mut report, "parallel-aj×2", &measure_parallel);
 
     kgoa_obs::set_enabled(was_enabled);
     writeln!(report, "{}", if all_ok { "PASS" } else { "FAIL: disabled path regressed" })
@@ -446,6 +284,6 @@ mod tests {
         // quiet; here only the measurement plumbing is checked.
         assert!(r.contains("disabled median"));
         assert!(r.contains("ratio"));
-        assert!(r.contains("stream-aj×2"));
+        assert!(r.contains("parallel-aj×2"));
     }
 }

@@ -35,9 +35,6 @@ pub struct BenchConfig {
     /// Wander Join walk-order trial budget (0 = canonical order). The
     /// paper selects the best WJ order per query (§V-B).
     pub wj_order_trials: u64,
-    /// Cap on the `repro scale` thread sweep (the sweep visits
-    /// {1, 2, 4, 8} ∩ [1, threads]; `--threads 2` makes a CI smoke run).
-    pub threads: usize,
     /// Walks per SoA batch of the walk loop (`--batch`; DESIGN.md §4j).
     pub batch: u64,
 }
@@ -53,7 +50,6 @@ impl Default for BenchConfig {
             seed: 0x000A_0D17,
             tipping_threshold: 1024.0,
             wj_order_trials: 1024,
-            threads: 8,
             batch: 256,
         }
     }

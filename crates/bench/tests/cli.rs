@@ -4,7 +4,7 @@
 use std::process::{Command, Output};
 
 /// Every experiment `repro` accepts, in registry order.
-const SURVIVING: [&str; 16] = [
+const SURVIVING: [&str; 15] = [
     "table1",
     "verify",
     "fig8",
@@ -15,7 +15,6 @@ const SURVIVING: [&str; 16] = [
     "ablate-tipping",
     "ablate-cache",
     "ablate-order",
-    "scale",
     "deadlines",
     "trace",
     "profile",
@@ -56,6 +55,8 @@ fn removed_commands_and_options_print_the_surviving_usage() {
         &[index_ab.as_str()],
         &[parity.as_str()],
         &["table1", layout_flag.as_str(), "csr"],
+        &["scale"],
+        &["table1", "--threads", "2"],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");

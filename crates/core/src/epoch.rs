@@ -14,8 +14,8 @@
 //!   Building a snapshot is O(|delta|), independent of graph size.
 //! - **Epochs** — every append publishes a new immutable
 //!   [`EpochSnapshot`] under a fresh epoch id. Readers [`pin`] an epoch
-//!   and hold an [`EpochGuard`] for the duration of a walk run, exact
-//!   join, or partitioned job: everything they read comes from that one
+//!   and hold an [`EpochGuard`] for the duration of a walk run or exact
+//!   join: everything they read comes from that one
 //!   snapshot, no matter how many batches writers append meanwhile.
 //!   Reclamation is by `Arc` refcount — an old epoch's memory is freed
 //!   exactly when its last guard drops; there is no epoch list to scan

@@ -25,6 +25,8 @@
 //! tolerance.
 
 #![warn(missing_docs)]
+// The pool's lifetime-erasing `Scope::spawn` is the one allowed exception.
+#![deny(unsafe_code)]
 
 pub mod accum;
 pub mod aggregate;
@@ -33,7 +35,6 @@ mod batch;
 pub mod epoch;
 pub mod online;
 pub mod parallel;
-pub mod partitioned;
 pub mod pool;
 pub mod order;
 pub mod pinned;
@@ -54,10 +55,8 @@ pub use online::{
     OnlineAggregator, Snapshot,
 };
 pub use parallel::{
-    run_parallel, run_parallel_streaming, Budget, ParallelAlgo, ParallelError, ParallelOutcome,
-    ParallelSnapshot, StreamConfig,
+    run_parallel, Budget, ParallelAlgo, ParallelError, ParallelOutcome, BATCH,
 };
-pub use partitioned::{partitioned_count, ExactAlgo};
 pub use pool::WorkerPool;
 pub use supervisor::{
     supervise, DegradeReason, Degraded, SupervisedResult, SupervisorConfig, SupervisorError,

@@ -95,9 +95,7 @@ pub fn run_walks_batched<A: OnlineAggregator + ?Sized>(agg: &mut A, walks: u64, 
 /// Mean absolute 95% CI half-width over the groups that have a finite
 /// one (0 when none does: a group without a variance yet reports ∞, which
 /// the JSON writer cannot carry). The one summary number a CI trajectory
-/// is tracked by: [`run_traced`] records it per batch and
-/// [`crate::ParallelSnapshot::mean_ci_half_width`] carries it per
-/// streamed merge, so both feeds agree on the definition.
+/// is tracked by: [`run_traced`] records it per batch.
 pub fn mean_ci_half_width(est: &GroupedEstimates) -> f64 {
     let (sum, n) = est
         .half_widths
@@ -111,13 +109,10 @@ pub fn mean_ci_half_width(est: &GroupedEstimates) -> f64 {
     }
 }
 
-/// Walks per [`OnlineAggregator::step_batch_governed`] call of
-/// [`run_governed`]: the batch size the streaming parallel runner defaults to.
-const GOVERNED_BATCH: u64 = 256;
-
-/// Step the aggregator in governed batches until its budget trips, and
-/// report why it stopped. A batch the walk cap admits only in part is
-/// followed by one that admits nothing, which is the trip.
+/// Step the aggregator in governed batches of [`crate::BATCH`] walks (the
+/// parallel workers' batch) until its budget trips, and report why it
+/// stopped. A batch the walk cap admits only in part is followed by one
+/// that admits nothing, which is the trip.
 ///
 /// The budget **must** be bounded (a deadline, walk limit, or eventual
 /// cancellation) — with a truly unlimited budget this would spin forever,
@@ -134,7 +129,7 @@ pub fn run_governed<A: OnlineAggregator + ?Sized>(
         };
     }
     loop {
-        if let Err(stop) = agg.step_batch_governed(budget, GOVERNED_BATCH) {
+        if let Err(stop) = agg.step_batch_governed(budget, crate::BATCH) {
             return stop;
         }
     }

@@ -1,5 +1,4 @@
-//! Parallel online aggregation on the persistent worker pool — with
-//! *streaming* merged estimates.
+//! Parallel online aggregation on the persistent worker pool.
 //!
 //! The paper's related work (§II) surveys parallel online aggregation
 //! (PF-OLA and friends) and its conclusion lists scaling the approach as a
@@ -14,15 +13,11 @@
 //! [`WorkerPool`] (spawned once, reused across runs) rather than per-call
 //! scoped threads. Each logical worker owns its aggregator for the whole
 //! run — RNG setup, walk buffers and per-step index references are paid
-//! once — and advances it in SoA *batches* of [`StreamConfig::batch`]
-//! walks via [`OnlineAggregator::step_batch`].
-//! After every batch it publishes a snapshot of its accumulator prefix
-//! into its per-worker slot; the caller's thread folds the latest slots
-//! (in worker order, so merges are deterministic) into a live
-//! [`ParallelSnapshot`] on the [`StreamConfig::refresh`] cadence and hands
-//! it to the observer. Parallel runs are therefore *online*: estimates
-//! with valid CIs are observable mid-run, not only after the budget
-//! expires.
+//! once — and advances it in SoA batches of [`BATCH`] walks via
+//! [`OnlineAggregator::step_batch`]. After every batch it publishes its
+//! accumulator prefix into its per-worker slot. Once the scope has
+//! drained, the caller folds the slots once, in worker order, so the
+//! merge is deterministic.
 //!
 //! **Fault isolation.** Every worker runs inside `catch_unwind`. A panic
 //! loses only the walks of the batch that was in flight: the worker's
@@ -36,13 +31,12 @@
 //! per batch ([`kgoa_engine::ExecBudget::charge_walks`]), so *completed*
 //! walks never exceed the cap; each worker discovers the trip at its next
 //! batch (a partial admission is terminal), so walks *started* past the
-//! cap are bounded by `workers × batch` (see `pool.rs` module docs and the
+//! cap are bounded by `workers × BATCH` (see the
 //! `shared_walk_cap_overshoot_is_bounded` test).
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
 use kgoa_engine::{ExecBudget, GroupedEstimates};
 use kgoa_index::IndexedGraph;
@@ -50,9 +44,16 @@ use kgoa_query::{ExplorationQuery, QueryError, WalkPlan};
 
 use crate::accum::{GroupAccumulator, WalkStats};
 use crate::audit::{AuditJoin, AuditJoinConfig};
-use crate::online::{mean_ci_half_width, OnlineAggregator};
+use crate::online::OnlineAggregator;
 use crate::pool::WorkerPool;
 use crate::wander::WanderJoin;
+
+/// Walks per SoA batch: how many walks each worker advances through
+/// [`OnlineAggregator::step_batch`] at a time, and therefore the unit of
+/// publication, budget accounting and panic loss. Larger batches amortize
+/// RNG refills, index probes and slot locking; smaller batches lose less
+/// to a panic (DESIGN.md §4f and §4j).
+pub const BATCH: u64 = 256;
 
 /// Which algorithm a parallel run executes.
 #[derive(Debug, Clone, Copy)]
@@ -86,52 +87,9 @@ pub struct ParallelOutcome {
 pub enum Budget {
     /// A fixed number of walks per worker (deterministic).
     WalksPerWorker(u64),
-    /// A wall-clock budget (each worker runs until the deadline).
-    Time(Duration),
     /// A shared [`ExecBudget`]: all workers step under the same deadline /
     /// cancellation flag / walk counters and stop when it trips.
     Exec(ExecBudget),
-}
-
-/// Batching and refresh cadence for a streaming parallel run.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamConfig {
-    /// Walks per SoA batch: how many walks each worker advances through
-    /// [`OnlineAggregator::step_batch`] at a time, and therefore the unit
-    /// of publication, budget accounting and panic loss. Larger batches
-    /// amortize RNG refills, index probes and slot locking; smaller
-    /// batches refresh the live estimate more often (256 balances the two
-    /// — see DESIGN.md §4f and §4j).
-    pub batch: u64,
-    /// How often the caller folds worker slots into a merged snapshot for
-    /// the observer. Sub-millisecond values are clamped to 1ms.
-    pub refresh: Duration,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig { batch: 256, refresh: Duration::from_millis(25) }
-    }
-}
-
-/// One live merged view of an in-progress parallel run.
-#[derive(Debug, Clone)]
-pub struct ParallelSnapshot {
-    /// Merged per-group estimates with CIs over all published batches.
-    pub estimates: GroupedEstimates,
-    /// Merged walk counters over all published batches.
-    pub stats: WalkStats,
-    /// Mean absolute 95% CI half-width over groups (0 before any group
-    /// has an interval) — the same summary [`crate::run_traced`] records
-    /// per batch, so streaming consumers see the CI trajectory without
-    /// the traced single-thread path.
-    pub mean_ci_half_width: f64,
-    /// Workers that have published at least one batch.
-    pub workers_reporting: usize,
-    /// Total batches folded into this snapshot.
-    pub batches_merged: u64,
-    /// Wall-clock time since the run started.
-    pub elapsed: Duration,
 }
 
 /// Errors from [`run_parallel`].
@@ -179,57 +137,35 @@ impl From<QueryError> for ParallelError {
 /// A worker's latest published prefix: accumulator, counters, batches.
 type Published = (GroupAccumulator, WalkStats, u64);
 
-/// Per-worker publication slots plus a progress counter the merger waits
-/// on. Slots only ever move forward (each publication supersedes the
-/// previous prefix), so folds taken later dominate folds taken earlier —
-/// that is what makes streamed snapshots monotone in walk count.
+/// Per-worker publication slots. Each publication supersedes the
+/// worker's previous prefix, so a slot always holds every batch the worker
+/// completed.
 struct Board {
     slots: Vec<Mutex<Option<Published>>>,
-    progress: Mutex<Progress>,
-    bump: Condvar,
-}
-
-#[derive(Default)]
-struct Progress {
-    publications: u64,
-    finished: usize,
 }
 
 impl Board {
     fn new(workers: usize) -> Self {
-        Board {
-            slots: (0..workers).map(|_| Mutex::new(None)).collect(),
-            progress: Mutex::new(Progress::default()),
-            bump: Condvar::new(),
-        }
+        Board { slots: (0..workers).map(|_| Mutex::new(None)).collect() }
     }
 
     fn publish(&self, worker: usize, published: Published) {
         *self.slots[worker].lock().unwrap() = Some(published);
-        self.progress.lock().unwrap().publications += 1;
-        self.bump.notify_all();
-    }
-
-    fn finish_worker(&self) {
-        self.progress.lock().unwrap().finished += 1;
-        self.bump.notify_all();
     }
 
     /// Merge the latest published prefix of every worker, in worker order.
-    fn fold(&self) -> (GroupAccumulator, WalkStats, u64, usize) {
+    fn fold(&self) -> (GroupAccumulator, WalkStats, u64) {
         let mut accum = GroupAccumulator::new();
         let mut stats = WalkStats::default();
         let mut batches = 0u64;
-        let mut reporting = 0usize;
         for slot in &self.slots {
             if let Some((a, s, b)) = &*slot.lock().unwrap() {
                 accum.merge_from(a);
                 stats.merge_from(s);
                 batches += *b;
-                reporting += 1;
             }
         }
-        (accum, stats, batches, reporting)
+        (accum, stats, batches)
     }
 
     /// Walk counters of one worker's latest publication (0 if none).
@@ -246,9 +182,7 @@ enum WorkerEnd {
 }
 
 /// Run `threads` independent aggregators over the same query on the
-/// persistent pool and merge their estimators (module docs). Equivalent to
-/// [`run_parallel_streaming`] with the default [`StreamConfig`] and no
-/// observer.
+/// persistent pool and merge their estimators (module docs).
 pub fn run_parallel(
     ig: &IndexedGraph,
     query: &ExplorationQuery,
@@ -258,42 +192,10 @@ pub fn run_parallel(
     budget: Budget,
     seed: u64,
 ) -> Result<ParallelOutcome, ParallelError> {
-    run_parallel_streaming(
-        ig,
-        query,
-        plan,
-        algo,
-        threads,
-        budget,
-        seed,
-        StreamConfig::default(),
-        |_| {},
-    )
-}
-
-/// [`run_parallel`] with live merged snapshots: `observer` is called on
-/// the caller's thread with a fresh [`ParallelSnapshot`] whenever new
-/// batches have been published since the last refresh, and once more with
-/// the final merged state. Workers never wait on the observer.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_streaming(
-    ig: &IndexedGraph,
-    query: &ExplorationQuery,
-    plan: &WalkPlan,
-    algo: ParallelAlgo,
-    threads: usize,
-    budget: Budget,
-    seed: u64,
-    config: StreamConfig,
-    mut observer: impl FnMut(&ParallelSnapshot),
-) -> Result<ParallelOutcome, ParallelError> {
     if threads == 0 {
         return Err(ParallelError::NoThreads);
     }
     kgoa_obs::metrics::PARALLEL_WORKERS.add(threads as u64);
-    let start = Instant::now();
-    let batch = config.batch.max(1);
-    let refresh = config.refresh.max(Duration::from_millis(1));
     // One Arc'd plan shared by all workers; query and budget are borrowed
     // straight from the caller's frame — nothing is deep-cloned per worker.
     let plan = Arc::new(plan.clone());
@@ -306,7 +208,7 @@ pub fn run_parallel_streaming(
     // the caller's tree (labelled per worker) instead of vanishing.
     let profile = kgoa_obs::profile::current_handle();
 
-    let merged_batches = WorkerPool::global().scope(|scope| {
+    WorkerPool::global().scope(|scope| {
         for t in 0..threads {
             let plan = Arc::clone(&plan);
             let profile = profile.clone();
@@ -326,7 +228,7 @@ pub fn run_parallel_streaming(
                         ParallelAlgo::WanderJoin => {
                             let mut wj =
                                 WanderJoin::with_plan(ig, query, Arc::clone(&plan), worker_seed)?;
-                            drive_batched(&mut wj, budget, batch, board, t, |a| {
+                            drive_batched(&mut wj, budget, board, t, |a| {
                                 (a.accumulator().clone(), a.stats())
                             });
                             wj.profile_emit();
@@ -335,7 +237,7 @@ pub fn run_parallel_streaming(
                             let cfg = AuditJoinConfig { seed: worker_seed, ..cfg };
                             let mut aj =
                                 AuditJoin::with_plan(ig, query, Arc::clone(&plan), cfg)?;
-                            drive_batched(&mut aj, budget, batch, board, t, |a| {
+                            drive_batched(&mut aj, budget, board, t, |a| {
                                 (a.accumulator().clone(), a.stats())
                             });
                             aj.profile_emit();
@@ -349,44 +251,8 @@ pub fn run_parallel_streaming(
                 };
                 kgoa_obs::metrics::PARALLEL_ACTIVE_WORKERS.add(-1);
                 *outcomes[t].lock().unwrap() = Some(end);
-                board.finish_worker();
             });
         }
-
-        // Merge loop: fold the latest worker slots whenever new batches
-        // arrived, on the refresh cadence, until every worker finished.
-        let mut last_pubs = 0u64;
-        let mut last_batches = 0u64;
-        loop {
-            let (pubs, finished) = {
-                let mut p = board.progress.lock().unwrap();
-                if p.publications == last_pubs && p.finished < threads {
-                    p = board.bump.wait_timeout(p, refresh).unwrap().0;
-                }
-                (p.publications, p.finished)
-            };
-            if pubs > last_pubs {
-                last_pubs = pubs;
-                let (accum, stats, batches, reporting) = board.fold();
-                kgoa_obs::metrics::POOL_BATCHES_MERGED
-                    .add(batches.saturating_sub(last_batches));
-                last_batches = batches;
-                let estimates = accum.estimates(stats.walks);
-                let snapshot = ParallelSnapshot {
-                    mean_ci_half_width: mean_ci_half_width(&estimates),
-                    estimates,
-                    stats,
-                    workers_reporting: reporting,
-                    batches_merged: batches,
-                    elapsed: start.elapsed(),
-                };
-                observer(&snapshot);
-            }
-            if finished == threads {
-                break;
-            }
-        }
-        last_batches
     });
 
     let mut workers_panicked = 0usize;
@@ -429,22 +295,9 @@ pub fn run_parallel_streaming(
         return Err(ParallelError::AllWorkersFailed { workers: threads });
     }
 
-    // Final fold: the merge loop may have exited before the last batches
-    // were folded; this is also the snapshot the observer saw last.
-    let (accum, stats, batches, reporting) = board.fold();
-    kgoa_obs::metrics::POOL_BATCHES_MERGED.add(batches.saturating_sub(merged_batches));
-    let estimates = accum.estimates(stats.walks);
-    let final_snapshot = ParallelSnapshot {
-        mean_ci_half_width: mean_ci_half_width(&estimates),
-        estimates,
-        stats,
-        workers_reporting: reporting,
-        batches_merged: batches,
-        elapsed: start.elapsed(),
-    };
-    observer(&final_snapshot);
+    let (accum, stats, batches) = board.fold();
     Ok(ParallelOutcome {
-        estimates: final_snapshot.estimates,
+        estimates: accum.estimates(stats.walks),
         stats,
         threads,
         workers_panicked,
@@ -459,7 +312,6 @@ pub fn run_parallel_streaming(
 fn drive_batched<A: OnlineAggregator>(
     agg: &mut A,
     budget: &Budget,
-    batch: u64,
     board: &Board,
     worker: usize,
     snap: impl Fn(&A) -> (GroupAccumulator, WalkStats),
@@ -477,26 +329,11 @@ fn drive_batched<A: OnlineAggregator>(
         Budget::WalksPerWorker(n) => {
             let mut done = 0u64;
             while done < *n {
-                let step = batch.min(*n - done);
+                let step = BATCH.min(*n - done);
                 agg.step_batch(step);
                 done += step;
                 batches += 1;
                 publish(agg, batches, step);
-            }
-        }
-        Budget::Time(d) => {
-            let start = Instant::now();
-            while start.elapsed() < *d {
-                let mut in_batch = 0u64;
-                // Check the clock every 64 walks (like `run_timed`) so the
-                // deadline is never overshot by more than a mini-batch.
-                while in_batch < batch && start.elapsed() < *d {
-                    let step = 64.min(batch - in_batch);
-                    agg.step_batch(step);
-                    in_batch += step;
-                }
-                batches += 1;
-                publish(agg, batches, in_batch);
             }
         }
         Budget::Exec(b) => {
@@ -509,8 +346,8 @@ fn drive_batched<A: OnlineAggregator>(
             loop {
                 // A partial admission (`done < batch`) means the shared
                 // walk cap is exhausted — terminal, like an error.
-                let end = match agg.step_batch_governed(b, batch) {
-                    Ok(done) => done < batch,
+                let end = match agg.step_batch_governed(b, BATCH) {
+                    Ok(done) => done < BATCH,
                     Err(_) => true,
                 };
                 // Walks recorded before a mid-batch trip are real samples:
@@ -666,9 +503,9 @@ mod tests {
         assert!(four < one * 0.75, "CI should tighten: 1 thread {one}, 4 threads {four}");
     }
 
-    /// Satellite: the bounded-overshoot contract. Completed walks never
-    /// exceed the shared cap (per-walk charging); walks *started* past the
-    /// cap are at most `workers × batch`.
+    /// The bounded-overshoot contract. Completed walks never exceed the
+    /// shared cap (per-batch charging); walks *started* past the cap are at
+    /// most `workers × BATCH`.
     #[test]
     fn shared_walk_cap_overshoot_is_bounded() {
         let (ig, p, q) = graph();
@@ -676,9 +513,8 @@ mod tests {
         let plan = WalkPlan::canonical(&query, &IndexOrder::PAPER_DEFAULT).unwrap();
         let threads = 4usize;
         let cap = 1_000u64;
-        let config = StreamConfig { batch: 128, ..StreamConfig::default() };
         let budget = ExecBudget::builder().walk_limit(cap).build();
-        let out = run_parallel_streaming(
+        let out = run_parallel(
             &ig,
             &query,
             &plan,
@@ -686,31 +522,28 @@ mod tests {
             threads,
             Budget::Exec(budget.clone()),
             11,
-            config,
-            |_| {},
         )
         .unwrap();
         assert!(out.stats.walks <= cap, "completed walks {} > cap {cap}", out.stats.walks);
         assert!(budget.walks() >= cap, "the fleet must reach the cap");
-        let bound = cap + threads as u64 * config.batch;
+        let bound = cap + threads as u64 * BATCH;
         assert!(
             budget.walks() <= bound,
-            "started walks {} exceed cap {cap} + workers×batch {bound}",
+            "started walks {} exceed cap {cap} + workers×BATCH {bound}",
             budget.walks()
         );
     }
 
-    /// Satellite: mid-run merged snapshots are monotone in walk count and
-    /// the final streamed state is bit-identical to the old end-of-run
-    /// merge (per-worker aggregators merged in worker order).
+    /// The merged result is bit-identical to a replay of each worker: one
+    /// aggregator per worker seed stepped in the same SoA batches the
+    /// workers used, merged in worker order.
     #[test]
-    fn streaming_snapshots_monotone_and_final_matches_end_of_run_merge() {
+    fn merged_result_matches_per_worker_replay() {
         let (ig, p, q) = graph();
         let query = query(p, q, false);
         let plan = WalkPlan::canonical(&query, &IndexOrder::PAPER_DEFAULT).unwrap();
         let (threads, walks, seed) = (2usize, 1_000u64, 42u64);
-        let mut snapshots: Vec<ParallelSnapshot> = Vec::new();
-        let out = run_parallel_streaming(
+        let out = run_parallel(
             &ig,
             &query,
             &plan,
@@ -718,34 +551,9 @@ mod tests {
             threads,
             Budget::WalksPerWorker(walks),
             seed,
-            StreamConfig { batch: 128, refresh: Duration::from_millis(1) },
-            |s| snapshots.push(s.clone()),
         )
         .unwrap();
-        assert!(!snapshots.is_empty());
-        for w in snapshots.windows(2) {
-            assert!(w[1].stats.walks >= w[0].stats.walks, "walks must be monotone");
-            assert!(w[1].batches_merged >= w[0].batches_merged);
-        }
-        for s in &snapshots {
-            // The streamed half-width summary matches the traced path's
-            // definition, recomputed from the snapshot's own estimates.
-            assert_eq!(
-                s.mean_ci_half_width,
-                crate::online::mean_ci_half_width(&s.estimates),
-                "snapshot mean CI half-width must match the shared helper"
-            );
-        }
-        let last = snapshots.last().unwrap();
-        assert_eq!(last.stats.walks, out.stats.walks);
-        assert!(
-            last.mean_ci_half_width > 0.0,
-            "a finished multi-group run has a nonzero mean CI half-width"
-        );
 
-        // The old end-of-run merge, replayed by hand: one aggregator per
-        // worker seed stepped in the same SoA batches the workers used,
-        // merged in worker order.
         let mut accum = GroupAccumulator::new();
         let mut stats = WalkStats::default();
         for t in 0..threads {
@@ -753,7 +561,7 @@ mod tests {
                 seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(t as u64 + 1));
             let mut wj =
                 WanderJoin::with_plan(&ig, &query, plan.clone(), worker_seed).unwrap();
-            crate::online::run_walks_batched(&mut wj, walks, 128);
+            crate::online::run_walks_batched(&mut wj, walks, BATCH);
             accum.merge_from(wj.accumulator());
             stats.merge_from(&wj.stats());
         }
@@ -769,40 +577,5 @@ mod tests {
                 "group {g} half-width"
             );
         }
-    }
-
-    /// Acceptance: at least one merged snapshot is observable *before*
-    /// the run completes. The observer itself cancels the shared budget
-    /// after the first non-empty snapshot — the walk cap is far beyond
-    /// reach, so the run could only have ended through that mid-run
-    /// observation.
-    #[test]
-    fn streaming_exposes_mid_run_snapshot_before_completion() {
-        let (ig, p, q) = graph();
-        let query = query(p, q, false);
-        let plan = WalkPlan::canonical(&query, &IndexOrder::PAPER_DEFAULT).unwrap();
-        let budget = ExecBudget::builder().walk_limit(u64::MAX / 2).build();
-        let cancel = budget.clone();
-        let mut mid_run_walks = 0u64;
-        let out = run_parallel_streaming(
-            &ig,
-            &query,
-            &plan,
-            ParallelAlgo::WanderJoin,
-            2,
-            Budget::Exec(budget),
-            13,
-            StreamConfig { batch: 64, refresh: Duration::from_millis(1) },
-            |snap| {
-                if snap.stats.walks > 0 && mid_run_walks == 0 {
-                    mid_run_walks = snap.stats.walks;
-                    cancel.cancel();
-                }
-            },
-        )
-        .unwrap();
-        assert!(mid_run_walks > 0, "a mid-run snapshot must have been observed");
-        assert!(out.stats.walks >= mid_run_walks);
-        assert!(!out.estimates.is_empty());
     }
 }

@@ -15,18 +15,19 @@
 //! bookkeeping) wrap their own `catch_unwind` inside the job.
 //!
 //! **Deadlock freedom.** While a scope waits for its jobs it *helps*: it
-//! pops and runs queued jobs instead of sleeping, so a scope opened from
-//! inside a pool job (nested parallelism) cannot starve itself even when
-//! every pool thread is blocked in a scope wait.
+//! pops and runs queued jobs *of its own scope* instead of sleeping, so a
+//! scope opened from inside a pool job (nested parallelism) cannot starve
+//! itself even when every pool thread is blocked in a scope wait. Detached
+//! jobs and other scopes' jobs are left to the pool threads, so a waiting
+//! caller never runs, say, a background merge on its own thread.
 //!
 //! **Bounded-overshoot contract.** Walk executors built on the pool
-//! ([`crate::run_parallel`]) account work in batches of
-//! [`crate::StreamConfig::batch`] walks. A shared
-//! [`kgoa_engine::ExecBudget`] walk cap is charged *per walk* (not per
-//! batch), so completed walks never exceed the cap at all; in-flight walks
+//! ([`crate::run_parallel`]) account work in batches of [`crate::BATCH`]
+//! walks. A shared [`kgoa_engine::ExecBudget`] walk cap is charged per
+//! batch, so completed walks never exceed the cap at all; in-flight walks
 //! aborted by the cap are bounded by one batch per worker, i.e. the total
 //! number of walks ever *started* beyond the cap is at most
-//! `workers × batch`. The `shared_walk_cap_overshoot_is_bounded` test in
+//! `workers × BATCH`. The `shared_walk_cap_overshoot_is_bounded` test in
 //! `parallel.rs` pins this contract.
 
 use std::collections::VecDeque;
@@ -41,29 +42,37 @@ use std::time::Duration;
 /// the borrowed environment alive until the job has run.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// A queued job with the latch of the scope that spawned it (`None` for
+/// a detached job).
+struct Queued {
+    scope: Option<Arc<Latch>>,
+    job: Job,
+}
+
 /// State shared between the submitting side and the pool threads.
 struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<Queued>>,
     work_ready: Condvar,
     shutdown: AtomicBool,
 }
 
 impl PoolShared {
-    fn push(&self, job: Job) {
+    fn push(&self, queued: Queued) {
         let mut q = self.queue.lock().unwrap();
-        q.push_back(job);
+        q.push_back(queued);
         kgoa_obs::metrics::POOL_TASKS_DISPATCHED.inc();
         kgoa_obs::metrics::POOL_QUEUE_DEPTH.add(1);
         drop(q);
         self.work_ready.notify_one();
     }
 
-    fn try_pop(&self) -> Option<Job> {
-        let job = self.queue.lock().unwrap().pop_front();
-        if job.is_some() {
-            kgoa_obs::metrics::POOL_QUEUE_DEPTH.add(-1);
-        }
-        job
+    /// Pop the oldest queued job spawned by the scope behind `latch`.
+    fn try_pop_scoped(&self, latch: &Arc<Latch>) -> Option<Job> {
+        let mut q = self.queue.lock().expect("jobs run outside the queue lock");
+        let i = q.iter().position(|e| e.scope.as_ref().is_some_and(|l| Arc::ptr_eq(l, latch)))?;
+        let queued = q.remove(i)?;
+        kgoa_obs::metrics::POOL_QUEUE_DEPTH.add(-1);
+        Some(queued.job)
     }
 }
 
@@ -180,16 +189,17 @@ impl WorkerPool {
     where
         F: FnOnce() + Send + 'static,
     {
-        self.shared.push(Box::new(f));
+        self.shared.push(Queued { scope: None, job: Box::new(f) });
     }
 
-    /// Block until `latch` clears, running queued jobs while waiting.
-    fn wait_latch(&self, latch: &Latch) {
+    /// Block until `latch` clears, running the scope's own queued jobs
+    /// while waiting.
+    fn wait_latch(&self, latch: &Arc<Latch>) {
         loop {
             if latch.is_clear() {
                 return;
             }
-            if let Some(job) = self.shared.try_pop() {
+            if let Some(job) = self.shared.try_pop_scoped(latch) {
                 // Helping keeps nested scopes deadlock-free and puts the
                 // waiting thread to work instead of sleeping.
                 let _ = catch_unwind(AssertUnwindSafe(job));
@@ -217,9 +227,9 @@ fn worker_loop(shared: &PoolShared) {
         let job = {
             let mut q = shared.queue.lock().unwrap();
             loop {
-                if let Some(job) = q.pop_front() {
+                if let Some(queued) = q.pop_front() {
                     kgoa_obs::metrics::POOL_QUEUE_DEPTH.add(-1);
-                    break Some(job);
+                    break Some(queued.job);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     break None;
@@ -252,6 +262,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     /// Queue `f` on the pool. It may borrow from `'env`; the scope's exit
     /// blocks on its completion (panic included — the latch decrements in
     /// a drop guard).
+    #[allow(unsafe_code)]
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'env,
@@ -271,7 +282,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job)
         };
-        self.pool.shared.push(job);
+        self.pool.shared.push(Queued { scope: Some(Arc::clone(&self.latch)), job });
     }
 }
 
@@ -349,6 +360,31 @@ mod tests {
             });
         }
         assert_eq!(total.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn scope_wait_leaves_detached_jobs_to_pool_threads() {
+        // One pool thread, busy with a scoped job; a detached job queued
+        // behind it must wait for that thread, not run on the caller
+        // while the caller waits for its scope. The sleep only keeps the
+        // thread busy while the scope waits; correct code passes however
+        // the threads interleave.
+        let pool = WorkerPool::new(1);
+        let caller = std::thread::current().id();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (ran_on_tx, ran_on_rx) = std::sync::mpsc::channel();
+        pool.scope(|s| {
+            s.spawn(move || {
+                started_tx.send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(100));
+            });
+            started_rx.recv().unwrap();
+            pool.spawn_detached(move || {
+                ran_on_tx.send(std::thread::current().id()).unwrap();
+            });
+        });
+        let ran_on = ran_on_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_ne!(ran_on, caller, "the scope's wait ran a detached job");
     }
 
     #[test]

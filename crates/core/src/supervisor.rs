@@ -53,11 +53,6 @@ pub struct SupervisorConfig {
     /// Optional work cap (budget-meter ticks ≈ enumerated rows) for the
     /// exact attempt, independent of the deadline.
     pub exact_work_limit: Option<u64>,
-    /// Partitions for the exact rung: `> 1` splits CTJ over the first walk
-    /// step's row range and runs the slices on the persistent worker pool
-    /// ([`crate::partitioned`]); `0`/`1` is the sequential engine. A
-    /// partition panic still degrades through the ladder.
-    pub exact_threads: usize,
     /// Shed the exact rung entirely and go straight to online estimates.
     /// Set from [`crate::EpochManager::under_pressure`]: when a sustained
     /// ingest stream has outgrown the background merge, the exact rung's
@@ -81,7 +76,6 @@ impl Default for SupervisorConfig {
             deadline: Duration::from_secs(1),
             exact_fraction: 0.5,
             exact_work_limit: None,
-            exact_threads: 1,
             ingest_pressure: false,
             audit: AuditJoinConfig::default(),
             #[cfg(feature = "fault-inject")]
@@ -255,17 +249,7 @@ pub fn supervise(
         let exact_budget = builder.build();
         let exact_span = kgoa_obs::Span::timed(&kgoa_obs::metrics::EXACT_RUNG_NS);
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            if config.exact_threads > 1 {
-                crate::partitioned::partitioned_count(
-                    ig,
-                    query,
-                    crate::partitioned::ExactAlgo::Ctj,
-                    config.exact_threads,
-                    &exact_budget,
-                )
-            } else {
-                CtjEngine.evaluate_governed(ig, query, &exact_budget)
-            }
+            CtjEngine.evaluate_governed(ig, query, &exact_budget)
         }));
         drop(exact_span);
         match attempt {
@@ -470,22 +454,6 @@ mod tests {
         let exact = YannakakisEngine.evaluate(&ig, &query).unwrap();
         let out = supervise(&ig, &query, &SupervisorConfig::with_deadline(Duration::MAX));
         match out.unwrap() {
-            SupervisedResult::Exact { counts, .. } => assert_eq!(counts, exact),
-            other => panic!("expected exact, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn partitioned_exact_rung_matches_sequential() {
-        let (ig, p, q) = graph();
-        let query = query(p, q);
-        let exact = YannakakisEngine.evaluate(&ig, &query).unwrap();
-        let config = SupervisorConfig {
-            deadline: Duration::from_secs(30),
-            exact_threads: 4,
-            ..SupervisorConfig::default()
-        };
-        match supervise(&ig, &query, &config).unwrap() {
             SupervisedResult::Exact { counts, .. } => assert_eq!(counts, exact),
             other => panic!("expected exact, got {other:?}"),
         }

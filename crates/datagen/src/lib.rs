@@ -9,6 +9,7 @@
 //! `kgoa_rdf::ntriples` instead when available.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod generate;

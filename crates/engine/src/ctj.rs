@@ -84,7 +84,7 @@ impl DepKey {
 pub struct CtjCounter<'g> {
     ig: &'g IndexedGraph,
     /// Shared so co-operating executors (Audit Join's estimator, pinned
-    /// `Pr(a,b)` computations, parallel partitions) reuse one plan.
+    /// `Pr(a,b)` computations, parallel workers) reuse one plan.
     plan: std::sync::Arc<WalkPlan>,
     deps: Vec<DepKey>,
     /// Raw dependency sets behind [`CtjCounter::suffix_dep_vars`] (sorted).

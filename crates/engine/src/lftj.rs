@@ -62,13 +62,6 @@ pub struct LftjExec<'g> {
     /// True once a constant-only pattern has been verified absent — the
     /// result is empty regardless of the rest.
     empty: bool,
-    /// The recursion reports results at this rank (normally the full plan
-    /// depth; [`LftjExec::rank0_keys`] truncates it to harvest the first
-    /// variable's intersection without enumerating deeper levels).
-    max_rank: usize,
-    /// Inclusive key window for the first plan variable; partitioned runs
-    /// ([`crate::partition`]) restrict each worker to a disjoint window.
-    rank0_window: Option<(u32, u32)>,
 }
 
 impl<'g> LftjExec<'g> {
@@ -97,33 +90,7 @@ impl<'g> LftjExec<'g> {
         }
         let assignment = vec![0u32; query.var_count()];
         let op_stats = vec![LftjVarStats::default(); plan.var_order().len()];
-        let max_rank = plan.var_order().len();
-        Ok(LftjExec { plan, cursors, assignment, op_stats, empty, max_rank, rank0_window: None })
-    }
-
-    /// Restrict the first plan variable to the inclusive key window
-    /// `[lo, hi]`. Used by partitioned evaluation: disjoint windows make
-    /// disjoint result sets, so per-partition counts merge by addition.
-    pub fn set_rank0_window(&mut self, lo: u32, hi: u32) {
-        self.rank0_window = Some((lo, hi));
-    }
-
-    /// The first plan variable's surviving keys — the leapfrog intersection
-    /// at rank 0 only, without enumerating deeper levels. This is the
-    /// partition domain for parallel runs; keys come back ascending.
-    pub fn rank0_keys(&mut self, budget: &ExecBudget) -> Result<Vec<u32>, BudgetExceeded> {
-        if self.empty {
-            return Ok(Vec::new());
-        }
-        let var0 = self.plan.var_order()[0].index();
-        let saved = self.max_rank;
-        self.max_rank = 1;
-        let mut keys = Vec::new();
-        let mut meter = budget.meter();
-        let result = self.solve(0, &mut meter, &mut |asg: &[u32]| keys.push(asg[var0]));
-        self.max_rank = saved;
-        result?;
-        Ok(keys)
+        Ok(LftjExec { plan, cursors, assignment, op_stats, empty })
     }
 
     /// Per-variable operator counters accumulated so far, indexed by plan
@@ -185,7 +152,7 @@ impl<'g> LftjExec<'g> {
         on_result: &mut impl FnMut(&[u32]),
     ) -> Result<(), BudgetExceeded> {
         meter.tick()?;
-        if rank == self.max_rank {
+        if rank == self.plan.var_order().len() {
             on_result(&self.assignment);
             return Ok(());
         }
@@ -267,13 +234,11 @@ impl<'g> LftjExec<'g> {
     ) -> Result<(), BudgetExceeded> {
         // All cursors are open at the variable's level and not at end.
         let var = self.plan.var_order()[rank];
-        let window = if rank == 0 { self.rank0_window } else { None };
         'outer: loop {
             meter.tick()?;
             self.op_stats[rank].probes += 1;
-            // Align all cursors on a common key — seeded with the window's
-            // lower bound so a partitioned run skips straight to its slice.
-            let mut maxk = window.map_or(0, |(lo, _)| lo);
+            // Align all cursors on a common key.
+            let mut maxk = 0;
             for &(pi, _) in occs {
                 maxk = maxk.max(self.cursors[pi].key());
             }
@@ -292,12 +257,6 @@ impl<'g> LftjExec<'g> {
                 }
                 if all_eq {
                     break;
-                }
-            }
-            if let Some((_, hi)) = window {
-                if maxk > hi {
-                    // Past the partition's upper bound: this slice is done.
-                    break 'outer;
                 }
             }
             self.assignment[var.index()] = maxk;

@@ -18,6 +18,7 @@
 //! builds on.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod budget;
@@ -25,7 +26,6 @@ pub mod ctj;
 pub mod engines;
 pub mod error;
 pub mod lftj;
-pub mod partition;
 pub mod result;
 pub mod yannakakis;
 
@@ -37,11 +37,6 @@ pub use ctj::{ctj_count, CacheStats, CtjCounter, StepCacheStats};
 pub use engines::{BaselineEngine, CountEngine, CtjEngine, LftjEngine, YannakakisEngine};
 pub use error::EngineError;
 pub use lftj::{lftj_count, lftj_count_governed, LftjExec, LftjVarStats};
-pub use partition::{
-    chunk_bounds, ctj_count_partition, ctj_distinct_partition, key_windows,
-    lftj_count_partition, lftj_distinct_partition, lftj_rank0_keys, merge_counts,
-    merge_distinct_pairs,
-};
 pub use result::{mean_absolute_error, mean_ci_width, GroupedCounts, GroupedEstimates};
 pub use yannakakis::{
     count_distinct_values, yannakakis_grouped_distinct, yannakakis_grouped_distinct_governed,

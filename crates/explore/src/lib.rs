@@ -8,6 +8,7 @@
 //! experimental study (§V-B).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chart;
 pub mod error;

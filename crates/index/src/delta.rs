@@ -265,40 +265,6 @@ impl TrieIndex {
         }
     }
 
-    /// Like [`TrieIndex::positions`] but starting at the `skip`-th live
-    /// position (used by partitioned exact joins to chunk a live range
-    /// without scanning the skipped prefix).
-    pub fn positions_from(&self, r: LiveRange, skip: u32) -> LivePositions<'_> {
-        let live_main = r.live_main();
-        let (tomb, _): (&[u32], bool) = match self.delta_part() {
-            None => (&[], false),
-            Some(d) => (&d.tomb, true),
-        };
-        if skip >= live_main {
-            // Entirely within the adds suffix.
-            let dskip = skip - live_main;
-            return LivePositions {
-                tomb,
-                ti: tomb.len(),
-                cur: r.main.end,
-                main_end: r.main.end,
-                delta_cur: (r.delta.start + dskip).min(r.delta.end),
-                delta_end: r.delta.end,
-                main_len: self.len() as u32,
-            };
-        }
-        let start = self.nth_live_main(r.main, skip);
-        LivePositions {
-            tomb,
-            ti: tomb.partition_point(|&t| t < start),
-            cur: start,
-            main_end: r.main.end,
-            delta_cur: r.delta.start,
-            delta_end: r.delta.end,
-            main_len: self.len() as u32,
-        }
-    }
-
     /// The `k`-th (0-based) non-tombstoned position of a main range, found
     /// by binary rank-select over the tombstone array.
     fn nth_live_main(&self, main: RowRange, k: u32) -> u32 {
@@ -430,17 +396,6 @@ mod tests {
         );
         assert_eq!(live_rows(&idx, idx.range1_live(3)), Vec::<[u32; 3]>::new());
         assert_eq!(idx.to_rows_live(), rows, "to_rows_live sorted");
-    }
-
-    #[test]
-    fn positions_from_skips_exactly() {
-        let idx = overlaid();
-        let full = idx.full_live();
-        let all: Vec<u32> = idx.positions(full).collect();
-        for skip in 0..=all.len() as u32 {
-            let got: Vec<u32> = idx.positions_from(full, skip).collect();
-            assert_eq!(got, all[skip as usize..], "skip {skip}");
-        }
     }
 
     #[test]

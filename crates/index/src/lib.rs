@@ -25,6 +25,7 @@
 //!   memo tables and the statistics use (the index itself holds no map).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod columnar;

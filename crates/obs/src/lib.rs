@@ -33,6 +33,7 @@
 //! [`reset`] between measurement windows.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod events;
 pub mod json;

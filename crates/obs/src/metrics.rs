@@ -300,8 +300,6 @@ well_known! {
             "Worker threads that panicked and were discarded.",
         POOL_TASKS_DISPATCHED => "core.pool.tasks_dispatched":
             "Jobs queued on the persistent worker pool.",
-        POOL_BATCHES_MERGED => "core.pool.batches_merged":
-            "Walk batches folded into live merged estimates.",
         EXPLORE_EXPANSIONS => "explore.expansions":
             "Session chart expansions evaluated.",
         DATAGEN_GRAPHS => "datagen.graphs_generated":

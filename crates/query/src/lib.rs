@@ -16,6 +16,7 @@
 //! drives Audit Join's tipping point (§IV-D).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod estimate;

@@ -10,6 +10,7 @@
 //! deterministic per seed but differ numerically from upstream `rand`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -17,6 +17,7 @@
 //! boundary.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dictionary;
 pub mod error;

@@ -48,6 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// RDF substrate (re-export of `kgoa-rdf`).
 pub use kgoa_rdf as rdf;
@@ -75,15 +76,13 @@ pub use kgoa_datagen as datagen;
 /// Disabled by default; flip on with `kgoa::obs::set_enabled(true)`.
 pub use kgoa_obs as obs;
 
-/// Parallel execution: the persistent worker pool, streaming parallel
-/// online aggregation, and partitioned exact joins (a thin facade over
-/// `kgoa-core`'s `pool`, `parallel` and `partitioned` modules).
+/// Parallel execution: the persistent worker pool and parallel online
+/// aggregation (a thin facade over `kgoa-core`'s `pool` and `parallel`
+/// modules).
 pub mod exec {
     pub use kgoa_core::parallel::{
-        run_parallel, run_parallel_streaming, Budget, ParallelAlgo, ParallelError,
-        ParallelOutcome, ParallelSnapshot, StreamConfig,
+        run_parallel, Budget, ParallelAlgo, ParallelError, ParallelOutcome, BATCH,
     };
-    pub use kgoa_core::partitioned::{partitioned_count, ExactAlgo};
     pub use kgoa_core::pool::{Scope, WorkerPool};
 }
 

@@ -78,11 +78,10 @@ fn rebuild_from_live(ig: &IndexedGraph) -> IndexedGraph {
 
 /// The MVCC stress test: a writer thread appends insert/delete batches
 /// (triggering background merges) while readers pin epochs and run walks
-/// and partitioned exact joins. Every pinned computation must be
-/// (a) internally consistent — the partitioned exact join over the
-/// overlay equals the sequential join and the ground truth from a
-/// rebuilt graph — and (b) *bit-identical* to a quiet-system re-run on
-/// the same pinned snapshot after the writer has stopped.
+/// and exact joins. Every pinned computation must be (a) correct — the
+/// exact join over the overlay equals the ground truth from a rebuilt
+/// graph — and (b) *bit-identical* to a quiet-system re-run on the same
+/// pinned snapshot after the writer has stopped.
 #[test]
 fn concurrent_readers_pin_epochs_while_writer_churns() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -149,29 +148,16 @@ fn concurrent_readers_pin_epochs_while_writer_churns() {
 
     // Readers: pin an epoch mid-churn, estimate and exactly count on it.
     let config = AuditJoinConfig { seed: 0xC0FFEE, ..AuditJoinConfig::default() };
-    let budget = ExecBudget::unlimited();
     let mut pinned_runs = Vec::new();
     for _ in 0..4 {
         let guard = mgr.pin();
         let mut aj = AuditJoin::new(&guard, &query, config).unwrap();
         run_walks(&mut aj, 2_000);
-        let sequential = CtjEngine.evaluate(&guard, &query).unwrap();
-        let partitioned = kgoa::exec::partitioned_count(
-            &guard,
-            &query,
-            kgoa::exec::ExactAlgo::Ctj,
-            4,
-            &budget,
-        )
-        .unwrap();
-        assert_eq!(
-            partitioned, sequential,
-            "partitioned exact join must agree on a pinned overlay snapshot"
-        );
+        let exact = CtjEngine.evaluate(&guard, &query).unwrap();
         let estimates = aj.estimates();
         let walks = aj.stats().walks;
         drop(aj);
-        pinned_runs.push((guard, estimates, walks, partitioned));
+        pinned_runs.push((guard, estimates, walks, exact));
         std::thread::yield_now();
     }
     stop.store(true, Ordering::Relaxed);
