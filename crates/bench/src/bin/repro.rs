@@ -16,7 +16,7 @@
 //!   --seed N                          workload seed
 //!   --tipping X                       AJ tipping threshold (default 1024)
 //!   --batch N                         walks per SoA batch (default 256)
-//!   --out PATH                        JSON output path (trace, profile)
+//!   --out PATH                        JSON output path (profile)
 //!   --paper                           paper protocol: 9 ticks × 1 s
 //! ```
 
@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 
 use kgoa_bench::{
     ablate_cache, ablate_order, ablate_tipping, churn_bench, deadline_sweep, fig11, fig8, fig9_10,
-    load_datasets, obs_overhead, prepare_workload, profile_report, sample_time, table1,
-    trace_report, verify_engines, BenchConfig, Dataset, PreparedQuery,
+    load_datasets, prepare_workload, profile_report, sample_time, table1, verify_engines,
+    BenchConfig, Dataset, PreparedQuery,
 };
 use kgoa_datagen::Scale;
 
@@ -134,12 +134,6 @@ const EXPERIMENTS: &[Experiment] = &[
         needs_workload: true,
     },
     Experiment {
-        name: "trace",
-        help: "convergence traces + telemetry snapshot (JSON, kgoa-obs)",
-        run: |c| ok(trace_report(c.datasets, c.workload, c.cfg, c.opts.out.as_deref())),
-        needs_workload: true,
-    },
-    Experiment {
         name: "profile",
         help: "EXPLAIN ANALYZE span tree + folded flamegraph (kgoa-obs/v2)",
         run: |c| ok(profile_report(c.datasets, c.workload, c.cfg, c.opts.out.as_deref())),
@@ -150,12 +144,6 @@ const EXPERIMENTS: &[Experiment] = &[
         help: "live updates under query load: MVCC epoch gate (nonzero exit on fail)",
         run: |c| churn_bench(c.cfg),
         needs_workload: false,
-    },
-    Experiment {
-        name: "obs-overhead",
-        help: "disabled-telemetry overhead gate (nonzero exit on fail)",
-        run: |c| obs_overhead(c.datasets, c.workload, 15),
-        needs_workload: true,
     },
 ];
 
@@ -176,7 +164,7 @@ fn usage() -> ExitCode {
          --seed N                          workload seed\n  \
          --tipping X                       AJ tipping threshold (default 1024)\n  \
          --batch N                         walks per SoA batch (default 256)\n  \
-         --out PATH                        JSON output path (trace, profile)\n  \
+         --out PATH                        JSON output path (profile)\n  \
          --paper                           paper protocol: 9 ticks × 1 s"
     );
     ExitCode::FAILURE

@@ -14,7 +14,6 @@ pub mod churn;
 pub mod experiments;
 pub mod metrics;
 pub mod profiler;
-pub mod telemetry;
 pub mod workload;
 
 pub use churn::churn_bench;
@@ -24,7 +23,6 @@ pub use experiments::{
 };
 pub use metrics::{fmt_duration, fmt_pct, selectivity, tukey, Tukey};
 pub use profiler::{folded_path_for, profile_report};
-pub use telemetry::{obs_overhead, trace_report, TRACE_SCHEMA};
 pub use workload::{
     load_datasets, prepare_workload, run_fixed_walks, run_series,
     select_aj_plan, select_walk_plan, Algo, BenchConfig, Dataset, PreparedQuery, SeriesPoint,

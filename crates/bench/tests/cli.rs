@@ -4,7 +4,7 @@
 use std::process::{Command, Output};
 
 /// Every experiment `repro` accepts, in registry order.
-const SURVIVING: [&str; 15] = [
+const SURVIVING: [&str; 13] = [
     "table1",
     "verify",
     "fig8",
@@ -16,10 +16,8 @@ const SURVIVING: [&str; 15] = [
     "ablate-cache",
     "ablate-order",
     "deadlines",
-    "trace",
     "profile",
     "churn",
-    "obs-overhead",
 ];
 
 fn repro(args: &[&str]) -> Output {
@@ -44,6 +42,7 @@ fn removed_commands_and_options_print_the_surviving_usage() {
     let index_ab = ["index", "bench"].join("-");
     let parity = ["layout", "parity"].join("-");
     let layout_flag = ["--lay", "out"].concat();
+    let overhead = ["obs", "overhead"].join("-");
     for args in [
         &["regress"][..],
         &[export.as_str()],
@@ -57,6 +56,8 @@ fn removed_commands_and_options_print_the_surviving_usage() {
         &["table1", layout_flag.as_str(), "csr"],
         &["scale"],
         &["table1", "--threads", "2"],
+        &["trace"],
+        &[overhead.as_str()],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");

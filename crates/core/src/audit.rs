@@ -377,7 +377,6 @@ impl<'g> AuditJoin<'g> {
         n: usize,
         bs: &mut crate::batch::BatchScratch,
     ) -> Result<(), BudgetExceeded> {
-        use kgoa_obs::metrics as m;
         let vc = self.plan.var_count();
         let steps_n = self.plan.len();
         let mut meter = budget.meter();
@@ -397,7 +396,6 @@ impl<'g> AuditJoin<'g> {
             self.step_rejects[i] += dead;
             self.stats.walks += dead;
             self.stats.rejected += dead;
-            m::WALKS.add(dead);
             if i + 1 == steps_n {
                 for w in 0..n {
                     if !bs.alive[w] {
@@ -408,7 +406,6 @@ impl<'g> AuditJoin<'g> {
                     self.finish_full(bs.weights[w], &mut meter)?;
                     self.stats.walks += 1;
                     self.stats.full += 1;
-                    m::WALKS.inc();
                 }
                 break;
             }
@@ -437,11 +434,9 @@ impl<'g> AuditJoin<'g> {
                     let contributed =
                         self.finish_tipped(i + 1, next, bs.weights[w], &mut meter)?;
                     self.stats.walks += 1;
-                    m::WALKS.inc();
                     if contributed {
                         self.stats.tipped += 1;
                         self.step_tips[i + 1] += 1;
-                        m::AJ_TIP_STEP.record((i + 1) as u64);
                     } else {
                         self.stats.rejected += 1;
                         self.step_rejects[i + 1] += 1;

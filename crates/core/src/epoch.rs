@@ -202,8 +202,6 @@ impl EpochManager {
     pub fn new(main: IndexedGraph, config: EpochConfig) -> Arc<Self> {
         assert!(!main.has_delta(), "epoch manager mains are delta-free");
         let snapshot = Arc::new(EpochSnapshot { ig: main.clone(), epoch: 0 });
-        kgoa_obs::metrics::EPOCH_CURRENT.set(0);
-        kgoa_obs::metrics::DELTA_ROWS.set(0);
         Arc::new(EpochManager {
             state: Mutex::new(EpochState {
                 main,
@@ -322,9 +320,6 @@ impl EpochManager {
             (st.epoch, st.adds.len() + st.dels.len())
         };
 
-        kgoa_obs::metrics::EPOCH_PUBLISHED.inc();
-        kgoa_obs::metrics::EPOCH_CURRENT.set(epoch as i64);
-        kgoa_obs::metrics::DELTA_ROWS.set(delta_rows as i64);
         kgoa_obs::events::emit_with(
             kgoa_obs::Level::Debug,
             "epoch",
@@ -389,13 +384,11 @@ impl EpochManager {
         }
         let _clear = ClearFlag(&self.merge_running);
 
-        kgoa_obs::metrics::MERGE_STARTED.inc();
         kgoa_obs::events::debug("epoch", "merge started");
         let mut backoff = self.config.retry_backoff;
         for attempt in 0..=self.config.merge_retries {
             match catch_unwind(AssertUnwindSafe(|| self.merge_once())) {
                 Ok(Ok(merged_rows)) => {
-                    kgoa_obs::metrics::MERGE_COMPLETED.inc();
                     kgoa_obs::events::emit_with(
                         kgoa_obs::Level::Info,
                         "epoch",
@@ -418,7 +411,6 @@ impl EpochManager {
                     return;
                 }
                 Err(_) if attempt < self.config.merge_retries => {
-                    kgoa_obs::metrics::MERGE_RETRIED.inc();
                     kgoa_obs::events::emit_with(
                         kgoa_obs::Level::Warn,
                         "epoch",
@@ -482,7 +474,6 @@ impl EpochManager {
         };
         let epoch = st.epoch + 1;
         let rows = new_main.len();
-        let delta_rows = adds.len() + dels.len();
         #[cfg(feature = "fault-inject")]
         self.fire_crash_point(MergeCrashPoint::MidSwap);
         *st = EpochState {
@@ -494,9 +485,6 @@ impl EpochManager {
             snapshot: Arc::new(EpochSnapshot { ig: snapshot, epoch }),
         };
         drop(st);
-        kgoa_obs::metrics::EPOCH_PUBLISHED.inc();
-        kgoa_obs::metrics::EPOCH_CURRENT.set(epoch as i64);
-        kgoa_obs::metrics::DELTA_ROWS.set(delta_rows as i64);
         #[cfg(feature = "fault-inject")]
         self.fire_crash_point(MergeCrashPoint::PostPublish);
         Ok(rows)

@@ -51,8 +51,7 @@ pub use epoch::{EpochConfig, EpochGuard, EpochManager, EpochSnapshot};
 #[cfg(feature = "fault-inject")]
 pub use epoch::MergeCrashPoint;
 pub use online::{
-    mean_ci_half_width, run_governed, run_timed, run_traced, run_walks, run_walks_batched,
-    OnlineAggregator, Snapshot,
+    run_governed, run_timed, run_walks, run_walks_batched, OnlineAggregator, Snapshot,
 };
 pub use parallel::{
     run_parallel, Budget, ParallelAlgo, ParallelError, ParallelOutcome, BATCH,

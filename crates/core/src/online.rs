@@ -92,23 +92,6 @@ pub fn run_walks_batched<A: OnlineAggregator + ?Sized>(agg: &mut A, walks: u64, 
     }
 }
 
-/// Mean absolute 95% CI half-width over the groups that have a finite
-/// one (0 when none does: a group without a variance yet reports ∞, which
-/// the JSON writer cannot carry). The one summary number a CI trajectory
-/// is tracked by: [`run_traced`] records it per batch.
-pub fn mean_ci_half_width(est: &GroupedEstimates) -> f64 {
-    let (sum, n) = est
-        .half_widths
-        .values()
-        .filter(|w| w.is_finite())
-        .fold((0.0, 0usize), |(sum, n), w| (sum + w, n + 1));
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
 /// Step the aggregator in governed batches of [`crate::BATCH`] walks (the
 /// parallel workers' batch) until its budget trips, and report why it
 /// stopped. A batch the walk cap admits only in part is followed by one
@@ -133,33 +116,6 @@ pub fn run_governed<A: OnlineAggregator + ?Sized>(
             return stop;
         }
     }
-}
-
-/// Step the aggregator for `walks` walks in batches of `batch`, recording
-/// one [`kgoa_obs::TracePoint`] per batch into a convergence trace: walk
-/// count, total estimate (sum over groups), mean 95% CI half-width, and
-/// elapsed wall time. This is the estimator-side feed for `repro trace`
-/// and works regardless of the global telemetry flag (the trace is
-/// explicitly requested, not ambient).
-pub fn run_traced<A: OnlineAggregator + ?Sized>(
-    agg: &mut A,
-    query_id: &str,
-    walks: u64,
-    batch: u64,
-) -> kgoa_obs::ConvergenceTrace {
-    let batch = batch.max(1);
-    let start = Instant::now();
-    let mut trace = kgoa_obs::ConvergenceTrace::new(agg.name(), query_id);
-    let mut done = 0u64;
-    while done < walks {
-        let n = batch.min(walks - done);
-        agg.step_batch(n);
-        done += n;
-        let est = agg.estimates();
-        let total: f64 = est.estimates.values().sum();
-        trace.record(agg.stats().walks, total, mean_ci_half_width(&est), start.elapsed());
-    }
-    trace
 }
 
 /// Run for `ticks` intervals of `tick` wall-clock time each, snapshotting
@@ -224,19 +180,6 @@ mod tests {
         fn stats(&self) -> WalkStats {
             WalkStats { walks: self.n, ..WalkStats::default() }
         }
-    }
-
-    #[test]
-    fn mean_ci_half_width_averages_over_finite_widths_only() {
-        let widths = |ws: &[f64]| GroupedEstimates {
-            estimates: FxHashMap::default(),
-            half_widths: ws.iter().enumerate().map(|(g, w)| (g as u32, *w)).collect(),
-        };
-        // A group without a variance yet must not halve the mean.
-        assert_eq!(mean_ci_half_width(&widths(&[10.0, f64::INFINITY])), 10.0);
-        assert_eq!(mean_ci_half_width(&widths(&[10.0, 20.0])), 15.0);
-        assert_eq!(mean_ci_half_width(&widths(&[f64::INFINITY])), 0.0);
-        assert_eq!(mean_ci_half_width(&widths(&[])), 0.0);
     }
 
     #[test]

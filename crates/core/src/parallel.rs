@@ -195,7 +195,6 @@ pub fn run_parallel(
     if threads == 0 {
         return Err(ParallelError::NoThreads);
     }
-    kgoa_obs::metrics::PARALLEL_WORKERS.add(threads as u64);
     // One Arc'd plan shared by all workers; query and budget are borrowed
     // straight from the caller's frame — nothing is deep-cloned per worker.
     let plan = Arc::new(plan.clone());
@@ -217,7 +216,6 @@ pub fn run_parallel(
             let worker_seed =
                 seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(t as u64 + 1));
             scope.spawn(move || {
-                kgoa_obs::metrics::PARALLEL_ACTIVE_WORKERS.add(1);
                 let end = match catch_unwind(AssertUnwindSafe(|| -> Result<(), QueryError> {
                     let _attach = profile.as_ref().map(|h| h.attach(format!("worker-{t}")));
                     let _span = kgoa_obs::profile::span("parallel.worker");
@@ -249,7 +247,6 @@ pub fn run_parallel(
                     Ok(Err(e)) => WorkerEnd::Failed(e),
                     Err(_) => WorkerEnd::Panicked,
                 };
-                kgoa_obs::metrics::PARALLEL_ACTIVE_WORKERS.add(-1);
                 *outcomes[t].lock().unwrap() = Some(end);
             });
         }
@@ -261,7 +258,6 @@ pub fn run_parallel(
         match cell.into_inner().unwrap().expect("every worker records an outcome") {
             WorkerEnd::Done => {
                 let walks = board.worker_walks(t);
-                kgoa_obs::metrics::PARALLEL_WORKER_WALKS.record(walks);
                 kgoa_obs::events::emit_with(
                     kgoa_obs::Level::Debug,
                     "parallel",
@@ -277,7 +273,6 @@ pub fn run_parallel(
             WorkerEnd::Panicked => {
                 // Only the in-flight batch died with the worker; its
                 // published batches stay merged (module docs).
-                kgoa_obs::metrics::PARALLEL_WORKER_PANICS.inc();
                 kgoa_obs::events::emit_with(
                     kgoa_obs::Level::Warn,
                     "parallel",

@@ -60,8 +60,6 @@ impl PoolShared {
     fn push(&self, queued: Queued) {
         let mut q = self.queue.lock().unwrap();
         q.push_back(queued);
-        kgoa_obs::metrics::POOL_TASKS_DISPATCHED.inc();
-        kgoa_obs::metrics::POOL_QUEUE_DEPTH.add(1);
         drop(q);
         self.work_ready.notify_one();
     }
@@ -71,7 +69,6 @@ impl PoolShared {
         let mut q = self.queue.lock().expect("jobs run outside the queue lock");
         let i = q.iter().position(|e| e.scope.as_ref().is_some_and(|l| Arc::ptr_eq(l, latch)))?;
         let queued = q.remove(i)?;
-        kgoa_obs::metrics::POOL_QUEUE_DEPTH.add(-1);
         Some(queued.job)
     }
 }
@@ -228,7 +225,6 @@ fn worker_loop(shared: &PoolShared) {
             let mut q = shared.queue.lock().unwrap();
             loop {
                 if let Some(queued) = q.pop_front() {
-                    kgoa_obs::metrics::POOL_QUEUE_DEPTH.add(-1);
                     break Some(queued.job);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {

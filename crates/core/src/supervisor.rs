@@ -230,7 +230,7 @@ pub fn supervise(
     query: &ExplorationQuery,
     config: &SupervisorConfig,
 ) -> Result<SupervisedResult, SupervisorError> {
-    let _span = kgoa_obs::Span::timed(&kgoa_obs::metrics::SUPERVISE_NS);
+    let _span = kgoa_obs::profile::span("supervisor.supervise");
     let start = Instant::now();
 
     // Rung 1: exact CTJ under its slice of the deadline — shed outright
@@ -238,7 +238,6 @@ pub fn supervise(
     // the exact scans pointless; the whole deadline goes to estimates).
     let reason = 'exact: {
         if config.ingest_pressure {
-            kgoa_obs::metrics::SUPERVISOR_SHED_PRESSURE.inc();
             break 'exact DegradeReason::IngestPressure;
         }
         let exact_slice = config.deadline.mul_f64(config.exact_fraction.clamp(0.0, 1.0));
@@ -247,14 +246,13 @@ pub fn supervise(
             builder = builder.tuple_limit(limit);
         }
         let exact_budget = builder.build();
-        let exact_span = kgoa_obs::Span::timed(&kgoa_obs::metrics::EXACT_RUNG_NS);
+        let exact_span = kgoa_obs::profile::span("supervisor.rung.exact");
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             CtjEngine.evaluate_governed(ig, query, &exact_budget)
         }));
         drop(exact_span);
         match attempt {
             Ok(Ok(counts)) => {
-                kgoa_obs::metrics::SUPERVISOR_EXACT.inc();
                 kgoa_obs::events::emit_with(
                     kgoa_obs::Level::Info,
                     "supervisor",
@@ -295,7 +293,6 @@ pub fn supervise(
     match attempt {
         Ok(Ok((estimates, stats))) => {
             let walks = stats.walks;
-            kgoa_obs::metrics::SUPERVISOR_DEGRADED_AJ.inc();
             kgoa_obs::events::emit_with(
                 kgoa_obs::Level::Info,
                 "supervisor",
@@ -343,7 +340,6 @@ pub fn supervise(
     match attempt {
         Ok(Ok((estimates, stats))) => {
             let walks = stats.walks;
-            kgoa_obs::metrics::SUPERVISOR_DEGRADED_WJ.inc();
             kgoa_obs::events::emit_with(
                 kgoa_obs::Level::Info,
                 "supervisor",
@@ -362,7 +358,6 @@ pub fn supervise(
         }
         Ok(Err(e)) => Err(SupervisorError::Query(e)),
         Err(_) => {
-            kgoa_obs::metrics::SUPERVISOR_EXHAUSTED.inc();
             kgoa_obs::events::emit_with(
                 kgoa_obs::Level::Error,
                 "supervisor",

@@ -158,7 +158,6 @@ impl<'g> WanderJoin<'g> {
             self.step_rejects[si] += dead;
             self.stats.walks += dead;
             self.stats.rejected += dead;
-            kgoa_obs::metrics::WALKS.add(dead);
         }
         // Completions in walk order, which is the order the distinct-mode
         // dedup sees samples in.
@@ -168,7 +167,6 @@ impl<'g> WanderJoin<'g> {
             }
             self.stats.walks += 1;
             self.stats.full += 1;
-            kgoa_obs::metrics::WALKS.inc();
             let a = bs.assignments[w * vc + self.alpha];
             let weight = bs.weights[w];
             if self.distinct {

@@ -147,8 +147,6 @@ pub fn generate_with_info(config: &KgConfig) -> (Graph, DatasetInfo) {
         properties: config.num_properties,
         approx_bytes: graph.len() * 120,
     };
-    kgoa_obs::metrics::DATAGEN_GRAPHS.inc();
-    kgoa_obs::metrics::DATAGEN_LAST_TRIPLES.set(graph.len() as i64);
     (graph, info)
 }
 

@@ -86,7 +86,7 @@ impl CountEngine for CtjEngine {
         query: &ExplorationQuery,
         budget: &ExecBudget,
     ) -> Result<GroupedCounts, EngineError> {
-        let _span = kgoa_obs::Span::timed(&kgoa_obs::metrics::CTJ_EVAL_NS);
+        let _span = kgoa_obs::profile::span("engine.ctj.evaluate");
         let plan = WalkPlan::canonical(query, &IndexOrder::PAPER_DEFAULT)?;
         let mut counter = CtjCounter::new(ig, plan);
         let mut assignment = vec![0u32; query.var_count()];

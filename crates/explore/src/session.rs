@@ -313,8 +313,7 @@ impl<'g> Session<'g> {
         exp: Expansion,
         engine: &dyn CountEngine,
     ) -> Result<Chart, ExploreError> {
-        let _span = kgoa_obs::Span::timed(&kgoa_obs::metrics::EXPAND_NS);
-        kgoa_obs::metrics::EXPLORE_EXPANSIONS.inc();
+        let _span = kgoa_obs::profile::span("explore.expand");
         let query = self.expansion_query(exp)?;
         let counts = engine.evaluate(self.graph(), &query).map_err(ExploreError::Engine)?;
         self.history.expanded(exp);
@@ -334,8 +333,7 @@ impl<'g> Session<'g> {
         exp: Expansion,
         config: &SupervisorConfig,
     ) -> Result<GovernedChart, ExploreError> {
-        let _span = kgoa_obs::Span::timed(&kgoa_obs::metrics::EXPAND_NS);
-        kgoa_obs::metrics::EXPLORE_EXPANSIONS.inc();
+        let _span = kgoa_obs::profile::span("explore.expand");
         let query = self.expansion_query(exp)?;
         let kind = exp.produces();
         let outcome = match supervise(self.graph(), &query, config) {
@@ -360,12 +358,13 @@ impl<'g> Session<'g> {
         Ok(outcome)
     }
 
-    /// [`Self::expand_governed`] under a per-query profile scope: spans
-    /// and operator attribution emitted anywhere below the supervisor —
-    /// LFTJ per-variable seek/probe counts, CTJ per-step cache traffic,
-    /// walk accept/reject tallies — are collected into a
-    /// [`kgoa_obs::ProfileReport`] and returned alongside the chart
-    /// instead of smearing into the global histograms.
+    /// [`Self::expand_governed`] under a per-query profile scope: the
+    /// `explore.expand` → `supervisor.supervise` → `supervisor.rung.*`
+    /// spine that names the rung which served the click, and operator
+    /// attribution emitted anywhere below it — LFTJ per-variable
+    /// seek/probe counts, CTJ per-step cache traffic, walk
+    /// accept/reject tallies — are collected into a
+    /// [`kgoa_obs::ProfileReport`] and returned alongside the chart.
     pub fn expand_profiled(
         &mut self,
         exp: Expansion,
@@ -553,6 +552,15 @@ mod tests {
             "expected ctj.step* leaves, got {:?}",
             report.spans.iter().map(|n| n.name.as_str()).collect::<Vec<_>>()
         );
+        // The tree says which rung served the click: the exact rung sits
+        // under the supervisor, under the expansion.
+        let parent_name = |name: &str| {
+            let node = report.spans.iter().find(|n| n.name == name)?;
+            let parent = report.spans.iter().find(|n| Some(n.id) == node.parent)?;
+            Some(parent.name.as_str())
+        };
+        assert_eq!(parent_name("supervisor.rung.exact"), Some("supervisor.supervise"));
+        assert_eq!(parent_name("supervisor.supervise"), Some("explore.expand"));
         // Outside the scope, spans go back to being inert.
         assert_eq!(kgoa_obs::profile::open_depth(), 0);
     }

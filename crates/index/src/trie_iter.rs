@@ -172,14 +172,6 @@ impl<'a> TrieCursor<'a> {
     /// Position at the first key `>= v` (a no-op if already there).
     /// Returns how the seek was resolved, for operator attribution.
     pub fn seek(&mut self, v: u32) -> SeekOutcome {
-        kgoa_obs::metrics::TRIE_SEEKS.inc();
-        self.seek_raw(v)
-    }
-
-    /// Seek without touching the metrics counters — the merged overlay
-    /// cursor drives its two children through this so one logical seek is
-    /// counted once.
-    fn seek_raw(&mut self, v: u32) -> SeekOutcome {
         match &mut self.repr {
             Repr::Csr(c) => c.seek(v),
             Repr::Merged(c) => c.seek(v),
@@ -328,12 +320,12 @@ impl MergedCursor<'_> {
         let mut top = self.levels[top_idx];
         let mut outcome = SeekOutcome::Linear;
         if top.main_open {
-            outcome = self.main.seek_raw(v);
+            outcome = self.main.seek(v);
             self.skip_dead_main();
             top.main_live = !self.main.at_end();
         }
         if top.adds_open {
-            let o = self.adds.seek_raw(v);
+            let o = self.adds.seek(v);
             if !top.main_live {
                 outcome = o;
             }

@@ -1,28 +1,23 @@
-//! A leveled, ring-buffered structured event log.
+//! A leveled structured event log, printed to stderr.
 //!
 //! This replaces the workspace's ad-hoc `eprintln!` diagnostics: code
-//! emits an [`Event`] (level + target + message + key/value fields),
-//! the last [`RING_CAPACITY`] events are retained for snapshots, and
+//! emits an event (level + target + message + key/value fields), and
 //! events at or above the stderr threshold (default [`Level::Warn`],
-//! overridable with the `KGOA_LOG` environment variable) are also
-//! printed — so the pre-telemetry behaviour of a panicked worker
-//! writing one warning line to stderr is preserved verbatim.
-//!
-//! Unlike metrics, the event log is **not** gated on
-//! [`crate::enabled`]: events are rare (fallbacks, degradations,
-//! panics) and losing them when telemetry is off would regress the
-//! diagnostics the `eprintln!`s used to provide.
+//! overridable with the `KGOA_LOG` environment variable) are printed as
+//! one line each — so the pre-telemetry behaviour of a panicked worker
+//! writing one warning line to stderr is preserved verbatim. Nothing is
+//! retained in the process: the per-query record of what happened is the
+//! [profile](crate::profile).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::Once;
 
 /// Event severity, ordered `Debug < Info < Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
     /// High-volume diagnostics (per-worker stats and the like).
     Debug,
-    /// Normal lifecycle events (rung transitions, traces).
+    /// Normal lifecycle events (rung transitions, merges).
     Info,
     /// Something degraded but the request was still served.
     Warn,
@@ -52,37 +47,6 @@ impl Level {
         }
     }
 }
-
-/// One structured log record.
-#[derive(Debug, Clone)]
-pub struct Event {
-    /// Monotonic sequence number (process-wide, never reused).
-    pub seq: u64,
-    /// Microseconds since [`crate::epoch`].
-    pub elapsed_us: u64,
-    /// Severity.
-    pub level: Level,
-    /// Emitting component, e.g. `"supervisor"` or `"parallel"`.
-    pub target: &'static str,
-    /// Innermost active [`crate::Span`] name, if any.
-    pub span: Option<&'static str>,
-    /// Human-readable message.
-    pub message: String,
-    /// Structured key/value payload.
-    pub fields: Vec<(&'static str, String)>,
-}
-
-/// Ring capacity: the most recent events kept for snapshots. Old events
-/// are dropped (and counted) rather than blocking or growing unbounded.
-pub const RING_CAPACITY: usize = 512;
-
-struct Ring {
-    buf: VecDeque<Event>,
-    seq: u64,
-    dropped: u64,
-}
-
-static RING: Mutex<Ring> = Mutex::new(Ring { buf: VecDeque::new(), seq: 0, dropped: 0 });
 
 /// Stderr threshold encoding: level as u8, 255 = never print.
 static STDERR_LEVEL: AtomicU8 = AtomicU8::new(Level::Warn as u8);
@@ -114,9 +78,9 @@ fn init_from_env() {
     }
 }
 
-/// Report an unrecognised `KGOA_LOG` value through the structured event
-/// ring (which also routes it to stderr at the default Warn threshold,
-/// preserving the old raw `eprintln!` visibility).
+/// Report an unrecognised `KGOA_LOG` value as a structured Warn event
+/// (printed at the default threshold, preserving the old raw
+/// `eprintln!` visibility).
 fn warn_unrecognised(value: &str) {
     emit_with(
         Level::Warn,
@@ -151,42 +115,27 @@ pub fn set_stderr_level(level: Option<Level>) {
     STDERR_LEVEL.store(encode(level), Ordering::Relaxed);
 }
 
-fn ring() -> std::sync::MutexGuard<'static, Ring> {
-    RING.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Emit an event with structured fields.
+/// Emit an event with structured fields: printed to stderr when `level`
+/// is at or above the threshold, dropped otherwise.
 pub fn emit_with(
     level: Level,
     target: &'static str,
     message: impl Into<String>,
     fields: Vec<(&'static str, String)>,
 ) {
-    let event = Event {
-        seq: 0, // assigned under the lock
-        elapsed_us: crate::elapsed_us(),
-        level,
-        target,
-        span: crate::span::current(),
-        message: message.into(),
-        fields,
-    };
     init_from_env();
     if level as u8 >= STDERR_LEVEL.load(Ordering::Relaxed) {
-        let kv: Vec<String> =
-            event.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        let suffix = if kv.is_empty() { String::new() } else { format!(" ({})", kv.join(", ")) };
-        eprintln!("kgoa[{}] {}: {}{}", level.as_str(), target, event.message, suffix);
+        eprintln!("{}", line(level, target, &message.into(), &fields));
     }
-    let mut r = ring();
-    let mut event = event;
-    event.seq = r.seq;
-    r.seq += 1;
-    if r.buf.len() == RING_CAPACITY {
-        r.buf.pop_front();
-        r.dropped += 1;
-    }
-    r.buf.push_back(event);
+}
+
+/// The stderr rendering of one event:
+/// `kgoa[<level>] <target>: <message>`, then ` (k=v, ...)` when it has
+/// fields.
+fn line(level: Level, target: &str, message: &str, fields: &[(&'static str, String)]) -> String {
+    let kv: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    let suffix = if kv.is_empty() { String::new() } else { format!(" ({})", kv.join(", ")) };
+    format!("kgoa[{}] {}: {}{}", level.as_str(), target, message, suffix)
 }
 
 /// Emit an event with no fields.
@@ -214,53 +163,9 @@ pub fn error(target: &'static str, message: impl Into<String>) {
     emit(Level::Error, target, message);
 }
 
-/// Snapshot of the retained events, oldest first.
-pub fn recent() -> Vec<Event> {
-    ring().buf.iter().cloned().collect()
-}
-
-/// How many events were evicted from the ring so far.
-pub fn dropped() -> u64 {
-    ring().dropped
-}
-
-/// Clear the ring and the dropped count (sequence numbers keep going).
-pub fn clear() {
-    let mut r = ring();
-    r.buf.clear();
-    r.dropped = 0;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_retains_and_evicts() {
-        let _guard = crate::metrics::test_lock();
-        clear();
-        set_stderr_level(None);
-        for i in 0..(RING_CAPACITY + 10) {
-            emit_with(
-                Level::Debug,
-                "test",
-                format!("event {i}"),
-                vec![("i", i.to_string())],
-            );
-        }
-        let events = recent();
-        assert_eq!(events.len(), RING_CAPACITY);
-        assert_eq!(dropped(), 10);
-        // Oldest retained is #10; sequence numbers are consecutive.
-        for w in events.windows(2) {
-            assert_eq!(w[1].seq, w[0].seq + 1);
-        }
-        assert_eq!(events.last().unwrap().fields[0].1, (RING_CAPACITY + 9).to_string());
-        clear();
-        assert!(recent().is_empty());
-        assert_eq!(dropped(), 0);
-        set_stderr_level(Some(Level::Warn));
-    }
 
     #[test]
     fn kgoa_log_values_parse() {
@@ -277,56 +182,47 @@ mod tests {
         assert_eq!(Level::parse("trace"), None);
     }
 
+    /// The only test in this crate that moves the global threshold, so
+    /// parallel tests cannot race it.
     #[test]
-    fn explicit_stderr_level_beats_environment() {
-        let _guard = crate::metrics::test_lock();
+    fn explicit_stderr_level_beats_environment_and_off_silences() {
         // After an explicit set, the env slot is consumed: emitting
         // must not re-apply KGOA_LOG over the explicit choice.
         set_stderr_level(None);
         emit(Level::Error, "test", "silenced");
         assert_eq!(STDERR_LEVEL.load(Ordering::Relaxed), 255);
-        set_stderr_level(Some(Level::Warn));
-    }
-
-    #[test]
-    fn kgoa_log_off_fully_silences_stderr() {
-        let _guard = crate::metrics::test_lock();
         // `KGOA_LOG=off` parses to `Some(None)`, which encodes to the
-        // never-print threshold (255): no level can reach it, so stderr
-        // routing is fully silenced...
+        // never-print threshold (255): no level can reach it.
         let parsed = parse_stderr_level("off").expect("off is recognised");
         assert_eq!(encode(parsed), 255);
-        set_stderr_level(parsed);
-        assert_eq!(STDERR_LEVEL.load(Ordering::Relaxed), 255);
         assert!((Level::Error as u8) < 255);
-        // ...but the ring still retains the event: `off` only affects
-        // the stderr side-channel, never the structured log.
-        clear();
-        emit(Level::Error, "test", "ring survives off");
-        let events = recent();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].message, "ring survives off");
-        clear();
         set_stderr_level(Some(Level::Warn));
+        assert_eq!(STDERR_LEVEL.load(Ordering::Relaxed), Level::Warn as u8);
     }
 
     #[test]
-    fn unrecognised_kgoa_log_lands_in_ring() {
-        let _guard = crate::metrics::test_lock();
-        // ENV_INIT has usually fired by the time this test runs, so
-        // exercise the reporting helper directly: the bad value must
-        // come through the structured ring as a Warn, not a raw
-        // eprintln! that snapshots would miss.
-        set_stderr_level(None);
-        clear();
-        warn_unrecognised("verbose");
-        let events = recent();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].level, Level::Warn);
-        assert_eq!(events[0].target, "events");
-        assert_eq!(events[0].fields, vec![("value", "\"verbose\"".to_string())]);
-        clear();
-        set_stderr_level(Some(Level::Warn));
+    fn stderr_line_format_is_stable() {
+        assert_eq!(
+            line(Level::Warn, "parallel", "worker panicked", &[]),
+            "kgoa[warn] parallel: worker panicked"
+        );
+        // The line an unrecognised `KGOA_LOG` value produces.
+        assert_eq!(
+            line(
+                Level::Warn,
+                "events",
+                "ignoring unrecognised KGOA_LOG value",
+                &[("value", format!("{:?}", "verbose"))]
+            ),
+            "kgoa[warn] events: ignoring unrecognised KGOA_LOG value (value=\"verbose\")"
+        );
+        assert_eq!(
+            line(Level::Info, "supervisor", "served exact", &[
+                ("rung", "exact".into()),
+                ("elapsed_us", "12".into()),
+            ]),
+            "kgoa[info] supervisor: served exact (rung=exact, elapsed_us=12)"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A minimal JSON document model with a writer and a strict
-//! recursive-descent parser — just enough to emit snapshots and to
+//! recursive-descent parser — just enough to emit profile documents and to
 //! validate them in tests and CI without any external dependency.
 //!
 //! Objects preserve insertion order (they are `Vec<(String, Json)>`,
@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn round_trips_a_document() {
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::str("kgoa-obs/v1")),
+            ("schema".into(), Json::str("kgoa-obs/v2")),
             ("n".into(), Json::Num(42.0)),
             ("pi".into(), Json::Num(3.5)),
             ("neg".into(), Json::Num(-7.0)),

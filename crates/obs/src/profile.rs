@@ -1,13 +1,10 @@
 //! Per-query span *trees* with operator-level counter attribution.
 //!
-//! The [`Span`](crate::Span) stack in [`span`](crate::span) answers
-//! "what is this thread doing right now" and feeds global histograms —
-//! but every query and every `run_parallel` worker smears into the same
-//! process-wide aggregate. This module adds the missing per-request
-//! dimension: an explicit [`QueryProfile`] scope with a trace id that
-//! collects spans as a *tree* (ids, parent links, per-span wall time,
-//! attached counters), across however many threads the query fans out
-//! to.
+//! An explicit [`QueryProfile`] scope with a trace id collects spans as a
+//! *tree* (ids, parent links, per-span wall time, attached counters),
+//! across however many threads the query fans out to. It is the one
+//! record of where a query's time went and which supervisor rung served
+//! it.
 //!
 //! ## Life cycle
 //!
@@ -34,15 +31,14 @@
 //! ## Cost model
 //!
 //! When no profile is live anywhere in the process, [`span`] and
-//! [`add`] cost one relaxed load of [`LIVE_PROFILES`] plus a branch —
-//! the same fast-path discipline as [`crate::enabled`], enforced by the
-//! `obs-overhead` CI gate. When a profile is live but *this* thread is
-//! not attached to one, the extra cost is a thread-local read. Only
-//! attached threads pay for clock reads and node bookkeeping.
+//! [`add`] cost one relaxed load of [`LIVE_PROFILES`] plus a branch.
+//! When a profile is live but *this* thread is not attached to one, the
+//! extra cost is a thread-local read. Only attached threads pay for
+//! clock reads and node bookkeeping.
 //!
 //! Spans are flushed to the shared tree when they close; RAII drops
 //! keep the per-thread open-span stack balanced even when a panic
-//! unwinds through `catch_unwind` (see `tests/telemetry.rs`).
+//! unwinds through `catch_unwind` (see `tests/failure_injection.rs`).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -444,6 +440,12 @@ impl ProfileReport {
     /// Parse a document produced by [`to_json`](Self::to_json). The
     /// derived `self_ns` field is recomputed, not trusted. Used for
     /// schema validation in `repro profile` and tests.
+    ///
+    /// Ids are allocated at open, so `to_json` writes them strictly
+    /// increasing and every parent id is smaller than its child's. A
+    /// document that breaks either rule is rejected: a self-parented
+    /// span or a reused id would make the renderers walk a cycle. A
+    /// parent that is absent is allowed (the renderers tolerate it).
     pub fn from_json(doc: &Json) -> Result<ProfileReport, String> {
         fn num(doc: &Json, key: &str) -> Result<u64, String> {
             doc.get(key)
@@ -495,6 +497,15 @@ impl ProfileReport {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
+        for (i, n) in spans.iter().enumerate() {
+            if i > 0 && n.id <= spans[i - 1].id {
+                let prev = spans[i - 1].id;
+                return Err(format!("span ids must strictly increase: {} after {prev}", n.id));
+            }
+            if n.parent.is_some_and(|p| p >= n.id) {
+                return Err(format!("span {} must have a parent with a smaller id", n.id));
+            }
+        }
         Ok(ProfileReport {
             trace_id: num(doc, "trace_id")?,
             query: s(doc, "query")?,
@@ -709,6 +720,33 @@ mod tests {
         let reparsed = Json::parse(&text).expect("profile JSON parses");
         let back = ProfileReport::from_json(&reparsed).expect("schema validates");
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn from_json_rejects_cyclic_span_trees() {
+        let doc = |spans: &str| {
+            Json::parse(&format!(
+                r#"{{"schema":"{PROFILE_SCHEMA}","trace_id":1,"query":"q","duration_us":1,"spans":[{spans}]}}"#
+            ))
+            .unwrap()
+        };
+        let node = |id: u64, parent: &str| {
+            format!(
+                r#"{{"id":{id},"parent":{parent},"thread":"main","name":"s","start_us":0,"total_ns":5,"counters":{{}}}}"#
+            )
+        };
+        // A parent that is absent from the document is tolerated.
+        let ok = doc(&[node(1, "null"), node(3, "2")].join(","));
+        assert!(ProfileReport::from_json(&ok).is_ok());
+        // Self-parented: `to_folded` would walk the parent chain forever.
+        let self_parent = doc(&node(1, "1"));
+        assert!(ProfileReport::from_json(&self_parent).is_err());
+        // A reused root id: `to_text` would recurse until the stack overflows.
+        let dup = doc(&[node(1, "null"), node(1, "null")].join(","));
+        assert!(ProfileReport::from_json(&dup).is_err());
+        // A forward parent link could close a longer cycle.
+        let forward = doc(&[node(1, "2"), node(2, "1")].join(","));
+        assert!(ProfileReport::from_json(&forward).is_err());
     }
 
     #[test]

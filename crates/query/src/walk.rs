@@ -229,7 +229,6 @@ impl WalkPlan {
             }
             steps.push(WalkStep { pattern_idx: pi, in_var, out_vars, access });
         }
-        kgoa_obs::metrics::QUERY_WALK_PLANS.inc();
         Ok(WalkPlan { steps, var_count, binder_step })
     }
 

@@ -43,7 +43,6 @@ impl Dictionary {
         let id = TermId(u32::try_from(self.terms.len()).expect("dictionary overflow: >4G terms"));
         self.by_lexical.insert((term.lexical.clone(), term.kind), id);
         self.terms.push(term);
-        kgoa_obs::metrics::RDF_TERMS_INTERNED.inc();
         id
     }
 

@@ -20,7 +20,7 @@
 //! | [`online`] | `kgoa-core` | Wander Join, **Audit Join**, confidence intervals |
 //! | [`explore`] | `kgoa-explore` | charts, expansions, sessions, workload generator |
 //! | [`datagen`] | `kgoa-datagen` | DBpedia-like / LGD-like synthetic graphs |
-//! | [`obs`] | `kgoa-obs` | telemetry: metrics, spans, events, convergence traces |
+//! | [`obs`] | `kgoa-obs` | telemetry: per-query profiles, stderr events |
 //!
 //! ## Quickstart
 //!
@@ -71,9 +71,8 @@ pub use kgoa_explore as explore;
 /// Synthetic dataset generators (re-export of `kgoa-datagen`).
 pub use kgoa_datagen as datagen;
 
-/// Telemetry: metrics registry, span timers, structured events,
-/// convergence traces, JSON snapshots (re-export of `kgoa-obs`).
-/// Disabled by default; flip on with `kgoa::obs::set_enabled(true)`.
+/// Telemetry: per-query profiles (`Session::expand_profiled`) and
+/// leveled stderr events (re-export of `kgoa-obs`).
 pub use kgoa_obs as obs;
 
 /// Parallel execution: the persistent worker pool and parallel online

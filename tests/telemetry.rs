@@ -1,189 +1,15 @@
-//! Integration tests for the `kgoa-obs` telemetry subsystem as wired
-//! through the whole stack: concurrent-writer safety of the metrics
-//! registry, the stability of the JSON snapshot schema, and the
-//! end-to-end guarantee that supervised execution leaves its rung
-//! decisions in the event log.
-
-use std::time::Duration;
+//! Integration test for the per-query profile (`kgoa-obs`) as wired
+//! through the whole stack: a parallel run's workers join the caller's
+//! span tree from their own threads, and the tree round-trips through
+//! its JSON schema and folded-stack rendering.
 
 use kgoa::obs::{self, Json};
 use kgoa::online::{run_parallel, Budget, ParallelAlgo};
 use kgoa::prelude::*;
 use kgoa::query::WalkPlan;
 
-/// Every test here mutates process-global telemetry state; the shared
-/// lock serializes them against each other (cargo runs tests in
-/// parallel threads within one binary).
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    obs::metrics::test_lock()
-}
-
-#[test]
-fn registry_survives_concurrent_writers() {
-    let _guard = lock();
-    obs::reset();
-    obs::set_enabled(true);
-    const THREADS: u64 = 8;
-    const PER_THREAD: u64 = 10_000;
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            s.spawn(move || {
-                let c = obs::Registry::global().counter("test.stress.counter");
-                let g = obs::Registry::global().gauge("test.stress.gauge");
-                let h = obs::Registry::global().histogram("test.stress.histogram");
-                for i in 0..PER_THREAD {
-                    c.inc();
-                    obs::metrics::TRIE_SEEKS.inc();
-                    g.add(1);
-                    g.add(-1);
-                    h.record(t * PER_THREAD + i);
-                }
-            });
-        }
-    });
-    let total = THREADS * PER_THREAD;
-    assert_eq!(obs::Registry::global().counter("test.stress.counter").get(), total);
-    assert_eq!(obs::metrics::TRIE_SEEKS.get(), total);
-    assert_eq!(obs::Registry::global().gauge("test.stress.gauge").get(), 0);
-    let h = obs::Registry::global().histogram("test.stress.histogram");
-    assert_eq!(h.count(), total);
-    assert_eq!(h.min(), 0);
-    assert_eq!(h.max(), total - 1);
-    // Quantiles stay ordered and within the observed range even under
-    // contention (log-bucket approximation, so only monotonicity and
-    // bounds are exact).
-    let (p50, p95, p99) = (h.quantile(0.5), h.quantile(0.95), h.quantile(0.99));
-    assert!(p50 <= p95 && p95 <= p99 && p99 <= h.max());
-    obs::set_enabled(false);
-    obs::reset();
-}
-
-#[test]
-fn snapshot_json_matches_documented_schema_and_round_trips() {
-    let _guard = lock();
-    obs::reset();
-    obs::set_enabled(true);
-    obs::metrics::WALKS.add(42);
-    obs::metrics::SUPERVISE_NS.record(1_000_000);
-    obs::events::set_stderr_level(None);
-    obs::events::emit_with(
-        obs::Level::Info,
-        "test",
-        "schema check",
-        vec![("rung", "exact".into())],
-    );
-    obs::events::set_stderr_level(Some(obs::Level::Warn));
-    obs::set_enabled(false);
-
-    let snap = obs::snapshot();
-    let doc = snap.to_json();
-    let text = doc.pretty(2);
-    let reparsed = Json::parse(&text).expect("snapshot JSON parses");
-    assert_eq!(reparsed, doc, "snapshot must round-trip byte-equivalently");
-
-    // Top-level shape of kgoa-obs/v1.
-    assert_eq!(reparsed.get("schema").and_then(Json::as_str), Some(obs::SCHEMA));
-    for key in ["enabled", "elapsed_us", "counters", "gauges", "histograms", "events"] {
-        assert!(reparsed.get(key).is_some(), "missing top-level key {key}");
-    }
-    // Counters: an object sorted by metric name, values numeric.
-    let counters = reparsed.get("counters").and_then(Json::as_obj).unwrap();
-    assert!(counters.iter().all(|(_, v)| v.as_f64().is_some()));
-    let names: Vec<&str> = counters.iter().map(|(k, _)| k.as_str()).collect();
-    let mut sorted = names.clone();
-    sorted.sort_unstable();
-    assert_eq!(names, sorted, "counters must be sorted by name");
-    assert!(names.contains(&"core.walks.total"));
-    // Histograms: only non-empty ones, each with the full stat block.
-    let hists = reparsed.get("histograms").and_then(Json::as_arr).unwrap();
-    assert!(!hists.is_empty());
-    for h in hists {
-        for key in ["name", "count", "sum", "min", "max", "p50", "p95", "p99"] {
-            assert!(h.get(key).is_some(), "histogram missing {key}");
-        }
-    }
-    // Events keep their structured fields.
-    let events = reparsed.get("events").and_then(Json::as_arr).unwrap();
-    let last = events.last().unwrap();
-    assert_eq!(last.get("message").and_then(Json::as_str), Some("schema check"));
-    assert_eq!(
-        last.get("fields").and_then(|f| f.get("rung")).and_then(Json::as_str),
-        Some("exact")
-    );
-    obs::reset();
-}
-
-#[test]
-fn disabled_telemetry_records_no_metrics() {
-    let _guard = lock();
-    obs::reset();
-    assert!(!obs::enabled(), "telemetry must default to off");
-    obs::metrics::WALKS.inc();
-    obs::metrics::SUPERVISE_NS.record(123);
-    let span = obs::Span::timed(&obs::metrics::SUPERVISE_NS);
-    assert!(!span.is_active());
-    drop(span);
-    assert_eq!(obs::metrics::WALKS.get(), 0);
-    assert_eq!(obs::metrics::SUPERVISE_NS.count(), 0);
-}
-
-#[test]
-fn supervised_run_leaves_rung_decisions_in_the_event_log() {
-    let _guard = lock();
-    obs::reset();
-    obs::set_enabled(true);
-
-    let graph = kgoa::datagen::generate(&KgConfig::dbpedia_like(Scale::Tiny));
-    let ig = IndexedGraph::build(graph);
-    let query = {
-        let mut s = Session::root(&ig);
-        s.expand(Expansion::Subclass, &CtjEngine).unwrap();
-        s.expansion_query(Expansion::OutProperty).unwrap()
-    };
-
-    // Generous deadline: the exact rung serves.
-    let config = SupervisorConfig { deadline: Duration::from_secs(30), ..Default::default() };
-    let exact = supervise(&ig, &query, &config).expect("supervised run");
-    assert!(matches!(exact, SupervisedResult::Exact { .. }));
-
-    // Work-capped exact rung: the ladder degrades deterministically
-    // and says why.
-    let config = SupervisorConfig { exact_work_limit: Some(1), ..Default::default() };
-    let degraded = supervise(&ig, &query, &config).expect("degraded run still answers");
-    assert!(matches!(degraded, SupervisedResult::Degraded { .. }));
-
-    obs::set_enabled(false);
-    let snap = obs::snapshot();
-    let rungs: Vec<&str> = snap
-        .events
-        .iter()
-        .flat_map(|e| e.fields.iter())
-        .filter(|(k, _)| *k == "rung")
-        .map(|(_, v)| v.as_str())
-        .collect();
-    assert!(rungs.contains(&"exact"), "exact rung event missing: {rungs:?}");
-    assert!(
-        rungs.iter().any(|r| *r != "exact"),
-        "degraded/exhausted rung event missing: {rungs:?}"
-    );
-    assert!(
-        snap.events.iter().any(|e| e.fields.iter().any(|(k, _)| *k == "reason")),
-        "degradation reason must be a structured event field"
-    );
-    // The rung counters aggregate the same story.
-    assert!(snap
-        .counters
-        .iter()
-        .any(|(n, v)| n == "supervisor.rung.exact" && *v >= 1));
-    obs::reset();
-}
-
 #[test]
 fn profile_collects_multi_thread_spans_and_round_trips_through_json() {
-    // Profiles are explicit opt-in scopes, independent of the global
-    // telemetry flag — no test_lock needed, and none is taken: this test
-    // doubles as evidence that a profile does not disturb (or get
-    // disturbed by) concurrently running telemetry tests.
     let graph = kgoa::datagen::generate(&KgConfig::dbpedia_like(Scale::Tiny));
     let ig = IndexedGraph::build(graph);
     let query = {
@@ -231,30 +57,4 @@ fn profile_collects_multi_thread_spans_and_round_trips_through_json() {
     assert_eq!(round.spans.len(), report.spans.len());
     assert_eq!(round.trace_id, report.trace_id);
     obs::profile::check_folded(&report.to_folded()).expect("folded stacks well-formed");
-}
-
-#[test]
-fn traced_estimator_run_produces_a_convergence_trace() {
-    let _guard = lock();
-    let graph = kgoa::datagen::generate(&KgConfig::dbpedia_like(Scale::Tiny));
-    let ig = IndexedGraph::build(graph);
-    let query = {
-        let mut s = Session::root(&ig);
-        s.expansion_query(Expansion::Subclass).unwrap()
-    };
-    let mut aj = AuditJoin::new(&ig, &query, AuditJoinConfig::default()).unwrap();
-    // Tracing works regardless of the global telemetry flag.
-    let trace = kgoa::online::run_traced(&mut aj, "tiny/subclass", 4096, 512);
-    assert_eq!(trace.len(), 8, "one point per batch");
-    let last = trace.points.last().unwrap();
-    assert_eq!(last.walks, 4096);
-    assert!(last.estimate > 0.0, "estimate must be positive on a populated graph");
-    assert!(trace.ci_shrank(), "95% CI must shrink over 4096 walks");
-    // And it exports to the documented JSON shape.
-    let j = trace.to_json();
-    let reparsed = Json::parse(&j.render()).unwrap();
-    assert_eq!(
-        reparsed.get("points").and_then(Json::as_arr).map(<[Json]>::len),
-        Some(8)
-    );
 }
