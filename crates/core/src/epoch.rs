@@ -21,14 +21,16 @@
 //!   exactly when its last guard drops; there is no epoch list to scan
 //!   and no grace period.
 //! - **Background merge** — when the delta exceeds
-//!   [`EpochConfig::merge_threshold`] rows, a merge job is scheduled on
-//!   the persistent [`WorkerPool`] (detached — writers never block on
-//!   it). The job rebuilds a delta-free main from the snapshotted delta
-//!   *outside* the lock, then re-locks, refolds whatever batches arrived
-//!   during the rebuild into a residual overlay, and commits the swap in
-//!   a single assignment. Failures (including injected crash points)
-//!   retry with backoff; the commit's atomicity means every retry starts
-//!   from a valid epoch.
+//!   [`EpochConfig::merge_threshold`] rows, a merge job is queued on
+//!   the crate's background pool (a detached FIFO with one thread per
+//!   hardware thread — writers never block on it). The job rebuilds a
+//!   delta-free main from the snapshotted delta *outside* the lock, then
+//!   re-locks, refolds whatever batches arrived during the rebuild into a
+//!   residual overlay, and commits the swap in a single assignment.
+//!   Failures (including injected crash points) retry with backoff; the
+//!   commit's atomicity means every retry starts from a valid epoch. A
+//!   merge abandoned on a spent merge budget or after its last retry
+//!   leaves the delta in place for the next append to reschedule.
 //!
 //! **Crash safety.** Under the `fault-inject` feature a
 //! [`MergeCrashPoint`] can be armed to panic the merge job once at a
@@ -58,7 +60,7 @@
 
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -180,6 +182,11 @@ pub struct EpochManager {
     state: Mutex<EpochState>,
     config: EpochConfig,
     merge_running: AtomicBool,
+    /// Merges abandoned on a budget trip or after the last retry; lets
+    /// [`EpochManager::wait_merged`] stop rescheduling a merge that
+    /// cannot land. Bumped before `merge_running`'s `Release` clear, so a
+    /// waiter whose `Acquire` load sees the flag clear also sees the bump.
+    merges_abandoned: AtomicU64,
     /// Budget charged for merge work (tuples/bytes); writers charge their
     /// own append budget.
     merge_budget: ExecBudget,
@@ -213,6 +220,7 @@ impl EpochManager {
             }),
             config,
             merge_running: AtomicBool::new(false),
+            merges_abandoned: AtomicU64::new(0),
             merge_budget: ExecBudget::unlimited(),
             #[cfg(feature = "fault-inject")]
             crash_point: Mutex::new(None),
@@ -333,8 +341,8 @@ impl EpochManager {
         Ok(epoch)
     }
 
-    /// Schedule a background merge on the global [`WorkerPool`] unless
-    /// one is already pending. Detached: the writer returns immediately.
+    /// Schedule a background merge on the background pool unless one is
+    /// already pending. Detached: the writer returns immediately.
     pub fn schedule_merge(self: &Arc<Self>) {
         if self.merge_running.swap(true, Ordering::AcqRel) {
             return;
@@ -356,15 +364,19 @@ impl EpochManager {
     }
 
     /// Block until no merge is running *and* the delta is below the merge
-    /// threshold (spin + sleep; test/shutdown helper, not a hot path).
+    /// threshold, or until a merge it waited on was abandoned (spent merge
+    /// budget, or retries ran out), since rescheduling could then spin
+    /// forever (spin + sleep; test/shutdown helper, not a hot path).
     pub fn wait_merged(self: &Arc<Self>) {
+        let abandoned = self.merges_abandoned.load(Ordering::Acquire);
         loop {
             if !self.is_merging() {
-                if self.delta_rows() >= self.config.merge_threshold {
-                    self.schedule_merge();
-                } else {
+                if self.delta_rows() < self.config.merge_threshold
+                    || self.merges_abandoned.load(Ordering::Acquire) != abandoned
+                {
                     return;
                 }
+                self.schedule_merge();
             }
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -408,7 +420,7 @@ impl EpochManager {
                         "epoch",
                         format!("merge abandoned: budget exceeded ({})", b.reason),
                     );
-                    return;
+                    break;
                 }
                 Err(_) if attempt < self.config.merge_retries => {
                     kgoa_obs::events::emit_with(
@@ -425,10 +437,12 @@ impl EpochManager {
                         "epoch",
                         "merge gave up after repeated panics; delta retained",
                     );
-                    return;
+                    break;
                 }
             }
         }
+        // Only an abandoned merge gets here; `_clear` runs after this.
+        self.merges_abandoned.fetch_add(1, Ordering::Release);
     }
 
     /// One merge attempt. Returns the number of rows in the new main, or
@@ -640,6 +654,30 @@ mod tests {
         for t in &inserts {
             assert!(g.contains(*t));
         }
+    }
+
+    #[test]
+    fn wait_merged_returns_when_the_merge_budget_is_spent() {
+        let (ig, n, p) = setup(12);
+        let mgr = EpochManager::with_merge_budget(
+            ig,
+            EpochConfig { merge_threshold: 4, ..EpochConfig::default() },
+            ExecBudget::builder().tuple_limit(0).build(),
+        );
+        let deletes: Vec<T> = (0..8).map(|i| T::new(n[i], p, n[i + 1])).collect();
+        mgr.append(&UpdateBatch::deleting(deletes), &ExecBudget::unlimited()).unwrap();
+        // Every merge trips the spent budget, so the delta stays over the
+        // threshold; `wait_merged` must still return.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&mgr);
+        let handle = std::thread::spawn(move || {
+            waiter.wait_merged();
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("wait_merged spun past an abandoned merge");
+        handle.join().unwrap();
+        assert_eq!(mgr.delta_rows(), 8, "an abandoned merge leaves the delta in place");
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! - walk-order selection ([`select_plan`]) per §V-B;
 //! - resource-governed execution ([`supervise`]): deadlines, cooperative
 //!   cancellation, panic isolation, and exact → approximate graceful
-//!   degradation with [`Degraded`] provenance.
+//!   degradation with [`Degraded`] provenance;
+//! - parallel online aggregation ([`run_parallel`]) with one
+//!   `std::thread::scope` thread per worker, and live updates
+//!   ([`EpochManager`]) whose background merges run on a small
+//!   crate-private pool.
 //!
 //! The unbiasedness claims (Props. IV.1 and IV.2) are verified by exact
 //! expectation tests in `tests/unbiasedness.rs` at the workspace root:
@@ -25,8 +29,7 @@
 //! tolerance.
 
 #![warn(missing_docs)]
-// The pool's lifetime-erasing `Scope::spawn` is the one allowed exception.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod accum;
 pub mod aggregate;
@@ -35,7 +38,7 @@ mod batch;
 pub mod epoch;
 pub mod online;
 pub mod parallel;
-pub mod pool;
+mod pool;
 pub mod order;
 pub mod pinned;
 pub mod supervisor;
@@ -56,7 +59,6 @@ pub use online::{
 pub use parallel::{
     run_parallel, Budget, ParallelAlgo, ParallelError, ParallelOutcome, BATCH,
 };
-pub use pool::WorkerPool;
 pub use supervisor::{
     supervise, DegradeReason, Degraded, SupervisedResult, SupervisorConfig, SupervisorError,
 };

@@ -1,4 +1,4 @@
-//! Parallel online aggregation on the persistent worker pool.
+//! Parallel online aggregation on scoped threads.
 //!
 //! The paper's related work (§II) surveys parallel online aggregation
 //! (PF-OLA and friends) and its conclusion lists scaling the approach as a
@@ -9,23 +9,23 @@
 //! the same unbiased estimator with the union of the samples; confidence
 //! intervals tighten accordingly.
 //!
-//! **Execution model.** Workers are jobs on the process-wide
-//! [`WorkerPool`] (spawned once, reused across runs) rather than per-call
-//! scoped threads. Each logical worker owns its aggregator for the whole
+//! **Execution model.** Each logical worker is a thread of one
+//! `std::thread::scope`, so workers borrow the graph, query and budget
+//! from the caller's frame. A worker owns its aggregator for the whole
 //! run — RNG setup, walk buffers and per-step index references are paid
 //! once — and advances it in SoA batches of [`BATCH`] walks via
 //! [`OnlineAggregator::step_batch`]. After every batch it publishes its
-//! accumulator prefix into its per-worker slot. Once the scope has
-//! drained, the caller folds the slots once, in worker order, so the
-//! merge is deterministic.
+//! accumulator prefix into its per-worker slot. The caller joins the
+//! workers in worker order and then folds the slots once, in worker
+//! order, so the merge is deterministic.
 //!
-//! **Fault isolation.** Every worker runs inside `catch_unwind`. A panic
-//! loses only the walks of the batch that was in flight: the worker's
-//! previously *published* batches are complete, independently-seeded
-//! sample sets whose retention does not depend on their sampled values, so
-//! the merged estimator over the union of all published batches remains
-//! unbiased. Only when every worker panics does the run return
-//! [`ParallelError::AllWorkersFailed`].
+//! **Fault isolation.** A worker's panic ends its thread, and the caller
+//! sees it as an `Err` from `join`. The panic loses only the walks of the
+//! batch that was in flight: the worker's previously *published* batches
+//! are complete, independently-seeded sample sets whose retention does
+//! not depend on their sampled values, so the merged estimator over the
+//! union of all published batches remains unbiased. Only when every
+//! worker panics does the run return [`ParallelError::AllWorkersFailed`].
 //!
 //! **Bounded overshoot.** A shared [`ExecBudget`] walk cap is charged once
 //! per batch ([`kgoa_engine::ExecBudget::charge_walks`]), so *completed*
@@ -35,7 +35,6 @@
 //! `shared_walk_cap_overshoot_is_bounded` test).
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 use kgoa_engine::{ExecBudget, GroupedEstimates};
@@ -45,7 +44,6 @@ use kgoa_query::{ExplorationQuery, QueryError, WalkPlan};
 use crate::accum::{GroupAccumulator, WalkStats};
 use crate::audit::{AuditJoin, AuditJoinConfig};
 use crate::online::OnlineAggregator;
-use crate::pool::WorkerPool;
 use crate::wander::WanderJoin;
 
 /// Walks per SoA batch: how many walks each worker advances through
@@ -174,15 +172,8 @@ impl Board {
     }
 }
 
-/// How one worker's job ended.
-enum WorkerEnd {
-    Done,
-    Failed(QueryError),
-    Panicked,
-}
-
-/// Run `threads` independent aggregators over the same query on the
-/// persistent pool and merge their estimators (module docs).
+/// Run `threads` independent aggregators over the same query on scoped
+/// threads and merge their estimators (module docs).
 pub fn run_parallel(
     ig: &IndexedGraph,
     query: &ExplorationQuery,
@@ -200,23 +191,22 @@ pub fn run_parallel(
     let plan = Arc::new(plan.clone());
     let budget = &budget;
     let board = Board::new(threads);
-    let outcomes: Vec<Mutex<Option<WorkerEnd>>> =
-        (0..threads).map(|_| Mutex::new(None)).collect();
     // If the calling thread is attached to a query profile, hand each
     // worker a handle *captured before spawning* so their spans land in
     // the caller's tree (labelled per worker) instead of vanishing.
     let profile = kgoa_obs::profile::current_handle();
 
-    WorkerPool::global().scope(|scope| {
-        for t in 0..threads {
-            let plan = Arc::clone(&plan);
-            let profile = profile.clone();
-            let board = &board;
-            let outcomes = &outcomes;
-            let worker_seed =
-                seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(t as u64 + 1));
-            scope.spawn(move || {
-                let end = match catch_unwind(AssertUnwindSafe(|| -> Result<(), QueryError> {
+    let mut workers_panicked = 0usize;
+    let mut first_error: Option<QueryError> = None;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let plan = Arc::clone(&plan);
+                let profile = profile.clone();
+                let board = &board;
+                let worker_seed =
+                    seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(t as u64 + 1));
+                scope.spawn(move || -> Result<(), QueryError> {
                     let _attach = profile.as_ref().map(|h| h.attach(format!("worker-{t}")));
                     let _span = kgoa_obs::profile::span("parallel.worker");
                     if let Budget::Exec(b) = budget {
@@ -224,8 +214,7 @@ pub fn run_parallel(
                     }
                     match algo {
                         ParallelAlgo::WanderJoin => {
-                            let mut wj =
-                                WanderJoin::with_plan(ig, query, Arc::clone(&plan), worker_seed)?;
+                            let mut wj = WanderJoin::with_plan(ig, query, plan, worker_seed)?;
                             drive_batched(&mut wj, budget, board, t, |a| {
                                 (a.accumulator().clone(), a.stats())
                             });
@@ -233,8 +222,7 @@ pub fn run_parallel(
                         }
                         ParallelAlgo::AuditJoin(cfg) => {
                             let cfg = AuditJoinConfig { seed: worker_seed, ..cfg };
-                            let mut aj =
-                                AuditJoin::with_plan(ig, query, Arc::clone(&plan), cfg)?;
+                            let mut aj = AuditJoin::with_plan(ig, query, plan, cfg)?;
                             drive_batched(&mut aj, budget, board, t, |a| {
                                 (a.accumulator().clone(), a.stats())
                             });
@@ -242,47 +230,35 @@ pub fn run_parallel(
                         }
                     }
                     Ok(())
-                })) {
-                    Ok(Ok(())) => WorkerEnd::Done,
-                    Ok(Err(e)) => WorkerEnd::Failed(e),
-                    Err(_) => WorkerEnd::Panicked,
-                };
-                *outcomes[t].lock().unwrap() = Some(end);
-            });
-        }
-    });
-
-    let mut workers_panicked = 0usize;
-    let mut first_error: Option<QueryError> = None;
-    for (t, cell) in outcomes.into_iter().enumerate() {
-        match cell.into_inner().unwrap().expect("every worker records an outcome") {
-            WorkerEnd::Done => {
-                let walks = board.worker_walks(t);
-                kgoa_obs::events::emit_with(
+                })
+            })
+            .collect();
+        // Join in worker order; an `Err` from `join` is the worker's panic.
+        for (t, handle) in handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(Ok(())) => kgoa_obs::events::emit_with(
                     kgoa_obs::Level::Debug,
                     "parallel",
                     "worker finished",
-                    vec![("worker", t.to_string()), ("walks", walks.to_string())],
-                );
-            }
-            WorkerEnd::Failed(e) => {
-                if first_error.is_none() {
-                    first_error = Some(e);
+                    vec![("worker", t.to_string()), ("walks", board.worker_walks(t).to_string())],
+                ),
+                Ok(Err(e)) => {
+                    first_error.get_or_insert(e);
+                }
+                Err(_) => {
+                    // Only the in-flight batch died with the worker; its
+                    // published batches stay merged (module docs).
+                    kgoa_obs::events::emit_with(
+                        kgoa_obs::Level::Warn,
+                        "parallel",
+                        "worker panicked; discarding its in-flight batch",
+                        vec![("worker", t.to_string())],
+                    );
+                    workers_panicked += 1;
                 }
             }
-            WorkerEnd::Panicked => {
-                // Only the in-flight batch died with the worker; its
-                // published batches stay merged (module docs).
-                kgoa_obs::events::emit_with(
-                    kgoa_obs::Level::Warn,
-                    "parallel",
-                    "worker panicked; discarding its in-flight batch",
-                    vec![("worker", t.to_string())],
-                );
-                workers_panicked += 1;
-            }
         }
-    }
+    });
     if let Some(e) = first_error {
         return Err(ParallelError::Query(e));
     }
@@ -314,7 +290,7 @@ fn drive_batched<A: OnlineAggregator>(
     let mut batches = 0u64;
     let publish = |agg: &A, batches: u64, walks_in_batch: u64| {
         kgoa_obs::profile::leaf(
-            "pool.batch",
+            "parallel.batch",
             &[("batch", batches), ("walks", walks_in_batch)],
         );
         let (accum, stats) = snap(agg);
@@ -463,9 +439,11 @@ mod tests {
             .unwrap()
         };
         let (a, b) = (run(), run());
-        for (g, x) in a.estimates.estimates.iter() {
-            assert_eq!(b.estimates.estimates.get(g), Some(x));
-        }
+        // Both directions: equal maps, not just A's groups found in B.
+        assert_eq!(a.estimates.estimates, b.estimates.estimates);
+        assert_eq!(a.estimates.half_widths, b.estimates.half_widths);
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.batches, b.batches);
     }
 
     #[test]

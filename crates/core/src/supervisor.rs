@@ -240,7 +240,14 @@ pub fn supervise(
         if config.ingest_pressure {
             break 'exact DegradeReason::IngestPressure;
         }
-        let exact_slice = config.deadline.mul_f64(config.exact_fraction.clamp(0.0, 1.0));
+        // A NaN fraction grants no exact slice; a slice past `Duration::MAX`
+        // saturates there, which the budget reads as "no deadline".
+        let fraction = match config.exact_fraction {
+            f if f.is_nan() => 0.0,
+            f => f.clamp(0.0, 1.0),
+        };
+        let exact_slice = Duration::try_from_secs_f64(config.deadline.as_secs_f64() * fraction)
+            .unwrap_or(Duration::MAX);
         let mut builder = config.budget_builder().deadline(exact_slice);
         if let Some(limit) = config.exact_work_limit {
             builder = builder.tuple_limit(limit);
@@ -441,16 +448,27 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_deadline_returns_exact() {
+    fn extreme_deadline_and_fraction_do_not_panic() {
         // `Duration::MAX` is a caller's "no deadline": its exact slice
-        // overflows `Instant`, which must mean no deadline, not a panic.
+        // overflows `Instant`, which must mean no deadline, not a panic; a
+        // NaN fraction grants no exact slice.
         let (ig, p, q) = graph();
         let query = query(p, q);
         let exact = YannakakisEngine.evaluate(&ig, &query).unwrap();
-        let out = supervise(&ig, &query, &SupervisorConfig::with_deadline(Duration::MAX));
-        match out.unwrap() {
-            SupervisedResult::Exact { counts, .. } => assert_eq!(counts, exact),
-            other => panic!("expected exact, got {other:?}"),
+        for (deadline, fraction, want_exact) in [
+            (Duration::MAX, 0.5, true),
+            (Duration::MAX, 1.0, true),
+            (Duration::from_millis(50), f64::NAN, false),
+        ] {
+            let config =
+                SupervisorConfig { deadline, exact_fraction: fraction, ..Default::default() };
+            match supervise(&ig, &query, &config).unwrap() {
+                SupervisedResult::Exact { counts, .. } if want_exact => assert_eq!(counts, exact),
+                SupervisedResult::Degraded { provenance, .. } if !want_exact => {
+                    assert_eq!(provenance.estimator, "aj", "{fraction}: {provenance:?}");
+                }
+                other => panic!("{deadline:?} × {fraction}: got {other:?}"),
+            }
         }
     }
 

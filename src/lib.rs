@@ -75,14 +75,12 @@ pub use kgoa_datagen as datagen;
 /// leveled stderr events (re-export of `kgoa-obs`).
 pub use kgoa_obs as obs;
 
-/// Parallel execution: the persistent worker pool and parallel online
-/// aggregation (a thin facade over `kgoa-core`'s `pool` and `parallel`
-/// modules).
+/// Parallel online aggregation on scoped threads (a thin facade over
+/// `kgoa-core`'s `parallel` module).
 pub mod exec {
     pub use kgoa_core::parallel::{
         run_parallel, Budget, ParallelAlgo, ParallelError, ParallelOutcome, BATCH,
     };
-    pub use kgoa_core::pool::{Scope, WorkerPool};
 }
 
 /// The most commonly used items in one import.
