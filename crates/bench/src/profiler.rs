@@ -11,8 +11,8 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use kgoa_core::{
-    run_parallel, run_walks, supervise, AuditJoin, AuditJoinConfig, Budget, ParallelAlgo,
-    SupervisorConfig, WanderJoin,
+    run_parallel, run_walks, supervise, AuditJoin, AuditJoinConfig, Budget, OnlineAggregator,
+    ParallelAlgo, SupervisorConfig, WanderJoin,
 };
 use kgoa_engine::lftj_count;
 use kgoa_obs::{Json, ProfileReport, QueryProfile};

@@ -6,7 +6,12 @@
 //! *tipping threshold*, the walk stops and the remaining suffix is computed
 //! **exactly** with Cached Trie Join; the estimator
 //! `C_aj(δ) = |Γ_δ| / Pr(δ)` remains unbiased (Prop. IV.1), and the caches
-//! persist across walks so repeated prefixes get cheaper over time.
+//! persist across walks so repeated prefixes get cheaper over time. The
+//! exact suffix is [`CtjCounter`]'s: a tipped walk hands it the tip step,
+//! the range the walk loop already resolved and the batch's budget meter,
+//! and reads back per-group counts ([`CtjCounter::group_counts_from`]) or
+//! per-(a, b) masses ([`CtjCounter::pair_masses_from`]); this module
+//! enumerates no suffix itself.
 //!
 //! For count-distinct, the walk's contribution to group `a` is
 //! `Σ_b Pr(a,b,δ) / (Pr(a,b) · Pr(δ))` (Eq. 1 / Fig. 7 line 13), which this
@@ -17,7 +22,7 @@
 //! unbiased.
 
 use kgoa_engine::{BudgetExceeded, BudgetMeter, CtjCounter, ExecBudget};
-use kgoa_index::{pack2, FxHashMap, IndexedGraph, LiveRange, TrieIndex};
+use kgoa_index::{FxHashMap, IndexedGraph, LiveRange, TrieIndex};
 use kgoa_query::{ExplorationQuery, QueryError, SuffixEstimator, Var, WalkPlan};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -155,7 +160,7 @@ impl<'g> AuditJoin<'g> {
         let counter = CtjCounter::new(ig, std::sync::Arc::clone(&plan));
         let prab = PrAb::new(ig, query.clone(), std::sync::Arc::clone(&plan));
         let n = plan.len();
-        let (step_index, fixed_ranges) = resolve_steps(ig, &plan);
+        let (step_index, fixed_ranges) = crate::batch::resolve_steps(ig, &plan);
         let threshold = config.tipping.threshold();
         Ok(AuditJoin {
             step_index,
@@ -206,50 +211,6 @@ impl<'g> AuditJoin<'g> {
             .map(|i| (self.step_visits[i], self.step_rejects[i], self.step_tips[i]))
     }
 
-    /// Emit this run's walk-phase attribution into the active profile
-    /// scope (no-op when none): one `aj.walks` span with per-step
-    /// accept/reject/tip leaves, an `aj.pr_ab` leaf with the `Pr(a, b)`
-    /// layer's counters, and an `aj.exact_suffix` child carrying the
-    /// per-node cache stats of the CTJ substrate the tipped walks
-    /// delegated to.
-    pub fn profile_emit(&self) {
-        if !kgoa_obs::profile::active() {
-            return;
-        }
-        let span = kgoa_obs::profile::span("aj.walks");
-        kgoa_obs::profile::add("walks", self.stats.walks);
-        kgoa_obs::profile::add("full", self.stats.full);
-        kgoa_obs::profile::add("rejected", self.stats.rejected);
-        kgoa_obs::profile::add("tipped", self.stats.tipped);
-        for (i, step) in self.plan.steps().iter().enumerate() {
-            kgoa_obs::profile::leaf(
-                format!("aj.step{i}[p{}]", step.pattern_idx),
-                &[
-                    ("visits", self.step_visits[i]),
-                    ("dead_ends", self.step_rejects[i]),
-                    ("tips", self.step_tips[i]),
-                ],
-            );
-        }
-        let pr = self.prab.stats();
-        kgoa_obs::profile::leaf(
-            "aj.pr_ab",
-            &[
-                ("plans", pr.plans),
-                ("pairs", pr.pairs),
-                ("hits", pr.hits),
-                ("rows", pr.rows),
-                ("seeks", pr.seeks),
-            ],
-        );
-        {
-            let suffix = kgoa_obs::profile::span("aj.exact_suffix");
-            self.counter.profile_emit();
-            drop(suffix);
-        }
-        drop(span);
-    }
-
     /// Walk completed: δ is a full path. The online `Pr(a, b)` computation
     /// for an uncached pair ticks the batch's meter (nothing is accumulated
     /// when it trips, so the aborted walk contributes nothing).
@@ -292,19 +253,15 @@ impl<'g> AuditJoin<'g> {
         }
         if self.distinct {
             self.masses.clear();
-            try_suffix_masses(
-                &self.plan,
-                &self.step_index,
-                &self.fixed_ranges,
-                &mut self.counter,
+            self.counter.pair_masses_from(
                 self.alpha,
                 self.beta,
                 step,
                 Some(range),
                 1.0,
                 &mut self.assignment,
-                &mut self.masses,
                 meter,
+                &mut self.masses,
             )?;
             if self.masses.is_empty() {
                 return Ok(false);
@@ -334,18 +291,27 @@ impl<'g> AuditJoin<'g> {
             Ok(true)
         } else {
             self.group_counts.clear();
-            try_suffix_group_counts(
-                &self.plan,
-                &self.step_index,
-                &self.fixed_ranges,
-                &mut self.counter,
-                self.alpha,
-                self.value_sum.as_ref().map(|sum| (self.beta, &sum.values)),
+            // With the SUM finisher, enumerate until β is bound as well and
+            // add `value(β) · count` of every closed branch to the group's
+            // second component; the counts are the same integers either way.
+            let pair = [self.alpha, self.beta];
+            let heads = if self.value_sum.is_some() { &pair[..] } else { &pair[..1] };
+            let (alpha, beta) = (self.alpha.index(), self.beta.index());
+            let values = self.value_sum.as_ref().map(|sum| &sum.values);
+            let group_counts = &mut self.group_counts;
+            self.counter.group_counts_from(
+                heads,
                 step,
                 Some(range),
                 &mut self.assignment,
-                &mut self.group_counts,
                 meter,
+                |asg, c| {
+                    let e = group_counts.entry(asg[alpha]).or_insert((0, 0.0));
+                    e.0 += c;
+                    if let Some(values) = values {
+                        e.1 += values.get(asg[beta]) * c as f64;
+                    }
+                },
             )?;
             if self.group_counts.is_empty() {
                 return Ok(false);
@@ -484,225 +450,50 @@ impl OnlineAggregator for AuditJoin<'_> {
     fn stats(&self) -> WalkStats {
         self.stats
     }
-}
 
-/// Per plan step, the index of its access order and — for a step without
-/// in-variable — its constant range: everything about a step's range that
-/// can be resolved before any walk starts.
-fn resolve_steps<'g>(
-    ig: &'g IndexedGraph,
-    plan: &WalkPlan,
-) -> (Vec<&'g TrieIndex>, Vec<Option<LiveRange>>) {
-    plan.steps()
-        .iter()
-        .map(|s| {
-            let index = ig.require(s.access.order);
-            (index, s.in_var.is_none().then(|| s.access.resolve_live(index, None)))
-        })
-        .unzip()
-}
-
-/// The live range of plan step `step` under `assignment`, given the
-/// tables of [`resolve_steps`].
-#[inline]
-fn step_range(
-    plan: &WalkPlan,
-    step_index: &[&TrieIndex],
-    fixed_ranges: &[Option<LiveRange>],
-    step: usize,
-    assignment: &[u32],
-) -> LiveRange {
-    fixed_ranges[step].unwrap_or_else(|| {
-        let s = &plan.steps()[step];
-        let in_value = s.in_var.map(|(v, _)| assignment[v.index()]);
-        s.access.resolve_live(step_index[step], in_value)
-    })
-}
-
-/// Exact per-(a, b) suffix probability masses `M_δ(a, b)` of a walk prefix
-/// δ ending before `step`: enumerate the suffix until both α and β are
-/// bound, then close with the cached walk-success mass. Public because the
-/// exact-expectation unbiasedness tests re-derive the estimator from it.
-#[allow(clippy::too_many_arguments)]
-pub fn suffix_masses(
-    ig: &IndexedGraph,
-    plan: &WalkPlan,
-    counter: &mut CtjCounter<'_>,
-    alpha: Var,
-    beta: Var,
-    step: usize,
-    weight: f64,
-    assignment: &mut [u32],
-    out: &mut FxHashMap<u64, f64>,
-) {
-    let mut meter = ExecBudget::unlimited().meter();
-    let (step_index, fixed_ranges) = resolve_steps(ig, plan);
-    try_suffix_masses(
-        plan,
-        &step_index,
-        &fixed_ranges,
-        counter,
-        alpha,
-        beta,
-        step,
-        None,
-        weight,
-        assignment,
-        out,
-        &mut meter,
-    )
-    .expect("unlimited budget cannot trip")
-}
-
-/// [`suffix_masses`] under a cooperative budget, over the per-step index
-/// and constant-range tables the caller resolved once for `plan`: the
-/// enumeration ticks the meter per recursion node and aborts (with `out`
-/// partially filled) when it trips. `first` is `step`'s range when the
-/// caller has already resolved it under `assignment`; deeper steps resolve
-/// their own.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_suffix_masses(
-    plan: &WalkPlan,
-    step_index: &[&TrieIndex],
-    fixed_ranges: &[Option<LiveRange>],
-    counter: &mut CtjCounter<'_>,
-    alpha: Var,
-    beta: Var,
-    step: usize,
-    first: Option<LiveRange>,
-    weight: f64,
-    assignment: &mut [u32],
-    out: &mut FxHashMap<u64, f64>,
-    meter: &mut BudgetMeter,
-) -> Result<(), BudgetExceeded> {
-    if plan.binder_step(alpha) < step && plan.binder_step(beta) < step {
-        let m = counter.try_mass_from(step, assignment, meter)?;
-        if m > 0.0 {
-            let a = assignment[alpha.index()];
-            let b = assignment[beta.index()];
-            *out.entry(pack2(a, b)).or_insert(0.0) += weight * m;
+    /// Emit this run's walk-phase attribution into the active profile
+    /// scope (no-op when none): one `aj.walks` span with per-step
+    /// accept/reject/tip leaves, an `aj.pr_ab` leaf with the `Pr(a, b)`
+    /// layer's counters, and an `aj.exact_suffix` child carrying the
+    /// per-node cache stats of the CTJ substrate the tipped walks
+    /// delegated to.
+    fn profile_emit(&self) {
+        if !kgoa_obs::profile::active() {
+            return;
         }
-        return Ok(());
-    }
-    debug_assert!(step < plan.len(), "all variables bound at plan end");
-    let index = step_index[step];
-    let range =
-        first.unwrap_or_else(|| step_range(plan, step_index, fixed_ranges, step, assignment));
-    if range.is_empty() {
-        return Ok(());
-    }
-    let w = weight / range.len() as f64;
-    for pos in index.positions(range) {
-        meter.tick()?;
-        plan.extract_at(index, step, pos, assignment);
-        try_suffix_masses(
-            plan,
-            step_index,
-            fixed_ranges,
-            counter,
-            alpha,
-            beta,
-            step + 1,
-            None,
-            w,
-            assignment,
-            out,
-            meter,
-        )?;
-    }
-    Ok(())
-}
-
-/// Exact per-group suffix completion counts `|Γ_{δ,a}|`: enumerate until α
-/// is bound, then close with the cached suffix count. Public for the same
-/// reason as [`suffix_masses`].
-pub fn suffix_group_counts(
-    ig: &IndexedGraph,
-    plan: &WalkPlan,
-    counter: &mut CtjCounter<'_>,
-    alpha: Var,
-    step: usize,
-    assignment: &mut [u32],
-    out: &mut FxHashMap<u32, u64>,
-) {
-    let mut meter = ExecBudget::unlimited().meter();
-    let (step_index, fixed_ranges) = resolve_steps(ig, plan);
-    let mut counts = FxHashMap::default();
-    try_suffix_group_counts(
-        plan,
-        &step_index,
-        &fixed_ranges,
-        counter,
-        alpha,
-        None,
-        step,
-        None,
-        assignment,
-        &mut counts,
-        &mut meter,
-    )
-    .expect("unlimited budget cannot trip");
-    for (a, (c, _)) in counts {
-        *out.entry(a).or_insert(0) += c;
-    }
-}
-
-/// [`suffix_group_counts`] under a cooperative budget, over the same
-/// per-step tables and optional first range as [`try_suffix_masses`]: the
-/// enumeration ticks the meter per recursion node and aborts (with `out`
-/// partially filled) when it trips. With `value = (β, values)` it
-/// enumerates until β is bound as well and adds `value(β) · count` of
-/// every closed branch to the group's second component (the value is
-/// constant from there on); the counts are the same integers either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_suffix_group_counts(
-    plan: &WalkPlan,
-    step_index: &[&TrieIndex],
-    fixed_ranges: &[Option<LiveRange>],
-    counter: &mut CtjCounter<'_>,
-    alpha: Var,
-    value: Option<(Var, &NumericValues)>,
-    step: usize,
-    first: Option<LiveRange>,
-    assignment: &mut [u32],
-    out: &mut FxHashMap<u32, (u64, f64)>,
-    meter: &mut BudgetMeter,
-) -> Result<(), BudgetExceeded> {
-    if plan.binder_step(alpha) < step
-        && value.is_none_or(|(beta, _)| plan.binder_step(beta) < step)
-    {
-        let c = counter.try_count_from(step, assignment, meter)?;
-        if c > 0 {
-            let e = out.entry(assignment[alpha.index()]).or_insert((0, 0.0));
-            e.0 += c;
-            if let Some((beta, values)) = value {
-                e.1 += values.get(assignment[beta.index()]) * c as f64;
-            }
+        let span = kgoa_obs::profile::span("aj.walks");
+        kgoa_obs::profile::add("walks", self.stats.walks);
+        kgoa_obs::profile::add("full", self.stats.full);
+        kgoa_obs::profile::add("rejected", self.stats.rejected);
+        kgoa_obs::profile::add("tipped", self.stats.tipped);
+        for (i, step) in self.plan.steps().iter().enumerate() {
+            kgoa_obs::profile::leaf(
+                format!("aj.step{i}[p{}]", step.pattern_idx),
+                &[
+                    ("visits", self.step_visits[i]),
+                    ("dead_ends", self.step_rejects[i]),
+                    ("tips", self.step_tips[i]),
+                ],
+            );
         }
-        return Ok(());
+        let pr = self.prab.stats();
+        kgoa_obs::profile::leaf(
+            "aj.pr_ab",
+            &[
+                ("plans", pr.plans),
+                ("pairs", pr.pairs),
+                ("hits", pr.hits),
+                ("rows", pr.rows),
+                ("seeks", pr.seeks),
+            ],
+        );
+        {
+            let suffix = kgoa_obs::profile::span("aj.exact_suffix");
+            self.counter.profile_emit();
+            drop(suffix);
+        }
+        drop(span);
     }
-    debug_assert!(step < plan.len(), "α and β are bound by the end of the plan");
-    let index = step_index[step];
-    let range =
-        first.unwrap_or_else(|| step_range(plan, step_index, fixed_ranges, step, assignment));
-    for pos in index.positions(range) {
-        meter.tick()?;
-        plan.extract_at(index, step, pos, assignment);
-        try_suffix_group_counts(
-            plan,
-            step_index,
-            fixed_ranges,
-            counter,
-            alpha,
-            value,
-            step + 1,
-            None,
-            assignment,
-            out,
-            meter,
-        )?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -985,9 +776,18 @@ mod tests {
             let mut assignment = aj.assignment.clone();
             let mut counter = CtjCounter::new(&ig, std::sync::Arc::clone(&aj.plan));
             let mut masses = FxHashMap::default();
-            suffix_masses(
-                &ig, &aj.plan, &mut counter, alpha, beta, 1, 1.0, &mut assignment, &mut masses,
-            );
+            counter
+                .pair_masses_from(
+                    alpha,
+                    beta,
+                    1,
+                    None,
+                    1.0,
+                    &mut assignment,
+                    &mut ExecBudget::unlimited().meter(),
+                    &mut masses,
+                )
+                .unwrap();
             let mut terms: Vec<(u64, f64)> = masses.into_iter().collect();
             assert!(terms.len() >= 7, "an object has at least seven mids");
             terms.sort_unstable_by_key(|&(key, _)| key);

@@ -6,7 +6,7 @@
 //! memory; each live walk's range for the step is then one index lookup,
 //! O(1) at level 0.
 
-use kgoa_index::{LiveRange, TrieIndex};
+use kgoa_index::{IndexedGraph, LiveRange, TrieIndex};
 use kgoa_query::{WalkPlan, WalkStep};
 use rand::RngCore;
 
@@ -81,6 +81,22 @@ impl BatchScratch {
         }
         dead
     }
+}
+
+/// Per plan step, the index of its access order and — for a step without
+/// in-variable — its constant range: everything about a step's range that
+/// can be resolved before any walk starts.
+pub(crate) fn resolve_steps<'g>(
+    ig: &'g IndexedGraph,
+    plan: &WalkPlan,
+) -> (Vec<&'g TrieIndex>, Vec<Option<LiveRange>>) {
+    plan.steps()
+        .iter()
+        .map(|s| {
+            let index = ig.require(s.access.order);
+            (index, s.in_var.is_none().then(|| s.access.resolve_live(index, None)))
+        })
+        .unzip()
 }
 
 /// Resolve the live range of `step` for every live walk into

@@ -46,10 +46,7 @@ pub mod wander;
 
 pub use accum::{GroupAccumulator, WalkStats, Z_95};
 pub use aggregate::{exact_group_sums, AggregateEstimates, NumericValues, SumAuditJoin};
-pub use audit::{
-    suffix_group_counts, suffix_masses, AuditJoin, AuditJoinConfig, Tipping,
-    DEFAULT_TIPPING_THRESHOLD,
-};
+pub use audit::{AuditJoin, AuditJoinConfig, Tipping, DEFAULT_TIPPING_THRESHOLD};
 pub use epoch::{EpochConfig, EpochGuard, EpochManager, EpochSnapshot};
 #[cfg(feature = "fault-inject")]
 pub use epoch::MergeCrashPoint;

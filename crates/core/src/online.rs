@@ -56,6 +56,10 @@ pub trait OnlineAggregator {
 
     /// Walk counters so far.
     fn stats(&self) -> WalkStats;
+
+    /// Emit this run's walk-phase attribution into the active profile
+    /// scope. A no-op when no profile is active, and by default.
+    fn profile_emit(&self) {}
 }
 
 /// One snapshot of an aggregator's state at a tick boundary.

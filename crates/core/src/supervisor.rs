@@ -288,96 +288,74 @@ pub fn supervise(
     // so injected walk panics exercise this rung's isolation too).
     let slice = remaining_slice(config, start);
     let aj_budget = config.budget_builder().deadline(slice).build();
-    let attempt = catch_unwind(AssertUnwindSafe(
-        || -> Result<(GroupedEstimates, crate::WalkStats), QueryError> {
-            let _prof = kgoa_obs::profile::span("supervisor.rung.audit_join");
-            let mut aj = AuditJoin::new(ig, query, config.audit)?;
-            run_governed(&mut aj, &aj_budget);
-            aj.profile_emit();
-            Ok((aj.estimates(), aj.stats()))
-        },
-    ));
-    match attempt {
-        Ok(Ok((estimates, stats))) => {
-            let walks = stats.walks;
-            kgoa_obs::events::emit_with(
-                kgoa_obs::Level::Info,
-                "supervisor",
-                "served degraded estimates",
-                vec![
-                    ("rung", "audit_join".into()),
-                    ("reason", reason.to_string()),
-                    ("walks", walks.to_string()),
-                    ("elapsed_us", start.elapsed().as_micros().to_string()),
-                ],
-            );
-            return Ok(SupervisedResult::Degraded {
-                estimates,
-                provenance: Degraded {
-                    reason,
-                    elapsed: start.elapsed(),
-                    walks,
-                    estimator: "aj",
-                },
-            });
-        }
-        Ok(Err(e)) => return Err(SupervisorError::Query(e)),
-        Err(_) => {
-            kgoa_obs::events::warn(
-                "supervisor",
-                "audit join panicked under supervision; falling back to wander join",
-            );
-        }
+    let aj = || AuditJoin::new(ig, query, config.audit);
+    if let Some(served) = degraded_rung("audit_join", &reason, start, &aj_budget, aj) {
+        return served;
     }
+    kgoa_obs::events::warn(
+        "supervisor",
+        "audit join panicked under supervision; falling back to wander join",
+    );
 
     // Rung 3: Wander Join on a clean budget (no fault plan) — the ladder's
     // fault-free last resort before empty-with-error.
     let slice = remaining_slice(config, start);
     let wj_budget = ExecBudget::builder().deadline(slice).build();
     let wj_seed = config.audit.seed ^ 0x57AB_1E5E_ED5E_ED00;
-    let attempt = catch_unwind(AssertUnwindSafe(
-        || -> Result<(GroupedEstimates, crate::WalkStats), QueryError> {
-            let _prof = kgoa_obs::profile::span("supervisor.rung.wander_join");
-            let mut wj = WanderJoin::new(ig, query, wj_seed)?;
-            run_governed(&mut wj, &wj_budget);
-            wj.profile_emit();
-            Ok((wj.estimates(), wj.stats()))
-        },
-    ));
-    match attempt {
-        Ok(Ok((estimates, stats))) => {
-            let walks = stats.walks;
-            kgoa_obs::events::emit_with(
-                kgoa_obs::Level::Info,
-                "supervisor",
-                "served degraded estimates",
-                vec![
-                    ("rung", "wander_join".into()),
-                    ("reason", reason.to_string()),
-                    ("walks", walks.to_string()),
-                    ("elapsed_us", start.elapsed().as_micros().to_string()),
-                ],
-            );
-            Ok(SupervisedResult::Degraded {
-                estimates,
-                provenance: Degraded { reason, elapsed: start.elapsed(), walks, estimator: "wj" },
-            })
-        }
-        Ok(Err(e)) => Err(SupervisorError::Query(e)),
-        Err(_) => {
-            kgoa_obs::events::emit_with(
-                kgoa_obs::Level::Error,
-                "supervisor",
-                "every execution rung failed",
-                vec![
-                    ("rung", "exhausted".into()),
-                    ("reason", reason.to_string()),
-                    ("elapsed_us", start.elapsed().as_micros().to_string()),
-                ],
-            );
-            Err(SupervisorError::Exhausted { reason, elapsed: start.elapsed() })
-        }
+    let wj = || WanderJoin::new(ig, query, wj_seed);
+    if let Some(served) = degraded_rung("wander_join", &reason, start, &wj_budget, wj) {
+        return served;
     }
+    kgoa_obs::events::emit_with(
+        kgoa_obs::Level::Error,
+        "supervisor",
+        "every execution rung failed",
+        vec![
+            ("rung", "exhausted".into()),
+            ("reason", reason.to_string()),
+            ("elapsed_us", start.elapsed().as_micros().to_string()),
+        ],
+    );
+    Err(SupervisorError::Exhausted { reason, elapsed: start.elapsed() })
+}
+
+/// A degraded rung: build an online aggregator and run it on `budget`
+/// inside `catch_unwind`, under the profile span `supervisor.rung.{rung}`.
+/// `None` means it panicked and the ladder goes on; otherwise the rung
+/// served its estimates (or found the query invalid).
+fn degraded_rung<A: OnlineAggregator>(
+    rung: &'static str,
+    reason: &DegradeReason,
+    start: Instant,
+    budget: &ExecBudget,
+    build: impl FnOnce() -> Result<A, QueryError>,
+) -> Option<Result<SupervisedResult, SupervisorError>> {
+    let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<_, QueryError> {
+        let _prof = kgoa_obs::profile::span(format!("supervisor.rung.{rung}"));
+        let mut agg = build()?;
+        run_governed(&mut agg, budget);
+        agg.profile_emit();
+        Ok((agg.estimates(), agg.stats().walks, agg.name()))
+    }));
+    let (estimates, walks, estimator) = match attempt {
+        Ok(Ok(done)) => done,
+        Ok(Err(e)) => return Some(Err(SupervisorError::Query(e))),
+        Err(_) => return None,
+    };
+    kgoa_obs::events::emit_with(
+        kgoa_obs::Level::Info,
+        "supervisor",
+        "served degraded estimates",
+        vec![
+            ("rung", rung.into()),
+            ("reason", reason.to_string()),
+            ("walks", walks.to_string()),
+            ("elapsed_us", start.elapsed().as_micros().to_string()),
+        ],
+    );
+    let elapsed = start.elapsed();
+    let provenance = Degraded { reason: reason.clone(), elapsed, walks, estimator };
+    Some(Ok(SupervisedResult::Degraded { estimates, provenance }))
 }
 
 /// The wall-clock slice left for a degraded rung, floored at

@@ -70,14 +70,7 @@ impl<'g> WanderJoin<'g> {
     ) -> Result<Self, QueryError> {
         let plan = plan.into();
         let n = plan.len();
-        let step_index: Vec<&TrieIndex> =
-            plan.steps().iter().map(|s| ig.require(s.access.order)).collect();
-        let fixed_ranges: Vec<Option<LiveRange>> = plan
-            .steps()
-            .iter()
-            .zip(&step_index)
-            .map(|(s, idx)| s.in_var.is_none().then(|| s.access.resolve_live(idx, None)))
-            .collect();
+        let (step_index, fixed_ranges) = crate::batch::resolve_steps(ig, &plan);
         Ok(WanderJoin {
             step_index,
             fixed_ranges,
@@ -103,27 +96,6 @@ impl<'g> WanderJoin<'g> {
     /// Per-step `(visits, dead_ends)` counters, indexed by walk-plan step.
     pub fn step_stats(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.step_visits.iter().copied().zip(self.step_rejects.iter().copied())
-    }
-
-    /// Emit this run's walk-phase attribution into the active profile
-    /// scope (no-op when none): one `wj.walks` span carrying the global
-    /// walk counters, with one leaf per plan step underneath.
-    pub fn profile_emit(&self) {
-        if !kgoa_obs::profile::active() {
-            return;
-        }
-        let span = kgoa_obs::profile::span("wj.walks");
-        kgoa_obs::profile::add("walks", self.stats.walks);
-        kgoa_obs::profile::add("full", self.stats.full);
-        kgoa_obs::profile::add("rejected", self.stats.rejected);
-        kgoa_obs::profile::add("duplicates", self.stats.duplicates);
-        for (i, step) in self.plan.steps().iter().enumerate() {
-            kgoa_obs::profile::leaf(
-                format!("wj.step{i}[p{}]", step.pattern_idx),
-                &[("visits", self.step_visits[i]), ("dead_ends", self.step_rejects[i])],
-            );
-        }
-        drop(span);
     }
 
     /// The walk loop: `n` admitted walks advance one plan step at a time.
@@ -207,6 +179,27 @@ impl OnlineAggregator for WanderJoin<'_> {
 
     fn stats(&self) -> WalkStats {
         self.stats
+    }
+
+    /// Emit this run's walk-phase attribution into the active profile
+    /// scope (no-op when none): one `wj.walks` span carrying the global
+    /// walk counters, with one leaf per plan step underneath.
+    fn profile_emit(&self) {
+        if !kgoa_obs::profile::active() {
+            return;
+        }
+        let span = kgoa_obs::profile::span("wj.walks");
+        kgoa_obs::profile::add("walks", self.stats.walks);
+        kgoa_obs::profile::add("full", self.stats.full);
+        kgoa_obs::profile::add("rejected", self.stats.rejected);
+        kgoa_obs::profile::add("duplicates", self.stats.duplicates);
+        for (i, step) in self.plan.steps().iter().enumerate() {
+            kgoa_obs::profile::leaf(
+                format!("wj.step{i}[p{}]", step.pattern_idx),
+                &[("visits", self.step_visits[i]), ("dead_ends", self.step_rejects[i])],
+            );
+        }
+        drop(span);
     }
 }
 

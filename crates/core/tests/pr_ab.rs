@@ -200,7 +200,9 @@ fn pr_ab_agrees_with_the_nested_loop_oracle() {
                             sum += got;
                         }
                         let mut assignment = vec![0u32; query.var_count()];
-                        let mass = CtjCounter::new(ig, plan.clone()).mass_from(0, &mut assignment);
+                        let mass = CtjCounter::new(ig, plan.clone())
+                            .mass_from(0, &mut assignment, &mut ExecBudget::unlimited().meter())
+                            .unwrap();
                         assert!(close(sum, mass), "{what} {side}: Σ Pr = {sum}, walk mass {mass}");
                         // A known b with an a it never reaches, and an id no
                         // triple mentions.

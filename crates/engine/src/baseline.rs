@@ -25,19 +25,10 @@ pub const DEFAULT_TUPLE_LIMIT: usize = 50_000_000;
 /// `tuple_limit` bounds the number of simultaneously materialized tuples;
 /// exceeding it returns [`EngineError::IntermediateResultLimit`] (the
 /// benchmark harness reports such runs as timeouts, mirroring the paper's
-/// multi-hour Virtuoso outliers).
-pub fn baseline_grouped(
-    ig: &IndexedGraph,
-    query: &ExplorationQuery,
-    tuple_limit: usize,
-) -> Result<GroupedCounts, EngineError> {
-    baseline_grouped_governed(ig, query, tuple_limit, &ExecBudget::unlimited())
-}
-
-/// [`baseline_grouped`] under a cooperative budget: each materialized tuple
-/// is charged against the budget's tuple counter and the inner loops are
-/// metered, so deadlines and cancellation interrupt even the pathological
-/// blow-up cases this engine exists to exhibit.
+/// multi-hour Virtuoso outliers). Each materialized tuple is also charged
+/// against the budget's tuple counter and the inner loops are metered, so
+/// deadlines and cancellation interrupt even the pathological blow-up
+/// cases this engine exists to exhibit.
 pub fn baseline_grouped_governed(
     ig: &IndexedGraph,
     query: &ExplorationQuery,
@@ -158,7 +149,13 @@ mod tests {
     #[test]
     fn grouped_count() {
         let (ig, p, q) = star();
-        let out = baseline_grouped(&ig, &query(p, q, false), usize::MAX).unwrap();
+        let out = baseline_grouped_governed(
+            &ig,
+            &query(p, q, false),
+            usize::MAX,
+            &ExecBudget::unlimited(),
+        )
+        .unwrap();
         let c1 = ig.dict().lookup_iri("u:c1").unwrap();
         let c2 = ig.dict().lookup_iri("u:c2").unwrap();
         assert_eq!(out.get(c1), 2);
@@ -170,7 +167,13 @@ mod tests {
         // Add a duplicate-ish edge: x -q-> c1 twice is impossible (set
         // semantics), so make two p-paths to x instead via another subject.
         let (ig, p, q) = star();
-        let out = baseline_grouped(&ig, &query(p, q, true), usize::MAX).unwrap();
+        let out = baseline_grouped_governed(
+            &ig,
+            &query(p, q, true),
+            usize::MAX,
+            &ExecBudget::unlimited(),
+        )
+        .unwrap();
         let c1 = ig.dict().lookup_iri("u:c1").unwrap();
         assert_eq!(out.get(c1), 2); // x and y are distinct
     }
@@ -178,14 +181,27 @@ mod tests {
     #[test]
     fn empty_result() {
         let (ig, p, _) = star();
-        let out = baseline_grouped(&ig, &query(p, TermId(9999), false), usize::MAX).unwrap();
+        let out = baseline_grouped_governed(
+            &ig,
+            &query(p,
+            TermId(9999), false),
+            usize::MAX,
+            &ExecBudget::unlimited(),
+        )
+        .unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn tuple_limit_enforced() {
         let (ig, p, q) = star();
-        let err = baseline_grouped(&ig, &query(p, q, false), 2).unwrap_err();
+        let err = baseline_grouped_governed(
+            &ig,
+            &query(p, q, false),
+            2,
+            &ExecBudget::unlimited(),
+        )
+        .unwrap_err();
         assert_eq!(err, EngineError::IntermediateResultLimit { limit: 2 });
     }
 }

@@ -13,15 +13,26 @@
 //! diamond-shaped join recomputes suffix counts under LFTJ but hits the
 //! cache under CTJ.
 //!
-//! Three "semirings" share the machinery, because Audit Join needs all of
-//! them (§IV-D):
-//! - **count**: `u64` number of completions (`|Γ_δ|`),
-//! - **exists**: early-exiting boolean (distinct counting),
-//! - **mass**: `f64` probability that a random walk continuing from here
-//!   completes (`Σ_extensions Π 1/dᵢ`), used by the unbiased distinct
-//!   estimator.
+//! [`CtjCounter`] is the one place that knows how an exact suffix is
+//! enumerated: how a step's range is resolved, when a step's rows collapse
+//! into a multiplier, what the memo key is and where the budget meter
+//! ticks. One memoized recursion serves three "semirings", because Audit
+//! Join needs all of them (§IV-D):
+//! - **count** ([`CtjCounter::count_from`]): `u64` number of completions
+//!   (`|Γ_δ|`),
+//! - **exists** ([`CtjCounter::exists_from`]): early-exiting boolean
+//!   (distinct counting),
+//! - **mass** ([`CtjCounter::mass_from`]): `f64` probability that a random
+//!   walk continuing from here completes (`Σ_extensions Π 1/dᵢ`), used by
+//!   the unbiased distinct estimator.
+//!
+//! Two drivers enumerate a prefix of the suffix and close each branch with
+//! that recursion: [`CtjCounter::group_counts_from`] (per-group counts, for
+//! [`crate::CtjEngine`] and Audit Join's tipped count walks) and
+//! [`CtjCounter::pair_masses_from`] (per-(α, β) masses, for Audit Join's
+//! tipped distinct walks).
 
-use kgoa_index::{pack2, FxHashMap, IndexedGraph};
+use kgoa_index::{pack2, FxHashMap, IndexedGraph, LiveRange, TrieIndex};
 use kgoa_query::{ExplorationQuery, Var, WalkPlan};
 
 use crate::budget::{BudgetExceeded, BudgetMeter, ExecBudget};
@@ -74,6 +85,76 @@ impl DepKey {
     }
 }
 
+/// One semiring of the memoized suffix recursion ([`CtjCounter::suffix`]).
+trait Suffix: Copy {
+    /// The value past the last step: the empty suffix completes once.
+    const DONE: Self;
+    /// The value over an empty range.
+    const EMPTY: Self;
+    /// The value over `d` rows that all lead to the suffix value `s`.
+    fn repeat(d: u64, s: Self) -> Self;
+    /// Fold one row's suffix value into `acc`; `false` stops the loop.
+    fn fold(acc: &mut Self, s: Self) -> bool;
+    /// Close the fold over a range of `d` rows.
+    fn finish(acc: Self, _d: u64) -> Self {
+        acc
+    }
+    /// This semiring's per-step memo.
+    fn memo<'a>(counter: &'a mut CtjCounter<'_>) -> &'a mut [FxHashMap<u64, Self>];
+}
+
+impl Suffix for u64 {
+    const DONE: u64 = 1;
+    const EMPTY: u64 = 0;
+    fn repeat(d: u64, s: u64) -> u64 {
+        d.checked_mul(s).expect("join size overflow")
+    }
+    fn fold(acc: &mut u64, s: u64) -> bool {
+        *acc += s;
+        true
+    }
+    fn memo<'a>(counter: &'a mut CtjCounter<'_>) -> &'a mut [FxHashMap<u64, u64>] {
+        &mut counter.memo_count
+    }
+}
+
+impl Suffix for bool {
+    const DONE: bool = true;
+    const EMPTY: bool = false;
+    /// One representative decides existence for the whole range.
+    fn repeat(_d: u64, s: bool) -> bool {
+        s
+    }
+    fn fold(acc: &mut bool, s: bool) -> bool {
+        *acc = s;
+        !s
+    }
+    fn memo<'a>(counter: &'a mut CtjCounter<'_>) -> &'a mut [FxHashMap<u64, bool>] {
+        &mut counter.memo_exists
+    }
+}
+
+impl Suffix for f64 {
+    const DONE: f64 = 1.0;
+    const EMPTY: f64 = 0.0;
+    /// `d` candidates, each reached with probability `1/d` and leading to
+    /// the same suffix: `Σ = d · (1/d) · s`.
+    fn repeat(_d: u64, s: f64) -> f64 {
+        s
+    }
+    fn fold(acc: &mut f64, s: f64) -> bool {
+        *acc += s;
+        true
+    }
+    /// Each of the `d` rows is picked with probability `1/d`.
+    fn finish(acc: f64, d: u64) -> f64 {
+        acc / d as f64
+    }
+    fn memo<'a>(counter: &'a mut CtjCounter<'_>) -> &'a mut [FxHashMap<u64, f64>] {
+        &mut counter.memo_mass
+    }
+}
+
 /// The CTJ evaluator: a walk-plan recursion with per-step suffix caches.
 ///
 /// One `CtjCounter` accumulates caches across *many* invocations — this is
@@ -81,6 +162,10 @@ impl DepKey {
 /// walks ("Audit Join automatically leverages the caching of CTJ,
 /// potentially avoiding re-computation when building the same prefix δ in
 /// later random walks", §IV-D).
+///
+/// Every computation takes a [`BudgetMeter`] and ticks it per enumerated
+/// row (once for a collapsed range), aborting when it trips. Partial
+/// results are never memoized, so the caches stay exact.
 pub struct CtjCounter<'g> {
     ig: &'g IndexedGraph,
     /// Shared so co-operating executors (Audit Join's estimator, pinned
@@ -90,8 +175,8 @@ pub struct CtjCounter<'g> {
     /// Raw dependency sets behind [`CtjCounter::suffix_dep_vars`] (sorted).
     dep_vars: Vec<Vec<Var>>,
     /// `collapse[i]`: no step after `i` reads `i`'s out-variables, so every
-    /// row of `i`'s range leads to an identical suffix (see the suffix
-    /// multiplication in [`CtjCounter::try_count_from`]).
+    /// row of `i`'s range leads to an identical suffix (see
+    /// [`CtjCounter::suffix_collapses`]).
     collapse: Vec<bool>,
     memo_count: Vec<FxHashMap<u64, u64>>,
     memo_exists: Vec<FxHashMap<u64, bool>>,
@@ -154,11 +239,6 @@ impl<'g> CtjCounter<'g> {
         &self.plan
     }
 
-    /// The indexed graph.
-    pub fn graph(&self) -> &'g IndexedGraph {
-        self.ig
-    }
-
     /// Cache statistics so far.
     pub fn cache_stats(&self) -> CacheStats {
         self.stats
@@ -170,7 +250,7 @@ impl<'g> CtjCounter<'g> {
     }
 
     /// Attribute one enumerated row to `step`. Drivers that enumerate a
-    /// prefix themselves (e.g. [`crate::CtjEngine`]'s group recursion)
+    /// prefix themselves (e.g. [`crate::CtjEngine`]'s distinct recursion)
     /// call this so their rows land in the same per-step counters as the
     /// memoized suffix work.
     pub fn note_row(&mut self, step: usize) {
@@ -191,194 +271,216 @@ impl<'g> CtjCounter<'g> {
         }
     }
 
-
-    /// Drop all cached entries (used between ablation runs).
-    pub fn clear_cache(&mut self) {
-        for m in &mut self.memo_count {
-            m.clear();
-        }
-        for m in &mut self.memo_exists {
-            m.clear();
-        }
-        for m in &mut self.memo_mass {
-            m.clear();
-        }
-        self.stats = CacheStats::default();
-        self.step_stats.fill(StepCacheStats::default());
+    /// Plan step `step`'s index and its live range under `assignment`;
+    /// `first` is the range when the caller has already resolved it.
+    #[inline]
+    pub(crate) fn resolve(
+        &self,
+        step: usize,
+        first: Option<LiveRange>,
+        assignment: &[u32],
+    ) -> (&'g TrieIndex, LiveRange) {
+        let s = &self.plan.steps()[step];
+        let index = self.ig.require(s.access.order);
+        let range = first.unwrap_or_else(|| {
+            s.access.resolve_live(index, s.in_var.map(|(v, _)| assignment[v.index()]))
+        });
+        (index, range)
     }
 
     /// Number of completions of the suffix starting at `step`, given the
     /// bindings in `assignment` (`|Γ_δ|` where δ bound steps `0..step`).
-    pub fn count_from(&mut self, step: usize, assignment: &mut [u32]) -> u64 {
-        let mut meter = ExecBudget::unlimited().meter();
-        self.try_count_from(step, assignment, &mut meter)
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// [`CtjCounter::count_from`] under a cooperative budget: the recursion
-    /// ticks the meter per enumerated row and aborts when it trips. Partial
-    /// results are never memoized, so the caches stay exact.
-    pub fn try_count_from(
+    pub fn count_from(
         &mut self,
         step: usize,
         assignment: &mut [u32],
         meter: &mut BudgetMeter,
     ) -> Result<u64, BudgetExceeded> {
-        if step == self.plan.len() {
-            return Ok(1);
-        }
-        let key = self.deps[step].key(assignment);
-        if let Some(k) = key {
-            if let Some(&c) = self.memo_count[step].get(&k) {
-                self.stats.hits += 1;
-                self.step_stats[step].hits += 1;
-                return Ok(c);
-            }
-        }
-        let s = &self.plan.steps()[step];
-        let index = self.ig.require(s.access.order);
-        let in_value = s.in_var.map(|(v, _)| assignment[v.index()]);
-        let range = s.access.resolve_live(index, in_value);
-        let total = if s.out_vars.is_empty() || self.collapse[step] {
-            // No new bindings — or bindings nothing downstream reads:
-            // every candidate row leads to the same suffix, so multiply by
-            // the fan-out instead of enumerating it.
-            meter.tick()?;
-            if range.is_empty() {
-                0
-            } else {
-                (range.len() as u64)
-                    .checked_mul(self.try_count_from(step + 1, assignment, meter)?)
-                    .expect("join size overflow")
-            }
-        } else {
-            let mut total = 0u64;
-            for pos in index.positions(range) {
-                meter.tick()?;
-                self.step_stats[step].rows += 1;
-                self.plan.extract_at(index, step, pos, assignment);
-                total += self.try_count_from(step + 1, assignment, meter)?;
-            }
-            total
-        };
-        if let Some(k) = key {
-            self.memo_count[step].insert(k, total);
-            self.stats.misses += 1;
-            self.step_stats[step].misses += 1;
-        }
-        Ok(total)
+        self.suffix(step, assignment, meter)
     }
 
     /// True if the suffix starting at `step` has at least one completion.
-    pub fn exists_from(&mut self, step: usize, assignment: &mut [u32]) -> bool {
-        let mut meter = ExecBudget::unlimited().meter();
-        self.try_exists_from(step, assignment, &mut meter)
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// [`CtjCounter::exists_from`] under a cooperative budget.
-    pub fn try_exists_from(
+    pub fn exists_from(
         &mut self,
         step: usize,
         assignment: &mut [u32],
         meter: &mut BudgetMeter,
     ) -> Result<bool, BudgetExceeded> {
-        if step == self.plan.len() {
-            return Ok(true);
-        }
-        let key = self.deps[step].key(assignment);
-        if let Some(k) = key {
-            if let Some(&e) = self.memo_exists[step].get(&k) {
-                self.stats.hits += 1;
-                self.step_stats[step].hits += 1;
-                return Ok(e);
-            }
-        }
-        let s = &self.plan.steps()[step];
-        let index = self.ig.require(s.access.order);
-        let in_value = s.in_var.map(|(v, _)| assignment[v.index()]);
-        let range = s.access.resolve_live(index, in_value);
-        let mut found = false;
-        if s.out_vars.is_empty() || self.collapse[step] {
-            // Suffix is independent of this step's bindings: one
-            // representative decides existence for the whole range.
-            meter.tick()?;
-            if !range.is_empty() {
-                found = self.try_exists_from(step + 1, assignment, meter)?;
-            }
-        } else {
-            for pos in index.positions(range) {
-                meter.tick()?;
-                self.step_stats[step].rows += 1;
-                self.plan.extract_at(index, step, pos, assignment);
-                if self.try_exists_from(step + 1, assignment, meter)? {
-                    found = true;
-                    break;
-                }
-            }
-        }
-        if let Some(k) = key {
-            self.memo_exists[step].insert(k, found);
-            self.stats.misses += 1;
-            self.step_stats[step].misses += 1;
-        }
-        Ok(found)
+        self.suffix(step, assignment, meter)
     }
 
     /// Probability that a random walk at `step` (with the given bindings)
     /// continues all the way to a full path: `Σ_extensions Π_{i≥step} 1/dᵢ`.
-    pub fn mass_from(&mut self, step: usize, assignment: &mut [u32]) -> f64 {
-        let mut meter = ExecBudget::unlimited().meter();
-        self.try_mass_from(step, assignment, &mut meter)
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// [`CtjCounter::mass_from`] under a cooperative budget.
-    pub fn try_mass_from(
+    pub fn mass_from(
         &mut self,
         step: usize,
         assignment: &mut [u32],
         meter: &mut BudgetMeter,
     ) -> Result<f64, BudgetExceeded> {
+        self.suffix(step, assignment, meter)
+    }
+
+    /// The memoized suffix recursion behind the three semirings.
+    fn suffix<S: Suffix>(
+        &mut self,
+        step: usize,
+        assignment: &mut [u32],
+        meter: &mut BudgetMeter,
+    ) -> Result<S, BudgetExceeded> {
         if step == self.plan.len() {
-            return Ok(1.0);
+            return Ok(S::DONE);
         }
         let key = self.deps[step].key(assignment);
         if let Some(k) = key {
-            if let Some(&m) = self.memo_mass[step].get(&k) {
+            if let Some(&v) = S::memo(self)[step].get(&k) {
                 self.stats.hits += 1;
                 self.step_stats[step].hits += 1;
-                return Ok(m);
+                return Ok(v);
             }
         }
-        let s = &self.plan.steps()[step];
-        let index = self.ig.require(s.access.order);
-        let in_value = s.in_var.map(|(v, _)| assignment[v.index()]);
-        let range = s.access.resolve_live(index, in_value);
-        let mass = if range.is_empty() {
-            0.0
-        } else if s.out_vars.is_empty() || self.collapse[step] {
-            // d candidates, each reached with probability 1/d and leading
-            // to the same suffix: Σ = d · (1/d) · suffix.
+        let (index, range) = self.resolve(step, None, assignment);
+        let value = if range.is_empty() {
+            S::EMPTY
+        } else if self.collapse[step] {
+            // No new bindings — or bindings nothing downstream reads:
+            // every candidate row leads to the same suffix, so one
+            // representative stands for the whole range.
             meter.tick()?;
-            self.try_mass_from(step + 1, assignment, meter)?
+            S::repeat(range.len() as u64, self.suffix(step + 1, assignment, meter)?)
         } else {
-            let d = range.len() as f64;
-            let mut sum = 0.0;
+            let mut acc = S::EMPTY;
             for pos in index.positions(range) {
                 meter.tick()?;
                 self.step_stats[step].rows += 1;
                 self.plan.extract_at(index, step, pos, assignment);
-                sum += self.try_mass_from(step + 1, assignment, meter)?;
+                if !S::fold(&mut acc, self.suffix(step + 1, assignment, meter)?) {
+                    break;
+                }
             }
-            sum / d
+            S::finish(acc, range.len() as u64)
         };
         if let Some(k) = key {
-            self.memo_mass[step].insert(k, mass);
+            S::memo(self)[step].insert(k, value);
             self.stats.misses += 1;
             self.step_stats[step].misses += 1;
         }
-        Ok(mass)
+        Ok(value)
+    }
+
+    /// Exact per-group completion counts of the suffix starting at `step`:
+    /// enumerate until every variable in `heads` is bound, then close each
+    /// branch with [`CtjCounter::count_from`] and call `emit(assignment,
+    /// n)` with its count `n > 0`. Rows that no head and no later step
+    /// reads are multiplied instead of enumerated, and the last step is
+    /// inlined. `first` is `step`'s range when the caller has already
+    /// resolved it under `assignment`; deeper steps resolve their own. On a
+    /// budget trip, `emit` has seen part of the branches.
+    pub fn group_counts_from(
+        &mut self,
+        heads: &[Var],
+        step: usize,
+        first: Option<LiveRange>,
+        assignment: &mut [u32],
+        meter: &mut BudgetMeter,
+        mut emit: impl FnMut(&[u32], u64),
+    ) -> Result<(), BudgetExceeded> {
+        self.group_counts_rec(heads, step, first, assignment, meter, 1, &mut emit)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn group_counts_rec<F: FnMut(&[u32], u64)>(
+        &mut self,
+        heads: &[Var],
+        step: usize,
+        first: Option<LiveRange>,
+        assignment: &mut [u32],
+        meter: &mut BudgetMeter,
+        mult: u64,
+        emit: &mut F,
+    ) -> Result<(), BudgetExceeded> {
+        let n = self.plan.len();
+        if step == n || heads.iter().all(|&h| self.plan.binder_step(h) < step) {
+            let c = self
+                .count_from(step, assignment, meter)?
+                .checked_mul(mult)
+                .expect("join size overflow");
+            if c > 0 {
+                emit(assignment, c);
+            }
+            return Ok(());
+        }
+        let (index, range) = self.resolve(step, first, assignment);
+        if self.collapse[step]
+            && !self.plan.steps()[step].out_vars.iter().any(|v| heads.contains(v))
+        {
+            // Nothing after this step (heads included) reads its bindings:
+            // every row leads to the same recursion, so scale instead of
+            // looping.
+            if !range.is_empty() {
+                meter.tick()?;
+                self.step_stats[step].rows += 1;
+                let mult = mult.checked_mul(range.len() as u64).expect("join size overflow");
+                self.group_counts_rec(heads, step + 1, None, assignment, meter, mult, emit)?;
+            }
+            return Ok(());
+        }
+        let last = step + 1 == n;
+        for pos in index.positions(range) {
+            meter.tick()?;
+            self.step_stats[step].rows += 1;
+            self.plan.extract_at(index, step, pos, assignment);
+            if last {
+                // The recursion would hit the base case (suffix count 1)
+                // per row — inline it to skip the call.
+                emit(assignment, mult);
+            } else {
+                self.group_counts_rec(heads, step + 1, None, assignment, meter, mult, emit)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Exact per-(a, b) suffix probability masses `M_δ(a, b)` of a walk
+    /// prefix δ ending before `step`, scaled by `weight` and added to
+    /// `out[pack2(a, b)]`: enumerate the suffix until both `alpha` and
+    /// `beta` are bound, splitting the weight evenly over each range, then
+    /// close with [`CtjCounter::mass_from`]. No range collapses: that would
+    /// reorder the float sums. `first` is as in
+    /// [`CtjCounter::group_counts_from`]; on a budget trip `out` is
+    /// partially filled.
+    #[allow(clippy::too_many_arguments)]
+    pub fn pair_masses_from(
+        &mut self,
+        alpha: Var,
+        beta: Var,
+        step: usize,
+        first: Option<LiveRange>,
+        weight: f64,
+        assignment: &mut [u32],
+        meter: &mut BudgetMeter,
+        out: &mut FxHashMap<u64, f64>,
+    ) -> Result<(), BudgetExceeded> {
+        if self.plan.binder_step(alpha) < step && self.plan.binder_step(beta) < step {
+            let m = self.mass_from(step, assignment, meter)?;
+            if m > 0.0 {
+                let key = pack2(assignment[alpha.index()], assignment[beta.index()]);
+                *out.entry(key).or_insert(0.0) += weight * m;
+            }
+            return Ok(());
+        }
+        debug_assert!(step < self.plan.len(), "all variables bound at plan end");
+        let (index, range) = self.resolve(step, first, assignment);
+        if range.is_empty() {
+            return Ok(());
+        }
+        let w = weight / range.len() as f64;
+        for pos in index.positions(range) {
+            meter.tick()?;
+            self.step_stats[step].rows += 1;
+            self.plan.extract_at(index, step, pos, assignment);
+            self.pair_masses_from(alpha, beta, step + 1, None, w, assignment, meter, out)?;
+        }
+        Ok(())
     }
 }
 
@@ -408,7 +510,7 @@ pub fn ctj_count(ig: &IndexedGraph, query: &ExplorationQuery) -> Result<u64, cra
     let plan = WalkPlan::canonical(query, &kgoa_index::IndexOrder::PAPER_DEFAULT)?;
     let mut counter = CtjCounter::new(ig, plan);
     let mut assignment = vec![0u32; query.var_count()];
-    Ok(counter.count_from(0, &mut assignment))
+    Ok(counter.count_from(0, &mut assignment, &mut ExecBudget::unlimited().meter())?)
 }
 
 #[cfg(test)]
@@ -467,13 +569,14 @@ mod tests {
         let plan = WalkPlan::canonical(&query, &kgoa_index::IndexOrder::PAPER_DEFAULT).unwrap();
         let mut counter = CtjCounter::new(&ig, plan);
         let mut asg = vec![0u32; query.var_count()];
-        assert_eq!(counter.count_from(0, &mut asg), 2);
+        let mut meter = ExecBudget::unlimited().meter();
+        assert_eq!(counter.count_from(0, &mut asg, &mut meter).unwrap(), 2);
         // The two paths meet at m — the suffix count under m is computed
         // once and hit once.
         assert!(counter.cache_stats().hits >= 1, "stats: {:?}", counter.cache_stats());
         // A second full evaluation is answered entirely from the cache.
         let h0 = counter.cache_stats().hits;
-        assert_eq!(counter.count_from(0, &mut asg), 2);
+        assert_eq!(counter.count_from(0, &mut asg, &mut meter).unwrap(), 2);
         assert!(counter.cache_stats().hits > h0);
     }
 
@@ -484,7 +587,8 @@ mod tests {
         let plan = WalkPlan::canonical(&query, &kgoa_index::IndexOrder::PAPER_DEFAULT).unwrap();
         let mut counter = CtjCounter::new(&ig, plan);
         let mut asg = vec![0u32; query.var_count()];
-        assert_eq!(counter.count_from(0, &mut asg), 2);
+        let mut meter = ExecBudget::unlimited().meter();
+        assert_eq!(counter.count_from(0, &mut asg, &mut meter).unwrap(), 2);
         let steps = counter.step_stats().to_vec();
         assert_eq!(steps.len(), 3);
         // Per-step counters sum to the global aggregate.
@@ -497,8 +601,6 @@ mod tests {
         assert!(steps[1].hits + steps[2].hits >= 1, "{steps:?}");
         // Rows were enumerated wherever suffixes were computed.
         assert!(steps.iter().map(|s| s.rows).sum::<u64>() > 0, "{steps:?}");
-        counter.clear_cache();
-        assert!(counter.step_stats().iter().all(|s| *s == StepCacheStats::default()));
     }
 
     #[test]
@@ -508,12 +610,13 @@ mod tests {
         let plan = WalkPlan::canonical(&query, &kgoa_index::IndexOrder::PAPER_DEFAULT).unwrap();
         let mut counter = CtjCounter::new(&ig, plan);
         let mut asg = vec![0u32; query.var_count()];
-        assert!(counter.exists_from(0, &mut asg));
+        let mut meter = ExecBudget::unlimited().meter();
+        assert!(counter.exists_from(0, &mut asg, &mut meter).unwrap());
         // Suffix from a binding that cannot reach: bind v2 to a node with
         // no r-edge (x).
         let x = ig.dict().lookup_iri("u:x").unwrap().raw();
         asg[2] = x;
-        assert!(!counter.exists_from(2, &mut asg));
+        assert!(!counter.exists_from(2, &mut asg, &mut meter).unwrap());
     }
 
     #[test]
@@ -523,9 +626,10 @@ mod tests {
         let plan = WalkPlan::canonical(&query, &kgoa_index::IndexOrder::PAPER_DEFAULT).unwrap();
         let mut counter = CtjCounter::new(&ig, plan);
         let mut asg = vec![0u32; query.var_count()];
+        let mut meter = ExecBudget::unlimited().meter();
         // Every walk from the two p-triples succeeds (both x and y reach m,
         // m reaches z): success probability is 1.
-        let mass = counter.mass_from(0, &mut asg);
+        let mass = counter.mass_from(0, &mut asg, &mut meter).unwrap();
         assert!((mass - 1.0).abs() < 1e-12, "mass = {mass}");
     }
 
@@ -556,19 +660,8 @@ mod tests {
         let plan = WalkPlan::canonical(&query, &kgoa_index::IndexOrder::PAPER_DEFAULT).unwrap();
         let mut counter = CtjCounter::new(&ig, plan);
         let mut asg = vec![0u32; query.var_count()];
-        let mass = counter.mass_from(0, &mut asg);
+        let mut meter = ExecBudget::unlimited().meter();
+        let mass = counter.mass_from(0, &mut asg, &mut meter).unwrap();
         assert!((mass - 0.5).abs() < 1e-12, "mass = {mass}");
-    }
-
-    #[test]
-    fn clear_cache_resets() {
-        let (ig, p, q, r) = diamond();
-        let query = path3(p, q, r);
-        let plan = WalkPlan::canonical(&query, &kgoa_index::IndexOrder::PAPER_DEFAULT).unwrap();
-        let mut counter = CtjCounter::new(&ig, plan);
-        let mut asg = vec![0u32; query.var_count()];
-        counter.count_from(0, &mut asg);
-        counter.clear_cache();
-        assert_eq!(counter.cache_stats(), CacheStats::default());
     }
 }

@@ -106,7 +106,15 @@ impl CountEngine for CtjEngine {
                 &mut dedup,
             )?;
         } else {
-            ctj_count_rec(query, &mut counter, 0, &mut assignment, &mut out, &mut meter, 1)?;
+            let alpha = query.alpha().index();
+            counter.group_counts_from(
+                &[query.alpha()],
+                0,
+                None,
+                &mut assignment,
+                &mut meter,
+                |asg, n| out.add(asg[alpha], n),
+            )?;
         }
         counter.profile_emit();
         Ok(out)
@@ -192,67 +200,6 @@ impl DedupState {
     }
 }
 
-/// Enumerate until α is bound, then finish each branch with a cached
-/// suffix count.
-pub(crate) fn ctj_count_rec(
-    query: &ExplorationQuery,
-    counter: &mut CtjCounter<'_>,
-    step: usize,
-    assignment: &mut [u32],
-    out: &mut GroupedCounts,
-    meter: &mut BudgetMeter,
-    mult: u64,
-) -> Result<(), BudgetExceeded> {
-    let plan_len = counter.plan().len();
-    let alpha = query.alpha();
-    let alpha_bound = counter.plan().binder_step(alpha) < step;
-    if alpha_bound || step == plan_len {
-        let a = assignment[alpha.index()];
-        let c = counter
-            .try_count_from(step, assignment, meter)?
-            .checked_mul(mult)
-            .expect("join size overflow");
-        if c > 0 {
-            out.add(a, c);
-        }
-        return Ok(());
-    }
-    let s = &counter.plan().steps()[step];
-    let index = counter.graph().require(s.access.order);
-    let in_value = s.in_var.map(|(v, _)| assignment[v.index()]);
-    let range = s.access.resolve_live(index, in_value);
-    if counter.suffix_collapses(step) && !s.out_vars.contains(&alpha) {
-        // Nothing after this step (α included) reads its bindings: every
-        // row leads to the same recursion, so scale instead of looping.
-        if !range.is_empty() {
-            meter.tick()?;
-            counter.note_row(step);
-            let mult = mult.checked_mul(range.len() as u64).expect("join size overflow");
-            ctj_count_rec(query, counter, step + 1, assignment, out, meter, mult)?;
-        }
-        return Ok(());
-    }
-    if step + 1 == plan_len {
-        // Last step: the recursion would hit the trivial base case (suffix
-        // count 1) per row — inline it to skip the call overhead.
-        let a_idx = alpha.index();
-        for pos in index.positions(range) {
-            meter.tick()?;
-            counter.note_row(step);
-            counter.plan().extract_at(index, step, pos, assignment);
-            out.add(assignment[a_idx], mult);
-        }
-        return Ok(());
-    }
-    for pos in index.positions(range) {
-        meter.tick()?;
-        counter.note_row(step);
-        counter.plan().extract_at(index, step, pos, assignment);
-        ctj_count_rec(query, counter, step + 1, assignment, out, meter, mult)?;
-    }
-    Ok(())
-}
-
 /// Enumerate until both α and β are bound, then a cached existence check
 /// decides whether the pair contributes.
 #[allow(clippy::too_many_arguments)]
@@ -273,21 +220,15 @@ pub(crate) fn ctj_distinct_rec(
     if both_bound {
         let a = assignment[alpha.index()];
         let b = assignment[beta.index()];
-        if counter.try_exists_from(step, assignment, meter)? && seen.insert(kgoa_index::pack2(a, b))
-        {
+        if counter.exists_from(step, assignment, meter)? && seen.insert(kgoa_index::pack2(a, b)) {
             out.add(a, 1);
         }
         return Ok(());
     }
     debug_assert!(step < counter.plan().len(), "all vars bound at plan end");
-    let s = &counter.plan().steps()[step];
-    let index = counter.graph().require(s.access.order);
-    let in_value = s.in_var.map(|(v, _)| assignment[v.index()]);
-    let range = s.access.resolve_live(index, in_value);
-    if counter.suffix_collapses(step)
-        && !s.out_vars.contains(&alpha)
-        && !s.out_vars.contains(&beta)
-    {
+    let (index, range) = counter.resolve(step, None, assignment);
+    let out_vars = &counter.plan().steps()[step].out_vars;
+    if counter.suffix_collapses(step) && !out_vars.contains(&alpha) && !out_vars.contains(&beta) {
         // Neither α/β nor any later step reads this step's bindings, so
         // every row reaches the same set of (α, β) pairs: recurse once.
         if !range.is_empty() {

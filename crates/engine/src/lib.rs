@@ -13,9 +13,10 @@
 //!
 //! All engines implement [`CountEngine`] and agree exactly; the
 //! differential tests in `tests/` check this on randomized inputs.
-//! [`CtjCounter`] additionally exposes the cached count / existence /
-//! walk-success-probability computations that `kgoa-core`'s Audit Join
-//! builds on.
+//! [`CtjCounter`] is the one memoized suffix recursion behind CTJ: its
+//! count / existence / walk-success-mass computations and its grouped
+//! count and pair-mass drivers serve both [`CtjEngine`] and `kgoa-core`'s
+//! Audit Join, whose tipped walks finish with them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,15 +30,13 @@ pub mod lftj;
 pub mod result;
 pub mod yannakakis;
 
-pub use baseline::{baseline_grouped, baseline_grouped_governed, DEFAULT_TUPLE_LIMIT};
+pub use baseline::{baseline_grouped_governed, DEFAULT_TUPLE_LIMIT};
 #[cfg(feature = "fault-inject")]
 pub use budget::FaultPlan;
 pub use budget::{BudgetExceeded, BudgetMeter, BudgetReason, ExecBudget, ExecBudgetBuilder};
 pub use ctj::{ctj_count, CacheStats, CtjCounter, StepCacheStats};
 pub use engines::{BaselineEngine, CountEngine, CtjEngine, LftjEngine, YannakakisEngine};
 pub use error::EngineError;
-pub use lftj::{lftj_count, lftj_count_governed, LftjExec, LftjVarStats};
+pub use lftj::{lftj_count, LftjExec, LftjVarStats};
 pub use result::{mean_absolute_error, mean_ci_width, GroupedCounts, GroupedEstimates};
-pub use yannakakis::{
-    count_distinct_values, yannakakis_grouped_distinct, yannakakis_grouped_distinct_governed,
-};
+pub use yannakakis::{count_distinct_values, yannakakis_grouped_distinct_governed};

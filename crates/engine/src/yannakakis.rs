@@ -178,20 +178,12 @@ pub fn count_distinct_values(
     Ok(values.len() as u64)
 }
 
-/// Evaluate a grouped distinct count via semi-join reduction.
+/// Evaluate a grouped distinct count via semi-join reduction under a
+/// cooperative budget: every relation sweep (semi-join reduction, counting
+/// DP, final read-off) is metered.
 ///
 /// Returns [`EngineError::Unsupported`] if α and β do not co-occur in any
 /// pattern (the generic engines handle that case).
-pub fn yannakakis_grouped_distinct(
-    ig: &IndexedGraph,
-    query: &ExplorationQuery,
-) -> Result<GroupedCounts, EngineError> {
-    yannakakis_grouped_distinct_governed(ig, query, &ExecBudget::unlimited())
-}
-
-/// [`yannakakis_grouped_distinct`] under a cooperative budget: every
-/// relation sweep (semi-join reduction, counting DP, final read-off) is
-/// metered.
 pub fn yannakakis_grouped_distinct_governed(
     ig: &IndexedGraph,
     query: &ExplorationQuery,
@@ -328,7 +320,8 @@ mod tests {
             true,
         )
         .unwrap();
-        let out = yannakakis_grouped_distinct(&ig, &query).unwrap();
+        let out =
+            yannakakis_grouped_distinct_governed(&ig, &query, &ExecBudget::unlimited()).unwrap();
         let c1 = ig.dict().lookup_iri("u:c1").unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.get(c1), 2);
@@ -349,7 +342,8 @@ mod tests {
             true,
         )
         .unwrap();
-        let out = yannakakis_grouped_distinct(&ig, &query).unwrap();
+        let out =
+            yannakakis_grouped_distinct_governed(&ig, &query, &ExecBudget::unlimited()).unwrap();
         assert_eq!(out.len(), 2); // groups x and y; z pruned
         let x = ig.dict().lookup_iri("u:x").unwrap();
         let z = ig.dict().lookup_iri("u:z").unwrap();
@@ -370,7 +364,8 @@ mod tests {
             false,
         )
         .unwrap();
-        let out = yannakakis_grouped_distinct(&ig, &query).unwrap();
+        let out =
+            yannakakis_grouped_distinct_governed(&ig, &query, &ExecBudget::unlimited()).unwrap();
         let c1 = ig.dict().lookup_iri("u:c1").unwrap();
         assert_eq!(out.get(c1), 2);
     }
@@ -416,7 +411,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            yannakakis_grouped_distinct(&ig, &query),
+            yannakakis_grouped_distinct_governed(&ig, &query, &ExecBudget::unlimited()),
             Err(EngineError::Unsupported(_))
         ));
     }

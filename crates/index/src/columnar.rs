@@ -346,8 +346,9 @@ impl ColumnarTrie {
 
     /// Reconstruct only the attributes at levels `>= from` of the row at
     /// `pos` (earlier slots are zeroed). Callers that fixed a 2-prefix pay
-    /// a single `u32` load instead of a full-row reconstruction.
-    #[inline]
+    /// a single `u32` load instead of a full-row reconstruction. Always
+    /// inlined, for the reason given at `WalkPlan::extract_at`.
+    #[inline(always)]
     pub fn row_from(&self, pos: u32, from: usize) -> [u32; 3] {
         match from {
             0 => self.row(pos),

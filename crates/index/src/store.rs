@@ -249,8 +249,9 @@ impl TrieIndex {
     /// The row at `pos`, with only the attributes at levels `>= from`
     /// guaranteed valid (earlier slots may be zero). The hot extraction
     /// path: a caller that resolved a 2-value prefix needs one `u32` load
-    /// instead of a 12-byte row.
-    #[inline]
+    /// instead of a 12-byte row. Always inlined, for the reason given at
+    /// `WalkPlan::extract_at`.
+    #[inline(always)]
     pub fn row_from(&self, pos: u32, from: usize) -> [u32; 3] {
         if pos < self.core.len {
             self.core.trie.row_from(pos, from)

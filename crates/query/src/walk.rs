@@ -288,7 +288,13 @@ impl WalkPlan {
     /// variant of [`WalkPlan::extract`]: only the suffix levels the step
     /// actually binds are reconstructed — a step with a 2-value prefix
     /// loads a single `u32` instead of a full row.
-    #[inline]
+    ///
+    /// Always inlined, like the `row_from` it calls: these few loads run
+    /// once per walk step and per CTJ row, and whether the optimiser
+    /// inlines a plain `#[inline]` into those loops depends on what else
+    /// shares their codegen unit (the walk loop lost about 10 % when a
+    /// CTJ driver was instantiated beside it).
+    #[inline(always)]
     pub fn extract_at(&self, index: &TrieIndex, step: usize, pos: u32, assignment: &mut [u32]) {
         let s = &self.steps[step];
         if s.out_vars.is_empty() {

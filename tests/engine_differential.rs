@@ -9,11 +9,11 @@
 //! reproduces exactly.
 
 use kgoa_engine::{
-    ctj_count, lftj_count, BaselineEngine, CountEngine, CtjEngine, LftjEngine,
-    YannakakisEngine,
+    ctj_count, lftj_count, BaselineEngine, CountEngine, CtjCounter, CtjEngine, ExecBudget,
+    GroupedCounts, LftjEngine, YannakakisEngine,
 };
-use kgoa_index::IndexedGraph;
-use kgoa_query::{ExplorationQuery, PatternTerm, TriplePattern, Var};
+use kgoa_index::{FxHashMap, IndexOrder, IndexedGraph};
+use kgoa_query::{ExplorationQuery, PatternTerm, TriplePattern, Var, WalkPlan};
 use kgoa_rdf::{GraphBuilder, TermId, Triple};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -239,9 +239,39 @@ fn count_paths_agree() {
             let a = lftj_count(&built.ig, &query).expect("lftj count");
             let b = ctj_count(&built.ig, &query).expect("ctj count");
             assert_eq!(a, b, "case {case}: join size mismatch on {query}");
-            // Grouped counts must sum to the join size.
+            // Grouped counts must sum to the join size, and match LFTJ's,
+            // which share no code with CTJ's drivers.
             let grouped = CtjEngine.evaluate(&built.ig, &query).expect("grouped");
             assert_eq!(grouped.total(), a, "case {case}");
+            let lftj = LftjEngine.evaluate(&built.ig, &query).expect("lftj grouped");
+            assert_eq!(grouped, lftj, "case {case}: grouped counts on {query}");
+            // Grouping by both heads and folding per α gives the same
+            // counts: the driver must not collapse a step that binds a head.
+            let plan = WalkPlan::canonical(&query, &IndexOrder::PAPER_DEFAULT).expect("plan");
+            let (alpha, beta) = (query.alpha(), query.beta());
+            let mut counter = CtjCounter::new(&built.ig, plan.clone());
+            let mut asg = vec![0u32; query.var_count()];
+            let mut meter = ExecBudget::unlimited().meter();
+            let mut by_pair = GroupedCounts::new();
+            counter
+                .group_counts_from(&[alpha, beta], 0, None, &mut asg, &mut meter, |asg, n| {
+                    by_pair.add(asg[alpha.index()], n)
+                })
+                .expect("unlimited budget");
+            assert_eq!(by_pair, grouped, "case {case}: grouping by (α, β) on {query}");
+            // The per-(α, β) walk masses sum to the walk-success mass.
+            let mut masses = FxHashMap::default();
+            counter
+                .pair_masses_from(alpha, beta, 0, None, 1.0, &mut asg, &mut meter, &mut masses)
+                .expect("unlimited budget");
+            let total: f64 = masses.values().sum();
+            let mass = CtjCounter::new(&built.ig, plan)
+                .mass_from(0, &mut asg, &mut meter)
+                .expect("unlimited budget");
+            assert!(
+                (total - mass).abs() <= 1e-12 * mass,
+                "case {case}: Σ pair masses {total} vs walk mass {mass} on {query}"
+            );
         }
     }
 }

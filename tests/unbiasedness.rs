@@ -13,8 +13,8 @@
 //! - and, as a contrast, that Wander Join's Ripple-style distinct handling
 //!   is *biased* (the paper's motivation for the new estimator).
 
-use kgoa_core::{suffix_group_counts, suffix_masses, PrAb};
-use kgoa_engine::{CountEngine, CtjCounter, GroupedCounts, YannakakisEngine};
+use kgoa_core::PrAb;
+use kgoa_engine::{CountEngine, CtjCounter, ExecBudget, GroupedCounts, YannakakisEngine};
 use kgoa_index::{FxHashMap, IndexOrder, IndexedGraph, RowRange};
 use kgoa_query::{ExplorationQuery, SuffixEstimator, TriplePattern, Var, WalkPlan};
 use kgoa_rdf::{GraphBuilder, TermId, Triple};
@@ -88,9 +88,18 @@ fn expected_estimates(
                 // Tipping point: exact suffix computation, as in Fig. 7.
                 if distinct {
                     let mut masses: FxHashMap<u64, f64> = FxHashMap::default();
-                    suffix_masses(
-                        ig, plan, counter, alpha, beta, step + 1, 1.0, assignment, &mut masses,
-                    );
+                    counter
+                        .pair_masses_from(
+                            alpha,
+                            beta,
+                            step + 1,
+                            None,
+                            1.0,
+                            assignment,
+                            &mut ExecBudget::unlimited().meter(),
+                            &mut masses,
+                        )
+                        .unwrap();
                     for (key, m) in masses {
                         let a = (key >> 32) as u32;
                         let b = key as u32;
@@ -99,7 +108,16 @@ fn expected_estimates(
                     }
                 } else {
                     let mut counts: FxHashMap<u32, u64> = FxHashMap::default();
-                    suffix_group_counts(ig, plan, counter, alpha, step + 1, assignment, &mut counts);
+                    counter
+                        .group_counts_from(
+                            &[alpha],
+                            step + 1,
+                            None,
+                            assignment,
+                            &mut ExecBudget::unlimited().meter(),
+                            |asg, c| *counts.entry(asg[alpha.index()]).or_insert(0) += c,
+                        )
+                        .unwrap();
                     for (a, c) in counts {
                         *acc.entry(a).or_insert(0.0) += p * c as f64 * pinv;
                     }
