@@ -19,17 +19,18 @@ use crate::workload::{Algo, BenchConfig, Dataset, PreparedQuery};
 pub fn table1(datasets: &[Dataset]) -> String {
     let mut out = String::new();
     writeln!(out, "## Table I — Dataset information (synthetic stand-ins; see DESIGN.md §3)\n").unwrap();
-    writeln!(out, "{:<16} {:>10} {:>10} {:>10} {:>12} {:>14}", "Dataset", "Triples", "Classes", "Props", "approx. size", "index memory").unwrap();
+    writeln!(out, "{:<16} {:>10} {:>10} {:>10} {:>12} {:>14} {:>18}", "Dataset", "Triples", "Classes", "Props", "approx. size", "index memory", "dictionary memory").unwrap();
     for ds in datasets {
         writeln!(
             out,
-            "{:<16} {:>10} {:>10} {:>10} {:>9} MB {:>11} MB",
+            "{:<16} {:>10} {:>10} {:>10} {:>9} MB {:>11} MB {:>15.1} MB",
             ds.name,
             ds.info.triples,
             ds.info.classes,
             ds.info.properties,
             ds.info.approx_bytes / 1_000_000,
             ds.ig.memory_bytes() / 1_000_000,
+            ds.ig.dict().heap_bytes() as f64 / 1e6,
         )
         .unwrap();
     }
@@ -659,6 +660,13 @@ mod tests {
         let t = table1(&datasets);
         assert!(t.contains("dbpedia-like"));
         assert!(t.contains("lgd-like"));
+        assert!(t.contains("dictionary memory"));
+        for ds in &datasets {
+            let row = t.lines().find(|l| l.starts_with(ds.name)).expect("a row");
+            let bytes = ds.ig.dict().heap_bytes();
+            assert!(bytes > 0);
+            assert!(row.ends_with(&format!(" {:.1} MB", bytes as f64 / 1e6)), "{row}");
+        }
     }
 
     #[test]

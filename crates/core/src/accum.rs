@@ -121,15 +121,6 @@ impl WalkStats {
             self.rejected as f64 / self.walks as f64
         }
     }
-
-    /// Fraction of walks that produced a (nonzero) sample.
-    pub fn success_rate(&self) -> f64 {
-        if self.walks == 0 {
-            0.0
-        } else {
-            (self.full + self.tipped - self.duplicates) as f64 / self.walks as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +226,6 @@ mod tests {
     fn walk_stats_rates() {
         let s = WalkStats { walks: 10, rejected: 4, full: 5, tipped: 1, duplicates: 2 };
         assert!((s.rejection_rate() - 0.4).abs() < 1e-12);
-        assert!((s.success_rate() - 0.4).abs() < 1e-12);
         assert_eq!(WalkStats::default().rejection_rate(), 0.0);
     }
 }

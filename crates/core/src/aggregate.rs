@@ -36,8 +36,8 @@ impl NumericValues {
     pub fn build(dict: &kgoa_rdf::Dictionary) -> Self {
         let mut values = FxHashMap::default();
         for (id, term) in dict.iter() {
-            if term.is_literal() {
-                let lexical = term.lexical.split("^^").next().unwrap_or(&term.lexical);
+            if term.kind == kgoa_rdf::TermKind::Literal {
+                let lexical = term.lexical.split("^^").next().unwrap_or(term.lexical);
                 if let Ok(v) = lexical.parse::<f64>() {
                     values.insert(id.raw(), v);
                 }

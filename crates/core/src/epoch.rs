@@ -50,9 +50,11 @@
 //! exact rung (whose full-range scans are the ones that degrade most on
 //! a large overlay) and serves estimates until the merge lands.
 //!
-//! **Dictionary discipline.** Appended triples must use term ids already
-//! interned in the main graph's dictionary (the churn workload interns
-//! its vocabulary up front). Extending the dictionary itself is a
+//! **Dictionary discipline.** The dictionary is one string arena, stored
+//! once and shared by `Arc` across every epoch: overlays and merged mains
+//! all hold the same handle, and a merge never copies it. Appended triples
+//! must therefore use term ids already interned in it (the churn workload
+//! interns its vocabulary up front). Extending the dictionary itself is a
 //! rebuild-level operation, out of scope here.
 //!
 //! [`pin`]: EpochManager::pin
@@ -466,7 +468,7 @@ impl EpochManager {
         // expensive part (per-order sorted merges + stats refresh).
         self.merge_budget.charge_tuples(batch.size() as u64)?;
         self.merge_budget.charge_bytes(batch.size() as u64 * BYTES_PER_TRIPLE)?;
-        let new_main = apply_batch(&main, main.dict().clone(), &batch);
+        let new_main = apply_batch(&main, Arc::clone(main.dict()), &batch);
         #[cfg(feature = "fault-inject")]
         self.fire_crash_point(MergeCrashPoint::PrePublish);
         #[cfg(not(feature = "fault-inject"))]
@@ -635,6 +637,20 @@ mod tests {
         assert_eq!(mgr.delta_rows(), 0);
         // Stats refreshed from the merged main.
         assert_eq!(post.stats().triples as usize, pre.len());
+    }
+
+    #[test]
+    fn merged_mains_share_the_dictionary() {
+        let (ig, n, p) = setup(10);
+        let dict = Arc::clone(ig.dict());
+        let mgr = EpochManager::new(ig, EpochConfig { merge_threshold: 1, ..Default::default() });
+        let budget = ExecBudget::unlimited();
+        mgr.append(&UpdateBatch::inserting(vec![T::new(n[9], p, n[0])]), &budget).unwrap();
+        assert!(Arc::ptr_eq(mgr.pin().dict(), &dict), "an overlay shares the dictionary");
+        mgr.wait_merged();
+        let merged = mgr.pin();
+        assert!(!merged.has_delta(), "the background merge landed");
+        assert!(Arc::ptr_eq(merged.dict(), &dict), "a merge must not copy the dictionary");
     }
 
     #[test]

@@ -170,11 +170,6 @@ pub enum SupervisedResult {
 }
 
 impl SupervisedResult {
-    /// True if the answer was degraded to estimates.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, SupervisedResult::Degraded { .. })
-    }
-
     /// The degradation provenance, if any.
     pub fn provenance(&self) -> Option<&Degraded> {
         match self {

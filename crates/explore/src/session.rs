@@ -592,9 +592,9 @@ mod tests {
     fn pinned_session_is_isolated_from_writers() {
         use kgoa_core::{EpochConfig, EpochManager};
         use kgoa_engine::ExecBudget;
-        use kgoa_index::UpdateBatch;
+        use kgoa_index::{IndexOrder, UpdateBatch};
         let ig = ig();
-        let victim = *ig.graph().triples().first().unwrap();
+        let victim = ig.require(IndexOrder::Spo).triple(0);
         let mgr = EpochManager::new(ig, EpochConfig::default());
         let budget = ExecBudget::unlimited();
 

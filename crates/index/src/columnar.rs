@@ -225,28 +225,10 @@ impl ColumnarTrie {
         self.l0_keys.len()
     }
 
-    /// Number of level-1 nodes (distinct 2-prefixes).
-    #[inline]
-    pub fn l1_len(&self) -> usize {
-        self.l1_keys.len()
-    }
-
     /// Key of level-0 node `i`.
     #[inline]
     pub fn key0(&self, i: u32) -> u32 {
         self.l0_keys[i as usize]
-    }
-
-    /// Key of level-1 node `j`.
-    #[inline]
-    pub fn key1(&self, j: u32) -> u32 {
-        self.l1_keys[j as usize]
-    }
-
-    /// Key of leaf `pos`.
-    #[inline]
-    pub fn key2(&self, pos: u32) -> u32 {
-        self.l2_keys[pos as usize]
     }
 
     /// Level-1 node window (child ids) of level-0 node `i`.
@@ -395,7 +377,7 @@ mod tests {
         let t = ColumnarTrie::from_sorted_rows(&rows());
         assert_eq!(t.len(), 6);
         assert_eq!(t.l0_len(), 3);
-        assert_eq!(t.l1_len(), 5); // (1,10) (1,11) (2,10) (2,12) (3,12)
+        assert_eq!(t.l1_keys.len(), 5); // (1,10) (1,11) (2,10) (2,12) (3,12)
         for (pos, r) in rows().iter().enumerate() {
             assert_eq!(t.row(pos as u32), *r, "row {pos}");
             assert_eq!(t.row_from(pos as u32, 1)[1..], r[1..], "row {pos} from 1");
@@ -414,10 +396,10 @@ mod tests {
             assert!(hi > lo);
             expect = hi;
         }
-        assert_eq!(expect as usize, t.l1_len());
+        assert_eq!(expect as usize, t.l1_keys.len());
         // Level-1 windows tile the leaves.
         let mut expect = 0u32;
-        for j in 0..t.l1_len() as u32 {
+        for j in 0..t.l1_keys.len() as u32 {
             let (lo, hi) = t.l1_children(j);
             assert_eq!(lo, expect);
             assert!(hi > lo);
@@ -429,7 +411,7 @@ mod tests {
     #[test]
     fn reverse_maps_agree_with_windows() {
         let t = ColumnarTrie::from_sorted_rows(&rows());
-        for j in 0..t.l1_len() as u32 {
+        for j in 0..t.l1_keys.len() as u32 {
             let (lo, hi) = t.l1_children(j);
             for pos in lo..hi {
                 assert_eq!(t.l1_node_of(pos), j);

@@ -163,12 +163,6 @@ impl TrieIndex {
         self.delta_part().is_some_and(|d| d.tomb.binary_search(&pos).is_ok())
     }
 
-    /// Number of tombstones inside a main range.
-    #[inline]
-    pub fn tombs_in(&self, r: RowRange) -> u32 {
-        self.delta_part().map_or(0, |d| tombs_within(&d.tomb, r))
-    }
-
     /// Attach a delta overlay to a delta-free index, sharing the main part.
     ///
     /// `inserts` already present in main are dropped; `deletes` absent from

@@ -8,22 +8,25 @@ use crate::order::IndexOrder;
 use crate::stats::GraphStats;
 use crate::store::{Layout, TrieIndex};
 
-/// A graph together with its trie indexes and cardinality statistics.
+/// A graph's dictionary together with its trie indexes and cardinality
+/// statistics.
 ///
 /// [`IndexedGraph::build`] builds the four paper orders (SPO, OPS, PSO,
 /// POS); §V-A notes these "are sufficient to support our exploration
 /// queries". [`IndexedGraph::from_parts`] accepts any superset of them.
-/// The graph is `Arc`-shared and each [`TrieIndex`] is internally
-/// `Arc`-cored, so cloning an `IndexedGraph` — and building a delta
-/// overlay snapshot via [`IndexedGraph::with_overlay`] — is cheap and
-/// independent of graph size. Under an overlay, [`IndexedGraph::graph`],
+/// The triples themselves are kept only as the orders' rows: the SPO order
+/// is the sorted triple list. The dictionary is `Arc`-shared and each
+/// [`TrieIndex`] is internally `Arc`-cored, so cloning an `IndexedGraph` —
+/// and building a delta overlay snapshot via [`IndexedGraph::with_overlay`]
+/// — is cheap and independent of graph size. Under an overlay,
 /// [`IndexedGraph::len`] and [`IndexedGraph::stats`] describe the *main*
 /// snapshot (statistics refresh when a background merge publishes);
 /// [`IndexedGraph::contains`] and the engines' live accessors see the
 /// overlay.
 #[derive(Debug, Clone)]
 pub struct IndexedGraph {
-    graph: Arc<Graph>,
+    dict: Arc<Dictionary>,
+    vocab: VocabIds,
     indexes: [Option<TrieIndex>; 6],
     stats: GraphStats,
 }
@@ -44,28 +47,24 @@ impl IndexedGraph {
     /// Index a graph with the four paper orders (SPO, OPS, PSO, POS). Each
     /// order sorts an independent copy of the triples, so the builds run
     /// on their own scoped threads — index construction parallelizes
-    /// across orders.
+    /// across orders. The graph's triple list is dropped once they are
+    /// built; its dictionary is kept.
     pub fn build(graph: Graph) -> Self {
-        let graph = Arc::new(graph);
-        let triples = graph.triples();
+        let (dict, triples, vocab) = graph.into_parts();
+        let triples = &triples;
         let built = std::thread::scope(|s| {
             IndexOrder::PAPER_DEFAULT
                 .map(|order| s.spawn(move || TrieIndex::build(order, triples)))
                 .map(|h| h.join().expect("index build thread panicked"))
         });
-        Self::from_shared_parts(graph, built.into())
+        Self::from_parts(dict, vocab, built.into())
     }
 
-    /// Reassemble from a graph plus prebuilt indexes (incremental update
-    /// path). The four paper-default orders must be present; statistics are
-    /// recomputed from the indexes.
-    pub fn from_parts(graph: Graph, prebuilt: Vec<TrieIndex>) -> Self {
-        Self::from_shared_parts(Arc::new(graph), prebuilt)
-    }
-
-    /// [`IndexedGraph::from_parts`] over an already-shared graph (epoch
-    /// managers hand the same `Arc` to successive snapshots).
-    pub fn from_shared_parts(graph: Arc<Graph>, prebuilt: Vec<TrieIndex>) -> Self {
+    /// Reassemble from a shared dictionary plus prebuilt indexes
+    /// (incremental update path: epoch managers hand the same dictionary
+    /// to successive mains). The four paper-default orders must be
+    /// present; statistics are recomputed from the indexes.
+    pub fn from_parts(dict: Arc<Dictionary>, vocab: VocabIds, prebuilt: Vec<TrieIndex>) -> Self {
         let mut indexes: [Option<TrieIndex>; 6] = Default::default();
         for idx in prebuilt {
             let s = slot(idx.order());
@@ -80,25 +79,12 @@ impl IndexedGraph {
             indexes[slot(IndexOrder::Pso)].as_ref().expect("pso"),
             indexes[slot(IndexOrder::Pos)].as_ref().expect("pos"),
         );
-        IndexedGraph { graph, indexes, stats }
+        IndexedGraph { dict, vocab, indexes, stats }
     }
 
     /// The orders with a built index.
     pub fn built_orders(&self) -> Vec<IndexOrder> {
         IndexOrder::ALL.into_iter().filter(|o| self.indexes[slot(*o)].is_some()).collect()
-    }
-
-    /// The underlying graph (the main snapshot when an overlay is
-    /// attached — delta inserts are not in its triple list).
-    #[inline]
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The shared handle to the underlying graph.
-    #[inline]
-    pub fn graph_arc(&self) -> Arc<Graph> {
-        Arc::clone(&self.graph)
     }
 
     /// Attach a delta overlay (inserted/deleted triples) to every built
@@ -113,11 +99,8 @@ impl IndexedGraph {
             indexes[slot] =
                 idx.as_ref().map(|i| i.main_only().with_delta(inserts, deletes));
         }
-        IndexedGraph {
-            graph: Arc::clone(&self.graph),
-            indexes,
-            stats: self.stats.clone(),
-        }
+        let (dict, vocab, stats) = (Arc::clone(&self.dict), self.vocab, self.stats.clone());
+        IndexedGraph { dict, vocab, indexes, stats }
     }
 
     /// True if any built index carries a delta overlay.
@@ -136,16 +119,16 @@ impl IndexedGraph {
         self.require(IndexOrder::Spo).live_len()
     }
 
-    /// The term dictionary.
+    /// The term dictionary, shared with every graph built over it.
     #[inline]
-    pub fn dict(&self) -> &Dictionary {
-        self.graph.dict()
+    pub fn dict(&self) -> &Arc<Dictionary> {
+        &self.dict
     }
 
     /// Cached vocabulary ids.
     #[inline]
     pub fn vocab(&self) -> VocabIds {
-        self.graph.vocab()
+        self.vocab
     }
 
     /// Cardinality statistics.
@@ -175,16 +158,16 @@ impl IndexedGraph {
             .unwrap_or_else(|| panic!("index order {order} was not built for this graph"))
     }
 
-    /// Number of triples.
+    /// Number of triples in the main snapshot (the SPO order's rows).
     #[inline]
     pub fn len(&self) -> usize {
-        self.graph.len()
+        self.require(IndexOrder::Spo).len()
     }
 
-    /// True if the graph is empty.
+    /// True if the main snapshot is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
+        self.len() == 0
     }
 
     /// True if the graph contains the triple: a rank-directory lookup at

@@ -8,9 +8,10 @@
 //! level arrays in one more linear pass. Deletions are handled in the
 //! same merge (set difference), so a batch can mix inserts and removes.
 
-use kgoa_rdf::Triple;
+use std::sync::Arc;
 
-use crate::order::IndexOrder;
+use kgoa_rdf::{Dictionary, Triple};
+
 use crate::store::TrieIndex;
 
 /// A batch of graph updates.
@@ -115,28 +116,24 @@ impl TrieIndex {
 }
 
 /// Apply a batch to all indexes of an [`crate::IndexedGraph`], returning a
-/// new one with every built order merged rather than rebuilt. The
-/// dictionary must already contain the batch's term ids (intern new terms
-/// with [`kgoa_rdf::Dictionary::intern`] on a dictionary clone first).
+/// new one with every built order merged rather than rebuilt. The new
+/// graph holds `dict`: the epoch manager passes the old main's shared
+/// dictionary, since appended triples use only ids it already has. A
+/// caller that interned new terms passes its extended clone.
 pub fn apply_batch(
     ig: &crate::IndexedGraph,
-    dict: kgoa_rdf::Dictionary,
+    dict: impl Into<Arc<Dictionary>>,
     batch: &UpdateBatch,
 ) -> crate::IndexedGraph {
     let merged: Vec<TrieIndex> =
         ig.built_orders().into_iter().map(|o| ig.require(o).merged(batch)).collect();
-    let spo = merged
-        .iter()
-        .find(|i| i.order() == IndexOrder::Spo)
-        .expect("SPO is always built");
-    let triples: Vec<Triple> = (0..spo.len() as u32).map(|i| spo.triple(i)).collect();
-    let graph = kgoa_rdf::Graph::from_sorted_parts(dict, triples, ig.vocab());
-    crate::IndexedGraph::from_parts(graph, merged)
+    crate::IndexedGraph::from_parts(dict.into(), ig.vocab(), merged)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::IndexOrder;
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
         Triple::from([s, p, o])

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use kgoa_rdf::{vocab, Dictionary, TermId};
+use kgoa_rdf::{vocab, Dictionary, TermId, TermKind};
 
 use crate::error::QueryError;
 use crate::pattern::{PatternTerm, TriplePattern, Var};
@@ -280,7 +280,7 @@ pub fn to_sparql(query: &ExplorationQuery, dict: &Dictionary) -> String {
     let term = |t: PatternTerm| match t {
         PatternTerm::Var(v) => format!("?v{}", v.0),
         PatternTerm::Const(c) => match dict.term(c) {
-            Some(t) if t.is_literal() => format!("\"{}\"", t.lexical),
+            Some(t) if t.kind == TermKind::Literal => format!("\"{}\"", t.lexical),
             Some(t) => format!("<{}>", t.lexical),
             None => format!("<urn:kgoa:unknown:{}>", c.raw()),
         },

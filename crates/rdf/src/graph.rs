@@ -2,6 +2,7 @@
 //! triples plus the dictionary itself and cached vocabulary ids.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use crate::dictionary::Dictionary;
 use crate::term::{vocab, Term, TermId};
@@ -27,10 +28,11 @@ pub struct VocabIds {
 /// Built through [`GraphBuilder`]; once built, the triple set is fixed
 /// (incremental indexing on updates is future work in the paper as well,
 /// §VI). Triples are stored in sorted SPO order, which downstream index
-/// construction reuses.
+/// construction reuses. The dictionary is `Arc`-shared, so cloning a graph
+/// copies only its triples.
 #[derive(Debug, Clone)]
 pub struct Graph {
-    dict: Dictionary,
+    dict: Arc<Dictionary>,
     triples: Vec<Triple>,
     vocab: VocabIds,
 }
@@ -66,21 +68,27 @@ impl Graph {
         self.triples.binary_search(&t).is_ok()
     }
 
-    /// Resolve an id to its lexical form (display helper).
-    pub fn lexical(&self, id: TermId) -> &str {
-        self.dict.lexical(id)
-    }
-
-    /// Reassemble a graph from parts — used by the incremental index
-    /// maintenance path, which merges sorted triple lists directly.
-    /// `triples` must be sorted and deduplicated and refer only to ids of
-    /// `dict` (debug-asserted).
-    pub fn from_sorted_parts(dict: Dictionary, triples: Vec<Triple>, vocab: VocabIds) -> Graph {
+    /// Reassemble a graph from a dictionary (owned or already shared) and
+    /// a triple set. `triples` must be sorted and deduplicated and refer
+    /// only to ids of `dict` (debug-asserted).
+    pub fn from_sorted_parts(
+        dict: impl Into<Arc<Dictionary>>,
+        triples: Vec<Triple>,
+        vocab: VocabIds,
+    ) -> Graph {
+        let dict = dict.into();
         debug_assert!(triples.windows(2).all(|w| w[0] < w[1]), "triples must be sorted+distinct");
         debug_assert!(triples
             .iter()
             .all(|t| t.s.index() < dict.len() && t.p.index() < dict.len() && t.o.index() < dict.len()));
         Graph { dict, triples, vocab }
+    }
+
+    /// Take the graph apart: the shared dictionary, the sorted triples and
+    /// the vocabulary ids. Index construction keeps the dictionary and
+    /// drops the triples once the orders are built.
+    pub fn into_parts(self) -> (Arc<Dictionary>, Vec<Triple>, VocabIds) {
+        (self.dict, self.triples, self.vocab)
     }
 }
 
@@ -143,7 +151,8 @@ impl GraphBuilder {
 
     /// Intern three terms and add the resulting triple.
     pub fn add_terms(&mut self, s: Term, p: Term, o: Term) -> Triple {
-        let t = Triple::new(self.dict.intern(s), self.dict.intern(p), self.dict.intern(o));
+        let mut id = |t: Term| self.dict.intern(t.kind, &t.lexical);
+        let t = Triple::new(id(s), id(p), id(o));
         self.add(t);
         t
     }
@@ -179,11 +188,13 @@ impl GraphBuilder {
         }
     }
 
-    /// Finish building: sort, deduplicate, freeze.
+    /// Finish building: sort, deduplicate, freeze. The dictionary releases
+    /// its spare capacity, since nothing appends to it afterwards.
     pub fn build(mut self) -> Graph {
         self.triples.sort_unstable();
         self.triples.dedup();
-        Graph { dict: self.dict, triples: self.triples, vocab: self.vocab }
+        self.dict.shrink_to_fit();
+        Graph { dict: Arc::new(self.dict), triples: self.triples, vocab: self.vocab }
     }
 }
 

@@ -1,5 +1,5 @@
-//! Class hierarchy utilities: direct subclass maps and the materialized
-//! reflexive-transitive subclass closure (§IV-A of the paper).
+//! The materialized reflexive-transitive subclass closure (§IV-A of the
+//! paper).
 
 use std::collections::{HashMap, HashSet};
 
@@ -85,52 +85,6 @@ fn ancestors_of(
     result
 }
 
-/// A navigable view of the direct subclass hierarchy, used by the
-/// exploration model's subclass expansion.
-#[derive(Debug, Default, Clone)]
-pub struct ClassHierarchy {
-    children: HashMap<TermId, Vec<TermId>>,
-    parents: HashMap<TermId, Vec<TermId>>,
-}
-
-impl ClassHierarchy {
-    /// Extract the hierarchy from a triple set.
-    pub fn from_triples(triples: &[Triple], subclass_of: TermId) -> Self {
-        let mut children: HashMap<TermId, Vec<TermId>> = HashMap::new();
-        let mut parents: HashMap<TermId, Vec<TermId>> = HashMap::new();
-        for t in triples {
-            if t.p == subclass_of {
-                children.entry(t.o).or_default().push(t.s);
-                parents.entry(t.s).or_default().push(t.o);
-            }
-        }
-        for v in children.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        for v in parents.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        ClassHierarchy { children, parents }
-    }
-
-    /// Direct subclasses of `c`.
-    pub fn children(&self, c: TermId) -> &[TermId] {
-        self.children.get(&c).map_or(&[], Vec::as_slice)
-    }
-
-    /// Direct superclasses of `c`.
-    pub fn parents(&self, c: TermId) -> &[TermId] {
-        self.parents.get(&c).map_or(&[], Vec::as_slice)
-    }
-
-    /// Number of classes that have at least one child.
-    pub fn internal_class_count(&self) -> usize {
-        self.children.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,16 +143,5 @@ mod tests {
         for pair in [(0, 0), (0, 1), (1, 0), (1, 1)] {
             assert!(set.contains(&(tid(pair.0), tid(pair.1))));
         }
-    }
-
-    #[test]
-    fn hierarchy_navigation() {
-        let triples = vec![sc(1, 0), sc(2, 0), sc(3, 1)];
-        let h = ClassHierarchy::from_triples(&triples, SUB);
-        assert_eq!(h.children(tid(0)), &[tid(1), tid(2)]);
-        assert_eq!(h.children(tid(1)), &[tid(3)]);
-        assert_eq!(h.children(tid(9)), &[] as &[TermId]);
-        assert_eq!(h.parents(tid(3)), &[tid(1)]);
-        assert_eq!(h.internal_class_count(), 2);
     }
 }

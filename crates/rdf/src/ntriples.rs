@@ -11,7 +11,7 @@ use std::io::{BufRead, Write};
 
 use crate::error::RdfError;
 use crate::graph::GraphBuilder;
-use crate::term::{Term, TermKind};
+use crate::term::{Term, TermKind, TermRef};
 
 /// Namespace used to fold blank node labels into IRI space.
 const BLANK_NS: &str = "urn:kgoa:blank:";
@@ -156,7 +156,7 @@ pub fn read_ntriples_str(text: &str, builder: &mut GraphBuilder) -> Result<usize
 
 /// Serialize a term in N-Triples syntax (literals are written with their
 /// folded lexical form; escaping covers quotes, backslashes and newlines).
-pub fn write_term<W: Write>(w: &mut W, term: &Term) -> std::io::Result<()> {
+pub fn write_term<W: Write>(w: &mut W, term: TermRef<'_>) -> std::io::Result<()> {
     match term.kind {
         TermKind::Iri => write!(w, "<{}>", term.lexical),
         TermKind::Literal => {
@@ -248,7 +248,7 @@ mod tests {
         let (s, _, o) = parse_line("_:b1 <u:p> _:b2 .", 1).unwrap().unwrap();
         assert!(s.lexical.ends_with("b1"));
         assert!(o.lexical.ends_with("b2"));
-        assert!(s.is_iri());
+        assert_eq!(s.kind, TermKind::Iri);
     }
 
     #[test]

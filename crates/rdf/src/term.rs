@@ -96,11 +96,6 @@ impl Term {
         Term { lexical: value.into(), kind: TermKind::Literal }
     }
 
-    /// True if the term is an IRI.
-    pub fn is_iri(&self) -> bool {
-        self.kind == TermKind::Iri
-    }
-
     /// True if the term is a literal.
     pub fn is_literal(&self) -> bool {
         self.kind == TermKind::Literal
@@ -114,6 +109,16 @@ impl fmt::Display for Term {
             TermKind::Literal => write!(f, "\"{}\"", self.lexical),
         }
     }
+}
+
+/// A term borrowed from a [`crate::Dictionary`]: its kind and a slice of
+/// the dictionary's arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TermRef<'a> {
+    /// Lexical form, as in [`Term::lexical`].
+    pub lexical: &'a str,
+    /// Whether the term is an IRI or a literal.
+    pub kind: TermKind,
 }
 
 /// Well-known vocabulary IRIs used by the exploration model.
@@ -152,11 +157,11 @@ mod tests {
     #[test]
     fn term_constructors() {
         let i = Term::iri("http://example.org/a");
-        assert!(i.is_iri());
+        assert_eq!(i.kind, TermKind::Iri);
         assert!(!i.is_literal());
         let l = Term::literal("42");
         assert!(l.is_literal());
-        assert!(!l.is_iri());
+        assert_eq!(l.kind, TermKind::Literal);
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl Triple {
             Position::O => self.o,
         }
     }
-
-    /// View as an `[s, p, o]` array.
-    #[inline]
-    pub fn as_array(&self) -> [TermId; 3] {
-        [self.s, self.p, self.o]
-    }
 }
 
 impl From<[u32; 3]> for Triple {
@@ -98,7 +92,6 @@ mod tests {
         assert_eq!(t.get(Position::S), TermId(1));
         assert_eq!(t.get(Position::P), TermId(2));
         assert_eq!(t.get(Position::O), TermId(3));
-        assert_eq!(t.as_array(), [TermId(1), TermId(2), TermId(3)]);
     }
 
     #[test]

@@ -30,11 +30,11 @@ fn ntriples_round_trip_of_generated_graph() {
         let s = graph.dict().term(t.s).unwrap();
         let p = graph.dict().term(t.p).unwrap();
         let o = graph.dict().term(t.o).unwrap();
-        let s2 = reparsed.dict().lookup_iri(&s.lexical).expect("subject survives");
-        let p2 = reparsed.dict().lookup_iri(&p.lexical).expect("predicate survives");
+        let s2 = reparsed.dict().lookup_iri(s.lexical).expect("subject survives");
+        let p2 = reparsed.dict().lookup_iri(p.lexical).expect("predicate survives");
         let o2 = match o.kind {
-            kgoa::rdf::TermKind::Iri => reparsed.dict().lookup_iri(&o.lexical),
-            kgoa::rdf::TermKind::Literal => reparsed.dict().lookup_literal(&o.lexical),
+            kgoa::rdf::TermKind::Iri => reparsed.dict().lookup_iri(o.lexical),
+            kgoa::rdf::TermKind::Literal => reparsed.dict().lookup_literal(o.lexical),
         }
         .expect("object survives");
         assert!(reparsed.contains(Triple::new(s2, p2, o2)));

@@ -194,7 +194,8 @@ fn engines_agree_with_naive_reference() {
         let mut rng = SmallRng::seed_from_u64(0xD1FF_0000 + case);
         let built = build(&raw_graph(&mut rng));
         let distinct = rng.gen_bool(0.5);
-        let triples = built.ig.graph().triples().to_vec();
+        let spo = built.ig.require(IndexOrder::Spo);
+        let triples: Vec<Triple> = (0..spo.len() as u32).map(|i| spo.triple(i)).collect();
         for query in query_shapes(&built, distinct) {
             let naive = naive_grouped(&triples, &query);
             let ctj = CtjEngine.evaluate(&built.ig, &query).expect("ctj");
