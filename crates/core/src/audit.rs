@@ -28,7 +28,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::accum::{GroupAccumulator, WalkStats};
-use crate::aggregate::NumericValues;
 use crate::online::OnlineAggregator;
 use crate::pinned::{PrAb, PrAbStats};
 
@@ -84,16 +83,6 @@ pub struct AuditJoinConfig {
     pub seed: u64,
 }
 
-/// The SUM finisher (see [`crate::aggregate`]): a walk that feeds `w` to
-/// its group's count accumulator feeds `value(β) · w` to this one — on a
-/// full walk the value of the β it landed on, on a tipped walk the exact
-/// `Σ value(β)` over the suffix completions. SUM is defined over the plain
-/// join results, so only the non-distinct finishers feed it.
-pub(crate) struct ValueSum {
-    pub values: NumericValues,
-    pub accum: GroupAccumulator,
-}
-
 /// An Audit Join run over one query.
 pub struct AuditJoin<'g> {
     /// Shared so parallel workers reuse one plan instead of deep-cloning.
@@ -129,10 +118,8 @@ pub struct AuditJoin<'g> {
     /// A tipped walk's `(pack2(a, b), M(a,b) / Pr(a,b))` terms in key
     /// order, so a group's sum never depends on the hasher.
     terms: Vec<(u64, f64)>,
-    /// A tipped non-distinct walk's per-group `(|Γ_{δ,a}|, Σ value(β))`.
-    group_counts: FxHashMap<u32, (u64, f64)>,
-    /// The SUM finisher, when [`crate::SumAuditJoin`] owns this run.
-    pub(crate) value_sum: Option<ValueSum>,
+    /// A tipped non-distinct walk's per-group `|Γ_{δ,a}|`.
+    group_counts: FxHashMap<u32, u64>,
     /// SoA scratch of the walk loop (empty until the first batch).
     batch: crate::batch::BatchScratch,
 }
@@ -183,7 +170,6 @@ impl<'g> AuditJoin<'g> {
             masses: FxHashMap::default(),
             terms: Vec::new(),
             group_counts: FxHashMap::default(),
-            value_sum: None,
             batch: crate::batch::BatchScratch::default(),
         })
     }
@@ -227,10 +213,6 @@ impl<'g> AuditJoin<'g> {
             self.accum.add(a, 1.0 / pr);
         } else {
             self.accum.add(a, prob_inv);
-            if let Some(sum) = &mut self.value_sum {
-                let b = self.assignment[self.beta.index()];
-                sum.accum.add(a, sum.values.get(b) * prob_inv);
-            }
         }
         Ok(())
     }
@@ -291,36 +273,21 @@ impl<'g> AuditJoin<'g> {
             Ok(true)
         } else {
             self.group_counts.clear();
-            // With the SUM finisher, enumerate until β is bound as well and
-            // add `value(β) · count` of every closed branch to the group's
-            // second component; the counts are the same integers either way.
-            let pair = [self.alpha, self.beta];
-            let heads = if self.value_sum.is_some() { &pair[..] } else { &pair[..1] };
-            let (alpha, beta) = (self.alpha.index(), self.beta.index());
-            let values = self.value_sum.as_ref().map(|sum| &sum.values);
+            let alpha = self.alpha.index();
             let group_counts = &mut self.group_counts;
             self.counter.group_counts_from(
-                heads,
+                self.alpha,
                 step,
                 Some(range),
                 &mut self.assignment,
                 meter,
-                |asg, c| {
-                    let e = group_counts.entry(asg[alpha]).or_insert((0, 0.0));
-                    e.0 += c;
-                    if let Some(values) = values {
-                        e.1 += values.get(asg[beta]) * c as f64;
-                    }
-                },
+                |asg, c| *group_counts.entry(asg[alpha]).or_insert(0) += c,
             )?;
             if self.group_counts.is_empty() {
                 return Ok(false);
             }
-            for (&a, &(c, v)) in self.group_counts.iter() {
+            for (&a, &c) in self.group_counts.iter() {
                 self.accum.add(a, c as f64 * prob_inv);
-                if let Some(sum) = &mut self.value_sum {
-                    sum.accum.add(a, v * prob_inv);
-                }
             }
             Ok(true)
         }

@@ -33,7 +33,7 @@
 //!   leaves the delta in place for the next append to reschedule.
 //!
 //! **Crash safety.** Under the `fault-inject` feature a
-//! [`MergeCrashPoint`] can be armed to panic the merge job once at a
+//! `MergeCrashPoint` can be armed to panic the merge job once at a
 //! chosen point: before the rebuild is published (`PrePublish`), between
 //! reading the old state and writing the new one (`MidSwap`, with the
 //! state lock held — exercising poison tolerance), or after the swap
@@ -71,10 +71,6 @@ use kgoa_index::{apply_batch, IndexedGraph, UpdateBatch};
 use kgoa_rdf::Triple;
 
 use crate::pool::WorkerPool;
-
-/// Approximate heap bytes per triple named by a batch (three u32 rows in
-/// two overlay sides) — the unit for [`ExecBudget::charge_bytes`].
-const BYTES_PER_TRIPLE: u64 = 24;
 
 /// Tuning knobs for an [`EpochManager`].
 #[derive(Debug, Clone, Copy)]
@@ -189,8 +185,8 @@ pub struct EpochManager {
     /// cannot land. Bumped before `merge_running`'s `Release` clear, so a
     /// waiter whose `Acquire` load sees the flag clear also sees the bump.
     merges_abandoned: AtomicU64,
-    /// Budget charged for merge work (tuples/bytes); writers charge their
-    /// own append budget.
+    /// Budget charged for merge work (tuples ≈ rows rebuilt); writers
+    /// charge their own append budget.
     merge_budget: ExecBudget,
     #[cfg(feature = "fault-inject")]
     crash_point: Mutex<Option<MergeCrashPoint>>,
@@ -230,7 +226,8 @@ impl EpochManager {
     }
 
     /// [`EpochManager::new`] with a budget charged for background merge
-    /// work (tuples ≈ rows rebuilt, bytes ≈ 24 per row).
+    /// work (tuples ≈ rows rebuilt).
+    #[cfg(test)]
     pub fn with_merge_budget(
         main: IndexedGraph,
         config: EpochConfig,
@@ -303,8 +300,8 @@ impl EpochManager {
     fn fire_crash_point_noop(&self) {}
 
     /// Append a batch and publish the next epoch. Ingest work is charged
-    /// against `budget` (tuples = triples named, bytes ≈ 24 each) *before*
-    /// any state changes, so a tripped budget rejects the batch cleanly.
+    /// against `budget` (tuples = triples named) *before* any state
+    /// changes, so a tripped budget rejects the batch cleanly.
     /// Returns the new epoch id. Never blocks on the background merge.
     pub fn append(
         self: &Arc<Self>,
@@ -313,7 +310,6 @@ impl EpochManager {
     ) -> Result<u64, BudgetExceeded> {
         let batch = batch.normalized();
         budget.charge_tuples(batch.size() as u64)?;
-        budget.charge_bytes(batch.size() as u64 * BYTES_PER_TRIPLE)?;
 
         let (epoch, delta_rows) = {
             let mut st = self.lock_state();
@@ -467,7 +463,6 @@ impl EpochManager {
         // Phase 2: build the new delta-free main outside the lock — the
         // expensive part (per-order sorted merges + stats refresh).
         self.merge_budget.charge_tuples(batch.size() as u64)?;
-        self.merge_budget.charge_bytes(batch.size() as u64 * BYTES_PER_TRIPLE)?;
         let new_main = apply_batch(&main, Arc::clone(main.dict()), &batch);
         #[cfg(feature = "fault-inject")]
         self.fire_crash_point(MergeCrashPoint::PrePublish);

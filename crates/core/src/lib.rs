@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 pub mod accum;
-pub mod aggregate;
 pub mod audit;
 mod batch;
 pub mod epoch;
@@ -45,7 +44,6 @@ pub mod supervisor;
 pub mod wander;
 
 pub use accum::{GroupAccumulator, WalkStats, Z_95};
-pub use aggregate::{exact_group_sums, AggregateEstimates, NumericValues, SumAuditJoin};
 pub use audit::{AuditJoin, AuditJoinConfig, Tipping, DEFAULT_TIPPING_THRESHOLD};
 pub use epoch::{EpochConfig, EpochGuard, EpochManager, EpochSnapshot};
 #[cfg(feature = "fault-inject")]

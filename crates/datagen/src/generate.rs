@@ -116,8 +116,8 @@ pub fn generate_with_info(config: &KgConfig) -> (Graph, DatasetInfo) {
             if rng.gen_bool(0.5) {
                 shared_literals[rng.gen_range(0..shared_literals.len())]
             } else if rng.gen_bool(0.5) {
-                // Numeric literals (populations, coordinates, years) so
-                // SUM/AVG aggregation has something to chew on.
+                // Numeric literals (populations, coordinates, years), as
+                // real graphs have; the term ids depend on these draws.
                 let v: u32 = rng.gen_range(1..1_000_000);
                 b.dict_mut().intern_literal(format!("{v}"))
             } else {

@@ -5,7 +5,7 @@
 //! (the premise of the paper), and a service in front of a public graph
 //! survives only by bounding every query (cf. the service-robustness
 //! survey in PAPERS.md). [`ExecBudget`] is the one shared control block:
-//! a deadline, a cancellation flag, and tuple/walk/byte counters, threaded
+//! a deadline, a cancellation flag, and tuple/walk counters, threaded
 //! as *cooperative checkpoints* through every engine hot loop. Exhaustion
 //! surfaces as a typed [`BudgetExceeded`] — never a hang, never a panic —
 //! which the supervisor in `kgoa-core` turns into graceful degradation
@@ -16,7 +16,7 @@
 //! every [`BudgetMeter::STRIDE`] iterations, so governance costs well
 //! under a nanosecond per tuple on the paths that matter.
 //!
-//! With the `fault-inject` feature a deterministic [`FaultPlan`] can be
+//! With the `fault-inject` feature a deterministic `FaultPlan` can be
 //! attached: fail the Nth trie seek, panic the Kth walk, delay a worker
 //! thread. The plan's counters are global across threads sharing the
 //! budget, which makes multi-worker failure tests reproducible.
@@ -44,11 +44,6 @@ pub enum BudgetReason {
         /// The configured walk cap.
         limit: u64,
     },
-    /// More bytes were (approximately) allocated than allowed.
-    MemoryLimit {
-        /// The configured byte cap.
-        limit: u64,
-    },
     /// A deterministic fault-injection plan fired (tests only).
     FaultInjected(&'static str),
 }
@@ -60,9 +55,6 @@ impl fmt::Display for BudgetReason {
             BudgetReason::Cancelled => write!(f, "cancelled"),
             BudgetReason::TupleLimit { limit } => write!(f, "tuple budget of {limit} exceeded"),
             BudgetReason::WalkLimit { limit } => write!(f, "walk budget of {limit} exceeded"),
-            BudgetReason::MemoryLimit { limit } => {
-                write!(f, "memory budget of {limit} bytes exceeded")
-            }
             BudgetReason::FaultInjected(what) => write!(f, "injected fault: {what}"),
         }
     }
@@ -121,8 +113,6 @@ struct Inner {
     tuple_limit: u64,
     walks: AtomicU64,
     walk_limit: u64,
-    bytes: AtomicU64,
-    byte_limit: u64,
     #[cfg(feature = "fault-inject")]
     faults: Option<FaultState>,
 }
@@ -178,11 +168,6 @@ impl ExecBudget {
         }
     }
 
-    /// True once [`ExecBudget::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.cancelled.load(Ordering::Acquire))
-    }
-
     /// Total tuples charged so far.
     pub fn tuples(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.tuples.load(Ordering::Relaxed))
@@ -216,9 +201,6 @@ impl ExecBudget {
         }
         if inner.walks.load(Ordering::Relaxed) > inner.walk_limit {
             return Err(self.exceeded(BudgetReason::WalkLimit { limit: inner.walk_limit }));
-        }
-        if inner.bytes.load(Ordering::Relaxed) > inner.byte_limit {
-            return Err(self.exceeded(BudgetReason::MemoryLimit { limit: inner.byte_limit }));
         }
         Ok(())
     }
@@ -257,15 +239,6 @@ impl ExecBudget {
         Ok(admitted)
     }
 
-    /// Charge `n` bytes of (approximate) allocation and fail if over.
-    pub fn charge_bytes(&self, n: u64) -> Result<(), BudgetExceeded> {
-        let Some(inner) = &self.inner else { return Ok(()) };
-        let total = inner.bytes.fetch_add(n, Ordering::Relaxed) + n;
-        if total > inner.byte_limit {
-            return Err(self.exceeded(BudgetReason::MemoryLimit { limit: inner.byte_limit }));
-        }
-        Ok(())
-    }
 
     /// An amortizing checkpoint handle for one hot loop. The first tick
     /// performs a full check (so an already-exhausted budget is caught
@@ -341,7 +314,6 @@ pub struct ExecBudgetBuilder {
     deadline: Option<Duration>,
     tuple_limit: Option<u64>,
     walk_limit: Option<u64>,
-    byte_limit: Option<u64>,
     #[cfg(feature = "fault-inject")]
     faults: Option<FaultPlan>,
 }
@@ -365,11 +337,6 @@ impl ExecBudgetBuilder {
         self
     }
 
-    /// Cap (approximate) allocated bytes.
-    pub fn byte_limit(mut self, limit: u64) -> Self {
-        self.byte_limit = Some(limit);
-        self
-    }
 
     /// Attach a deterministic fault plan (`fault-inject` feature).
     #[cfg(feature = "fault-inject")]
@@ -391,8 +358,6 @@ impl ExecBudgetBuilder {
                 tuple_limit: self.tuple_limit.unwrap_or(u64::MAX),
                 walks: AtomicU64::new(0),
                 walk_limit: self.walk_limit.unwrap_or(u64::MAX),
-                bytes: AtomicU64::new(0),
-                byte_limit: self.byte_limit.unwrap_or(u64::MAX),
                 #[cfg(feature = "fault-inject")]
                 faults: self.faults.map(|plan| FaultState {
                     plan,
@@ -467,7 +432,6 @@ mod tests {
         }
         // Cancel on unlimited is a no-op.
         b.cancel();
-        assert!(!b.is_cancelled());
         b.check().unwrap();
     }
 
@@ -492,9 +456,8 @@ mod tests {
     fn cancellation_is_shared_across_clones() {
         let b = ExecBudget::builder().build();
         let c = b.clone();
-        assert!(!c.is_cancelled());
+        c.check().unwrap();
         b.cancel();
-        assert!(c.is_cancelled());
         assert_eq!(c.check().unwrap_err().reason, BudgetReason::Cancelled);
     }
 
@@ -508,17 +471,13 @@ mod tests {
     }
 
     #[test]
-    fn walk_and_byte_limits_trip() {
-        let b = ExecBudget::builder().walk_limit(2).byte_limit(10).build();
+    fn walk_limit_trips() {
+        let b = ExecBudget::builder().walk_limit(2).build();
         b.charge_walks(1).unwrap();
         b.charge_walks(1).unwrap();
         assert_eq!(
             b.charge_walks(1).unwrap_err().reason,
             BudgetReason::WalkLimit { limit: 2 }
-        );
-        assert_eq!(
-            b.charge_bytes(11).unwrap_err().reason,
-            BudgetReason::MemoryLimit { limit: 10 }
         );
     }
 

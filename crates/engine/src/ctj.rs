@@ -27,8 +27,9 @@
 //!   the unbiased distinct estimator.
 //!
 //! Two drivers enumerate a prefix of the suffix and close each branch with
-//! that recursion: [`CtjCounter::group_counts_from`] (per-group counts, for
-//! [`crate::CtjEngine`] and Audit Join's tipped count walks) and
+//! that recursion: [`CtjCounter::group_counts_from`] (counts per value of
+//! one head variable, for [`crate::CtjEngine`] and Audit Join's tipped
+//! count walks) and
 //! [`CtjCounter::pair_masses_from`] (per-(α, β) masses, for Audit Join's
 //! tipped distinct walks).
 
@@ -368,29 +369,29 @@ impl<'g> CtjCounter<'g> {
     }
 
     /// Exact per-group completion counts of the suffix starting at `step`:
-    /// enumerate until every variable in `heads` is bound, then close each
-    /// branch with [`CtjCounter::count_from`] and call `emit(assignment,
-    /// n)` with its count `n > 0`. Rows that no head and no later step
-    /// reads are multiplied instead of enumerated, and the last step is
+    /// enumerate until `head` is bound, then close each branch with
+    /// [`CtjCounter::count_from`] and call `emit(assignment, n)` with its
+    /// count `n > 0`. Rows that neither the head nor a later step reads
+    /// are multiplied instead of enumerated, and the last step is
     /// inlined. `first` is `step`'s range when the caller has already
     /// resolved it under `assignment`; deeper steps resolve their own. On a
     /// budget trip, `emit` has seen part of the branches.
     pub fn group_counts_from(
         &mut self,
-        heads: &[Var],
+        head: Var,
         step: usize,
         first: Option<LiveRange>,
         assignment: &mut [u32],
         meter: &mut BudgetMeter,
         mut emit: impl FnMut(&[u32], u64),
     ) -> Result<(), BudgetExceeded> {
-        self.group_counts_rec(heads, step, first, assignment, meter, 1, &mut emit)
+        self.group_counts_rec(head, step, first, assignment, meter, 1, &mut emit)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn group_counts_rec<F: FnMut(&[u32], u64)>(
         &mut self,
-        heads: &[Var],
+        head: Var,
         step: usize,
         first: Option<LiveRange>,
         assignment: &mut [u32],
@@ -399,7 +400,7 @@ impl<'g> CtjCounter<'g> {
         emit: &mut F,
     ) -> Result<(), BudgetExceeded> {
         let n = self.plan.len();
-        if step == n || heads.iter().all(|&h| self.plan.binder_step(h) < step) {
+        if step == n || self.plan.binder_step(head) < step {
             let c = self
                 .count_from(step, assignment, meter)?
                 .checked_mul(mult)
@@ -410,17 +411,15 @@ impl<'g> CtjCounter<'g> {
             return Ok(());
         }
         let (index, range) = self.resolve(step, first, assignment);
-        if self.collapse[step]
-            && !self.plan.steps()[step].out_vars.iter().any(|v| heads.contains(v))
-        {
-            // Nothing after this step (heads included) reads its bindings:
+        if self.collapse[step] && !self.plan.steps()[step].out_vars.contains(&head) {
+            // Nothing after this step (the head included) reads its bindings:
             // every row leads to the same recursion, so scale instead of
             // looping.
             if !range.is_empty() {
                 meter.tick()?;
                 self.step_stats[step].rows += 1;
                 let mult = mult.checked_mul(range.len() as u64).expect("join size overflow");
-                self.group_counts_rec(heads, step + 1, None, assignment, meter, mult, emit)?;
+                self.group_counts_rec(head, step + 1, None, assignment, meter, mult, emit)?;
             }
             return Ok(());
         }
@@ -434,7 +433,7 @@ impl<'g> CtjCounter<'g> {
                 // per row — inline it to skip the call.
                 emit(assignment, mult);
             } else {
-                self.group_counts_rec(heads, step + 1, None, assignment, meter, mult, emit)?;
+                self.group_counts_rec(head, step + 1, None, assignment, meter, mult, emit)?;
             }
         }
         Ok(())

@@ -108,7 +108,7 @@ impl CountEngine for CtjEngine {
         } else {
             let alpha = query.alpha().index();
             counter.group_counts_from(
-                &[query.alpha()],
+                query.alpha(),
                 0,
                 None,
                 &mut assignment,

@@ -51,8 +51,8 @@ impl LftjVarStats {
 }
 
 /// An LFTJ execution over one query. Construct with [`LftjExec::new`], then
-/// call [`LftjExec::run`] with a callback receiving each full assignment
-/// (indexed by variable id).
+/// call [`LftjExec::run_governed`] with a budget and a callback receiving
+/// each full assignment (indexed by variable id).
 pub struct LftjExec<'g> {
     plan: JoinPlan,
     cursors: Vec<TrieCursor<'g>>,
@@ -100,8 +100,7 @@ impl<'g> LftjExec<'g> {
     }
 
     /// Emit one attribution leaf per plan variable into the active
-    /// profile scope (no-op when none). Called after a run; also usable
-    /// directly by callers that drive [`LftjExec::run`] themselves.
+    /// profile scope (no-op when none). Called after a run.
     pub fn profile_emit(&self) {
         if !kgoa_obs::profile::active() {
             return;
@@ -122,6 +121,7 @@ impl<'g> LftjExec<'g> {
     }
 
     /// Run the join, invoking `on_result` once per full assignment.
+    #[cfg(test)]
     pub fn run(&mut self, mut on_result: impl FnMut(&[u32])) {
         self.run_governed(&ExecBudget::unlimited(), |a| on_result(a))
             .expect("unlimited budget cannot trip");

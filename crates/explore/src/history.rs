@@ -2,9 +2,8 @@
 //! the top of the paper's UI (Fig. 2: "Person > influencedBy > Person >
 //! outgoing properties").
 
-use kgoa_rdf::{Dictionary, TermId};
+use kgoa_rdf::TermId;
 
-use crate::chart::short_label;
 use crate::session::Expansion;
 
 /// One recorded interaction.
@@ -52,30 +51,6 @@ impl History {
         self.steps.iter().filter(|s| matches!(s, HistoryStep::Expanded(_))).count()
     }
 
-    /// Render as a breadcrumb string, e.g.
-    /// `Thing ▸ subclasses ▸ Person ▸ out-properties ▸ birthPlace`.
-    pub fn breadcrumbs(&self, dict: &Dictionary) -> String {
-        let mut parts: Vec<String> = Vec::with_capacity(self.steps.len());
-        for step in &self.steps {
-            match step {
-                HistoryStep::Expanded(exp) => parts.push(
-                    match exp {
-                        Expansion::Subclass => "subclasses",
-                        Expansion::OutProperty => "out-properties",
-                        Expansion::InProperty => "in-properties",
-                        Expansion::Object => "object classes",
-                        Expansion::Subject => "subject classes",
-                    }
-                    .to_owned(),
-                ),
-                HistoryStep::Selected { category } => {
-                    parts.push(short_label(dict.lexical(*category)).to_owned());
-                }
-            }
-        }
-        parts.join(" ▸ ")
-    }
-
     /// Drop the trail back to a given number of steps (the UI's "back"
     /// button). A no-op if the history is already shorter.
     pub fn truncate(&mut self, steps: usize) {
@@ -89,7 +64,7 @@ mod tests {
     use kgoa_rdf::GraphBuilder;
 
     #[test]
-    fn records_and_renders() {
+    fn records_steps() {
         let mut b = GraphBuilder::new();
         let person = b.dict_mut().intern_iri("http://x/Person");
         let bp = b.dict_mut().intern_iri("http://x/birthPlace");
@@ -99,10 +74,6 @@ mod tests {
         h.expanded(Expansion::OutProperty);
         h.selected(bp);
         assert_eq!(h.depth(), 2);
-        assert_eq!(
-            h.breadcrumbs(b.dict()),
-            "subclasses ▸ Person ▸ out-properties ▸ birthPlace"
-        );
     }
 
     #[test]
@@ -122,6 +93,5 @@ mod tests {
     fn empty_history() {
         let h = History::new();
         assert_eq!(h.depth(), 0);
-        assert_eq!(h.breadcrumbs(&kgoa_rdf::Dictionary::new()), "");
     }
 }

@@ -1,7 +1,7 @@
 //! Delta overlay over an immutable main index — the MVCC building block.
 //!
 //! A [`TrieIndex`] is internally an `Arc`-shared immutable *main* part plus
-//! an optional small [`DeltaPart`]: a trie of inserted rows (`adds`) and a
+//! an optional small `DeltaPart`: a trie of inserted rows (`adds`) and a
 //! sorted array of tombstoned main row positions (`tomb`). Epoch snapshots
 //! clone the index in O(1) (two `Arc` bumps); writers publish a new epoch
 //! by attaching a fresh overlay to the same main, and a background merge

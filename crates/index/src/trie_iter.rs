@@ -5,7 +5,7 @@
 //! arrays, so `next_key` is `node + 1` and a run is an
 //! `offsets[i]..offsets[i+1]` lookup. Seeks gallop: a short linear scan
 //! (LFTJ seeks usually land nearby), then exponential probing, then
-//! binary search — see [`gallop_lower_bound`]. An index with a delta
+//! binary search — see `gallop_lower_bound`. An index with a delta
 //! overlay gets a merged cursor over main and adds.
 
 use crate::columnar::{gallop_lower_bound, ColumnarTrie};

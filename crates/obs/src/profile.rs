@@ -31,7 +31,7 @@
 //! ## Cost model
 //!
 //! When no profile is live anywhere in the process, [`span`] and
-//! [`add`] cost one relaxed load of [`LIVE_PROFILES`] plus a branch.
+//! [`add`] cost one relaxed load of `LIVE_PROFILES` plus a branch.
 //! When a profile is live but *this* thread is not attached to one, the
 //! extra cost is a thread-local read. Only attached threads pay for
 //! clock reads and node bookkeeping.

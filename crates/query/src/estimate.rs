@@ -134,12 +134,6 @@ impl SuffixEstimator {
         next_fanout as f64 * self.suffix_from[next_step + 1]
     }
 
-    /// Estimated size of the full join (used for reporting).
-    #[inline]
-    pub fn full_join(&self) -> f64 {
-        self.suffix_from[0]
-    }
-
     /// Plan-time prediction of the step at which an Audit Join walk tips
     /// into its exact suffix computation: the first step `i ≥ 1` whose
     /// estimated remaining completions (`suffix_from[i]`, taking an average
@@ -233,9 +227,6 @@ mod tests {
         let plan = WalkPlan::canonical(&q, &IndexOrder::PAPER_DEFAULT).unwrap();
         let est = SuffixEstimator::new(&ig, &q, &plan);
         // Factor for step 1: card(p11)=2 / max(ndv_out(o of p10)=3, ndv_in(s of p11)=1) = 2/3.
-        // Full join estimate = 4 * 2/3.
-        let full = est.full_join();
-        assert!((full - 4.0 * 2.0 / 3.0).abs() < 1e-9, "full = {full}");
         // remaining(step 1, fanout 2) = 2 * suffix_from[2] = 2.
         assert!((est.remaining(1, 2) - 2.0).abs() < 1e-9);
         // remaining(step 0, fanout 4) = 4 * factor(step1).

@@ -21,15 +21,15 @@
 pub mod error;
 pub mod estimate;
 pub mod join_plan;
-pub mod parse;
 pub mod pattern;
 pub mod query;
+pub mod sparql;
 pub mod walk;
 
 pub use error::QueryError;
 pub use estimate::{attr_ndv, pattern_cardinality, SuffixEstimator};
 pub use join_plan::{JoinAccess, JoinLevel, JoinPlan};
-pub use parse::{parse_query, to_sparql, ParseError};
 pub use pattern::{PatternTerm, TriplePattern, Var};
 pub use query::ExplorationQuery;
+pub use sparql::to_sparql;
 pub use walk::{walk_order_from, walk_orders, PrefixComp, WalkAccess, WalkPlan, WalkStep};

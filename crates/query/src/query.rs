@@ -147,17 +147,6 @@ impl ExplorationQuery {
         q
     }
 
-    /// The patterns containing a variable (at most two), with its position.
-    pub fn patterns_of_var(
-        &self,
-        v: Var,
-    ) -> impl Iterator<Item = (usize, kgoa_rdf::Position)> + '_ {
-        self.patterns
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, p)| p.position_of(v).map(|pos| (i, pos)))
-    }
-
     /// The "no filters" variant used by the paper's selectivity metric
     /// (§V-B): every constant is replaced with a fresh variable. The result
     /// keeps the same join structure and is always valid.
@@ -379,15 +368,6 @@ mod tests {
         let b = q.bind_var(v(2), c(99));
         assert_eq!(b.patterns()[1].o, PatternTerm::Const(c(99)));
         assert_eq!(b.patterns()[0], q.patterns()[0]);
-    }
-
-    #[test]
-    fn patterns_of_var_lists_occurrences() {
-        let q = path_query();
-        let occ: Vec<_> = q.patterns_of_var(v(1)).collect();
-        assert_eq!(occ.len(), 2);
-        assert_eq!(occ[0].0, 0);
-        assert_eq!(occ[1].0, 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! that turn the bound join value into a contiguous row range, from which
 //! the walk samples uniformly in O(1) (§IV-C).
 
-use kgoa_index::{IndexOrder, IndexedGraph, LiveRange, RowRange, TrieIndex};
+use kgoa_index::{IndexOrder, LiveRange, RowRange, TrieIndex};
 use kgoa_rdf::{Position, TermId};
 
 use crate::error::QueryError;
@@ -316,12 +316,6 @@ impl WalkPlan {
         }
         out
     }
-
-    /// Convenience: the index for a step's access order.
-    #[inline]
-    pub fn index_for<'g>(&self, ig: &'g IndexedGraph, step: usize) -> &'g TrieIndex {
-        ig.require(self.steps[step].access.order)
-    }
 }
 
 /// The greedy connected walk order starting from `start`: repeatedly append
@@ -525,12 +519,12 @@ mod tests {
         )
         .unwrap();
         let plan = WalkPlan::canonical(&q, &IndexOrder::PAPER_DEFAULT).unwrap();
-        let idx0 = plan.index_for(&ig, 0);
+        let idx0 = ig.require(plan.steps()[0].access.order);
         let r0 = plan.steps()[0].access.resolve(idx0, None);
         assert_eq!(r0.len(), 2); // two p10 triples
 
         // Bind v1 = node 2 and resolve step 1.
-        let idx1 = plan.index_for(&ig, 1);
+        let idx1 = ig.require(plan.steps()[1].access.order);
         let r1 = plan.steps()[1].access.resolve(idx1, Some(n2.raw()));
         assert_eq!(r1.len(), 1);
         let mut assignment = vec![0u32; q.var_count()];
@@ -569,7 +563,7 @@ mod tests {
         let ig = kgoa_index::IndexedGraph::build(g);
         let plan = WalkPlan::canonical(&q, &IndexOrder::PAPER_DEFAULT).unwrap();
         for step in 0..plan.len() {
-            let idx = plan.index_for(&ig, step);
+            let idx = ig.require(plan.steps()[step].access.order);
             for pos in 0..idx.len() as u32 {
                 let mut a = vec![0u32; q.var_count()];
                 let mut b = vec![0u32; q.var_count()];

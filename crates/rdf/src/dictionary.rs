@@ -148,6 +148,7 @@ impl Dictionary {
     }
 
     /// Iterate over `(id, term)` pairs in id order.
+    #[cfg(test)]
     pub fn iter(&self) -> impl Iterator<Item = (TermId, TermRef<'_>)> {
         (0..self.len()).map(|i| (TermId(i as u32), self.get(i)))
     }

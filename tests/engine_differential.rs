@@ -246,20 +246,24 @@ fn count_paths_agree() {
             assert_eq!(grouped.total(), a, "case {case}");
             let lftj = LftjEngine.evaluate(&built.ig, &query).expect("lftj grouped");
             assert_eq!(grouped, lftj, "case {case}: grouped counts on {query}");
-            // Grouping by both heads and folding per α gives the same
-            // counts: the driver must not collapse a step that binds a head.
+            // Grouping by β gives LFTJ's counts for the same patterns with
+            // α and β swapped: the driver must not collapse a step that
+            // binds the head.
             let plan = WalkPlan::canonical(&query, &IndexOrder::PAPER_DEFAULT).expect("plan");
             let (alpha, beta) = (query.alpha(), query.beta());
             let mut counter = CtjCounter::new(&built.ig, plan.clone());
             let mut asg = vec![0u32; query.var_count()];
             let mut meter = ExecBudget::unlimited().meter();
-            let mut by_pair = GroupedCounts::new();
+            let mut by_beta = GroupedCounts::new();
             counter
-                .group_counts_from(&[alpha, beta], 0, None, &mut asg, &mut meter, |asg, n| {
-                    by_pair.add(asg[alpha.index()], n)
+                .group_counts_from(beta, 0, None, &mut asg, &mut meter, |asg, n| {
+                    by_beta.add(asg[beta.index()], n)
                 })
                 .expect("unlimited budget");
-            assert_eq!(by_pair, grouped, "case {case}: grouping by (α, β) on {query}");
+            let swapped = ExplorationQuery::new(query.patterns().to_vec(), beta, alpha, false)
+                .expect("swapping the heads keeps the query valid");
+            let lftj_by_beta = LftjEngine.evaluate(&built.ig, &swapped).expect("lftj by β");
+            assert_eq!(by_beta, lftj_by_beta, "case {case}: grouping by β on {query}");
             // The per-(α, β) walk masses sum to the walk-success mass.
             let mut masses = FxHashMap::default();
             counter

@@ -76,34 +76,3 @@ fn arbitrary_interactions_keep_invariants() {
         }
     }
 }
-
-#[test]
-fn expansion_queries_round_trip_through_sparql() {
-    let ig = ig();
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x5E55_1000 + case);
-        let mut session = Session::root(&ig);
-        for (exp_pick, bar_pick) in script(&mut rng) {
-            let valid = session.valid_expansions().to_vec();
-            let exp = valid[exp_pick as usize % valid.len()];
-            let query = session.expansion_query(exp).expect("query");
-            // Render to SPARQL and parse back: same structure.
-            let text = kgoa::query::to_sparql(&query, ig.dict());
-            let reparsed = kgoa::query::parse_query(&text, ig.dict()).expect("reparse");
-            assert_eq!(reparsed.patterns().len(), query.patterns().len(), "case {case}");
-            assert_eq!(reparsed.distinct(), query.distinct(), "case {case}");
-            // And both give the same exact answer.
-            let a = CtjEngine.evaluate(&ig, &query).expect("a");
-            let b = CtjEngine.evaluate(&ig, &reparsed).expect("b");
-            assert_eq!(a.len(), b.len(), "case {case}");
-            assert_eq!(a.total(), b.total(), "case {case}");
-
-            let chart = session.expand(exp, &CtjEngine).expect("chart");
-            if chart.is_empty() {
-                break;
-            }
-            let bar = &chart.bars[bar_pick as usize % chart.len()];
-            session.select(bar.category).expect("select");
-        }
-    }
-}

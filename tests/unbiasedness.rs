@@ -110,7 +110,7 @@ fn expected_estimates(
                     let mut counts: FxHashMap<u32, u64> = FxHashMap::default();
                     counter
                         .group_counts_from(
-                            &[alpha],
+                            alpha,
                             step + 1,
                             None,
                             assignment,
