@@ -40,7 +40,7 @@ pub fn table1(datasets: &[Dataset]) -> String {
 /// The six selected queries of Fig. 8: per dataset, (i) the out-property
 /// expansion of the root class, (ii) the subclass expansion of the root,
 /// and (iii) the deepest generated exploration query.
-pub fn fig8_queries(
+pub(crate) fn fig8_queries(
     datasets: &[Dataset],
     workload: &[PreparedQuery],
 ) -> Vec<(String, usize, ExplorationQuery)> {

@@ -18,12 +18,12 @@ pub mod workload;
 
 pub use churn::churn_bench;
 pub use experiments::{
-    ablate_cache, ablate_order, ablate_tipping, deadline_sweep, fig11, fig8, fig8_queries,
-    fig9_10, sample_time, table1, verify_engines,
+    ablate_cache, ablate_order, ablate_tipping, deadline_sweep, fig11, fig8, fig9_10,
+    sample_time, table1, verify_engines,
 };
-pub use metrics::{fmt_duration, fmt_pct, selectivity, tukey, Tukey};
-pub use profiler::{folded_path_for, profile_report};
+pub use metrics::Tukey;
+pub use profiler::profile_report;
 pub use workload::{
-    load_datasets, prepare_workload, run_fixed_walks, run_series,
-    select_aj_plan, select_walk_plan, Algo, BenchConfig, Dataset, PreparedQuery, SeriesPoint,
+    load_datasets, prepare_workload, run_fixed_walks, Algo, BenchConfig, Dataset, PreparedQuery,
+    SeriesPoint,
 };

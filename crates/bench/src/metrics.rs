@@ -24,7 +24,7 @@ pub struct Tukey {
 /// Compute Tukey statistics. NaN values are filtered out (they have no
 /// order and would silently corrupt the sort); returns `None` for an
 /// empty or all-NaN sample.
-pub fn tukey(values: &[f64]) -> Option<Tukey> {
+pub(crate) fn tukey(values: &[f64]) -> Option<Tukey> {
     let mut v: Vec<f64> = values.iter().copied().filter(|x| !x.is_nan()).collect();
     if v.is_empty() {
         return None;
@@ -54,7 +54,7 @@ pub fn tukey(values: &[f64]) -> Option<Tukey> {
 /// Query selectivity per the paper's definition (§V-B):
 /// `1 − (join size including filters) / (join size without filters)`,
 /// computed per group (each group's filter pins α) and averaged.
-pub fn selectivity(ig: &IndexedGraph, query: &ExplorationQuery) -> Result<f64, EngineError> {
+pub(crate) fn selectivity(ig: &IndexedGraph, query: &ExplorationQuery) -> Result<f64, EngineError> {
     let unfiltered = query.strip_filters().with_distinct(false);
     let total = kgoa_engine::ctj_count(ig, &unfiltered)? as f64;
     if total == 0.0 {
@@ -72,7 +72,7 @@ pub fn selectivity(ig: &IndexedGraph, query: &ExplorationQuery) -> Result<f64, E
 }
 
 /// Format a duration in a compact human unit.
-pub fn fmt_duration(d: std::time::Duration) -> String {
+pub(crate) fn fmt_duration(d: std::time::Duration) -> String {
     let s = d.as_secs_f64();
     if s >= 60.0 {
         format!("{:.1}min", s / 60.0)
@@ -86,7 +86,7 @@ pub fn fmt_duration(d: std::time::Duration) -> String {
 }
 
 /// Format a fraction as a percentage.
-pub fn fmt_pct(x: f64) -> String {
+pub(crate) fn fmt_pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 

@@ -5,7 +5,7 @@
 //! Audit Join — inside one [`kgoa_obs::QueryProfile`] scope, then renders
 //! the collected span tree three ways: an EXPLAIN ANALYZE-style annotated
 //! plan tree, collapsed stacks in the `folded` flamegraph format, and a
-//! self-validated `kgoa-obs/v2` JSON document.
+//! `kgoa-obs/v2` JSON document.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -15,7 +15,7 @@ use kgoa_core::{
     ParallelAlgo, SupervisorConfig, WanderJoin,
 };
 use kgoa_engine::lftj_count;
-use kgoa_obs::{Json, ProfileReport, QueryProfile};
+use kgoa_obs::QueryProfile;
 
 use crate::workload::{select_walk_plan, BenchConfig, Dataset, PreparedQuery};
 
@@ -30,7 +30,7 @@ const OPERATOR_FAMILIES: &[&str] =
 /// Derive the collapsed-stack output path from the JSON output path:
 /// `profile.json` → `profile.folded` (or append `.folded` when the path
 /// has no `.json` suffix).
-pub fn folded_path_for(json_path: &str) -> String {
+pub(crate) fn folded_path_for(json_path: &str) -> String {
     match json_path.strip_suffix(".json") {
         Some(stem) => format!("{stem}.folded"),
         None => format!("{json_path}.folded"),
@@ -39,10 +39,11 @@ pub fn folded_path_for(json_path: &str) -> String {
 
 /// `repro profile`: run the deepest workload query through every
 /// execution rung under a single profile scope and render the span tree.
-/// Self-validates the JSON rendering (parse + schema round-trip) and the
-/// folded rendering (one `frame;frame value` per line), and asserts that
-/// every operator family attributed nonzero work. `out` writes the JSON
-/// there and the folded stacks next to it ([`folded_path_for`]).
+/// Self-validates the span tree ([`kgoa_obs::ProfileReport::check_tree`])
+/// and the folded rendering (one `frame;frame value` per line), and
+/// asserts that every operator family attributed nonzero work. `out`
+/// writes the JSON there and the folded stacks next to it
+/// (`folded_path_for`).
 pub fn profile_report(
     datasets: &[Dataset],
     workload: &[PreparedQuery],
@@ -111,6 +112,8 @@ pub fn profile_report(
         }
     }
     let prof = profile.finish();
+    // `finish` only debug-asserts the tree; check it in release too.
+    prof.check_tree().expect("profile span tree must be well-formed");
 
     writeln!(report, "\n{}", prof.to_text()).unwrap();
 
@@ -129,12 +132,7 @@ pub fn profile_report(
     let stack_lines =
         kgoa_obs::profile::check_folded(&folded).expect("folded output must be well-formed");
 
-    // JSON rendering: must parse with the in-tree parser and round-trip
-    // through the schema.
     let json = prof.to_json().pretty(2);
-    let reparsed = Json::parse(&json).expect("profile JSON must be well-formed");
-    let round = ProfileReport::from_json(&reparsed).expect("profile JSON must match schema");
-    assert_eq!(round.spans.len(), prof.spans.len(), "profile JSON must round-trip");
 
     writeln!(report, "{} spans, {stack_lines} folded stack lines", prof.spans.len()).unwrap();
 
@@ -193,8 +191,7 @@ mod tests {
         let folded = std::fs::read_to_string(dir.join("profile.folded")).unwrap();
         assert!(kgoa_obs::profile::check_folded(&folded).unwrap() > 0);
         let json = std::fs::read_to_string(&path).unwrap();
-        let doc = Json::parse(&json).unwrap();
-        assert!(ProfileReport::from_json(&doc).is_ok());
+        assert!(json.starts_with("{\n  \"schema\": \"kgoa-obs/v2\""), "{json}");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(dir.join("profile.folded")).ok();
     }

@@ -151,7 +151,7 @@ pub struct SeriesPoint {
 
 /// Run one algorithm on one query for the configured ticks, reporting MAE
 /// and CI at each tick boundary — the measurement behind Figs. 8–10.
-pub fn run_series(
+pub(crate) fn run_series(
     ig: &IndexedGraph,
     query: &ExplorationQuery,
     exact: &GroupedCounts,
@@ -192,7 +192,7 @@ pub fn run_series(
 
 /// Pick the walk plan per the configured order-selection policy — used for
 /// Wander Join, which the paper grants the best order per query (§V-B).
-pub fn select_walk_plan(
+pub(crate) fn select_walk_plan(
     ig: &IndexedGraph,
     query: &ExplorationQuery,
     cfg: &BenchConfig,
@@ -238,7 +238,7 @@ pub fn run_fixed_walks(
 
 /// Audit Join's order choice: canonical when order selection is disabled,
 /// otherwise short timed trials of real AJ walks per candidate order.
-pub fn select_aj_plan(
+pub(crate) fn select_aj_plan(
     ig: &IndexedGraph,
     query: &ExplorationQuery,
     cfg: &BenchConfig,

@@ -49,7 +49,7 @@ impl GroupAccumulator {
     /// Merge another accumulator's sums into this one. Because every walk
     /// is an independent sample, per-group `Σx` and `Σx²` from disjoint
     /// walk sets add directly; the caller adds the walk counts.
-    pub fn merge_from(&mut self, other: &GroupAccumulator) {
+    pub(crate) fn merge_from(&mut self, other: &GroupAccumulator) {
         for (&g, &(sum, sumsq)) in &other.sums {
             let e = self.sums.entry(g).or_insert((0.0, 0.0));
             e.0 += sum;
@@ -105,7 +105,7 @@ pub struct WalkStats {
 
 impl WalkStats {
     /// Merge counters from an independent run.
-    pub fn merge_from(&mut self, other: &WalkStats) {
+    pub(crate) fn merge_from(&mut self, other: &WalkStats) {
         self.walks += other.walks;
         self.rejected += other.rejected;
         self.full += other.full;

@@ -35,7 +35,7 @@ impl BatchScratch {
     /// variables: all walks alive, unit weights. Ranges and assignments are
     /// only sized — a walk reads a range or a variable after the step that
     /// wrote it, so what an earlier batch left in a slot is never seen.
-    pub fn reset(&mut self, n: usize, var_count: usize) {
+    pub(crate) fn reset(&mut self, n: usize, var_count: usize) {
         self.alive.clear();
         self.alive.resize(n, true);
         self.weights.clear();
@@ -49,7 +49,7 @@ impl BatchScratch {
     /// bulk RNG refill draws a word per survivor and the survivors, in
     /// walk order, pick a position, multiply their weight by the fan-out
     /// and bind the step's variables. Returns the number of dead ends.
-    pub fn sample_step(
+    pub(crate) fn sample_step(
         &mut self,
         plan: &WalkPlan,
         si: usize,

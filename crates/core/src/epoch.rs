@@ -29,8 +29,8 @@
 //!   residual overlay, and commits the swap in a single assignment.
 //!   Failures (including injected crash points) retry with backoff; the
 //!   commit's atomicity means every retry starts from a valid epoch. A
-//!   merge abandoned on a spent merge budget or after its last retry
-//!   leaves the delta in place for the next append to reschedule.
+//!   merge abandoned after its last retry leaves the delta in place for
+//!   the next append to reschedule.
 //!
 //! **Crash safety.** Under the `fault-inject` feature a
 //! `MergeCrashPoint` can be armed to panic the merge job once at a
@@ -180,14 +180,11 @@ pub struct EpochManager {
     state: Mutex<EpochState>,
     config: EpochConfig,
     merge_running: AtomicBool,
-    /// Merges abandoned on a budget trip or after the last retry; lets
+    /// Merges abandoned after the last retry; lets
     /// [`EpochManager::wait_merged`] stop rescheduling a merge that
     /// cannot land. Bumped before `merge_running`'s `Release` clear, so a
     /// waiter whose `Acquire` load sees the flag clear also sees the bump.
     merges_abandoned: AtomicU64,
-    /// Budget charged for merge work (tuples ≈ rows rebuilt); writers
-    /// charge their own append budget.
-    merge_budget: ExecBudget,
     #[cfg(feature = "fault-inject")]
     crash_point: Mutex<Option<MergeCrashPoint>>,
 }
@@ -219,25 +216,9 @@ impl EpochManager {
             config,
             merge_running: AtomicBool::new(false),
             merges_abandoned: AtomicU64::new(0),
-            merge_budget: ExecBudget::unlimited(),
             #[cfg(feature = "fault-inject")]
             crash_point: Mutex::new(None),
         })
-    }
-
-    /// [`EpochManager::new`] with a budget charged for background merge
-    /// work (tuples ≈ rows rebuilt).
-    #[cfg(test)]
-    pub fn with_merge_budget(
-        main: IndexedGraph,
-        config: EpochConfig,
-        merge_budget: ExecBudget,
-    ) -> Arc<Self> {
-        let mgr = Self::new(main, config);
-        // Sole Arc: safe to reach inside before sharing.
-        let mut mgr = mgr;
-        Arc::get_mut(&mut mgr).expect("unshared").merge_budget = merge_budget;
-        mgr
     }
 
     /// Poison-tolerant state lock: a merge crash point may panic while
@@ -341,7 +322,7 @@ impl EpochManager {
 
     /// Schedule a background merge on the background pool unless one is
     /// already pending. Detached: the writer returns immediately.
-    pub fn schedule_merge(self: &Arc<Self>) {
+    pub(crate) fn schedule_merge(self: &Arc<Self>) {
         if self.merge_running.swap(true, Ordering::AcqRel) {
             return;
         }
@@ -362,9 +343,9 @@ impl EpochManager {
     }
 
     /// Block until no merge is running *and* the delta is below the merge
-    /// threshold, or until a merge it waited on was abandoned (spent merge
-    /// budget, or retries ran out), since rescheduling could then spin
-    /// forever (spin + sleep; test/shutdown helper, not a hot path).
+    /// threshold, or until a merge it waited on was abandoned (its
+    /// retries ran out), since rescheduling could then spin forever
+    /// (spin + sleep; test/shutdown helper, not a hot path).
     pub fn wait_merged(self: &Arc<Self>) {
         let abandoned = self.merges_abandoned.load(Ordering::Acquire);
         loop {
@@ -398,7 +379,7 @@ impl EpochManager {
         let mut backoff = self.config.retry_backoff;
         for attempt in 0..=self.config.merge_retries {
             match catch_unwind(AssertUnwindSafe(|| self.merge_once())) {
-                Ok(Ok(merged_rows)) => {
+                Ok(merged_rows) => {
                     kgoa_obs::events::emit_with(
                         kgoa_obs::Level::Info,
                         "epoch",
@@ -409,16 +390,6 @@ impl EpochManager {
                         ],
                     );
                     return;
-                }
-                Ok(Err(b)) => {
-                    // Merge budget tripped: not transient — drop the job
-                    // and let the next append reschedule under a fresh
-                    // pressure reading.
-                    kgoa_obs::events::warn(
-                        "epoch",
-                        format!("merge abandoned: budget exceeded ({})", b.reason),
-                    );
-                    break;
                 }
                 Err(_) if attempt < self.config.merge_retries => {
                     kgoa_obs::events::emit_with(
@@ -443,17 +414,17 @@ impl EpochManager {
         self.merges_abandoned.fetch_add(1, Ordering::Release);
     }
 
-    /// One merge attempt. Returns the number of rows in the new main, or
-    /// the budget violation that stopped it. The only shared-state write
-    /// is the single commit assignment at the end: any panic before it
-    /// (injected or real) leaves the published epoch untouched.
-    fn merge_once(&self) -> Result<usize, BudgetExceeded> {
+    /// One merge attempt. Returns the number of rows in the new main. The
+    /// only shared-state write is the single commit assignment at the
+    /// end: any panic before it (injected or real) leaves the published
+    /// epoch untouched.
+    fn merge_once(&self) -> usize {
         // Phase 1: snapshot the folded delta and how much of the log it
         // covers. Readers and writers proceed normally after this.
         let (main, batch, log_len) = {
             let st = self.lock_state();
             if st.adds.is_empty() && st.dels.is_empty() {
-                return Ok(st.main.len());
+                return st.main.len();
             }
             let batch =
                 UpdateBatch { insert: st.adds.clone(), delete: st.dels.clone() };
@@ -462,7 +433,6 @@ impl EpochManager {
 
         // Phase 2: build the new delta-free main outside the lock — the
         // expensive part (per-order sorted merges + stats refresh).
-        self.merge_budget.charge_tuples(batch.size() as u64)?;
         let new_main = apply_batch(&main, Arc::clone(main.dict()), &batch);
         #[cfg(feature = "fault-inject")]
         self.fire_crash_point(MergeCrashPoint::PrePublish);
@@ -498,7 +468,7 @@ impl EpochManager {
         drop(st);
         #[cfg(feature = "fault-inject")]
         self.fire_crash_point(MergeCrashPoint::PostPublish);
-        Ok(rows)
+        rows
     }
 }
 
@@ -668,30 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_merged_returns_when_the_merge_budget_is_spent() {
-        let (ig, n, p) = setup(12);
-        let mgr = EpochManager::with_merge_budget(
-            ig,
-            EpochConfig { merge_threshold: 4, ..EpochConfig::default() },
-            ExecBudget::builder().tuple_limit(0).build(),
-        );
-        let deletes: Vec<T> = (0..8).map(|i| T::new(n[i], p, n[i + 1])).collect();
-        mgr.append(&UpdateBatch::deleting(deletes), &ExecBudget::unlimited()).unwrap();
-        // Every merge trips the spent budget, so the delta stays over the
-        // threshold; `wait_merged` must still return.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let waiter = Arc::clone(&mgr);
-        let handle = std::thread::spawn(move || {
-            waiter.wait_merged();
-            tx.send(()).unwrap();
-        });
-        rx.recv_timeout(Duration::from_secs(5))
-            .expect("wait_merged spun past an abandoned merge");
-        handle.join().unwrap();
-        assert_eq!(mgr.delta_rows(), 8, "an abandoned merge leaves the delta in place");
-    }
-
-    #[test]
     fn append_budget_rejects_before_publishing() {
         let (ig, n, p) = setup(8);
         let mgr = EpochManager::new(ig, EpochConfig::default());
@@ -722,6 +668,36 @@ mod tests {
         assert!(mgr.under_pressure());
         mgr.merge_now();
         assert!(!mgr.under_pressure());
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn wait_merged_returns_when_the_merge_gives_up() {
+        let (ig, n, p) = setup(12);
+        let mgr = EpochManager::new(
+            ig,
+            EpochConfig { merge_threshold: 4, merge_retries: 0, ..EpochConfig::default() },
+        );
+        // Hold the merge flag over the append so that it schedules
+        // nothing: the only merge is then the one `wait_merged`
+        // schedules after reading the abandon count.
+        mgr.merge_running.store(true, Ordering::Release);
+        let deletes: Vec<T> = (0..8).map(|i| T::new(n[i], p, n[i + 1])).collect();
+        mgr.append(&UpdateBatch::deleting(deletes), &ExecBudget::unlimited()).unwrap();
+        mgr.merge_running.store(false, Ordering::Release);
+        // With no retries, one crash makes the merge give up, so the
+        // delta stays over the threshold; `wait_merged` must still return.
+        mgr.arm_crash_point(MergeCrashPoint::PrePublish);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&mgr);
+        let handle = std::thread::spawn(move || {
+            waiter.wait_merged();
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("wait_merged spun past an abandoned merge");
+        handle.join().unwrap();
+        assert_eq!(mgr.delta_rows(), 8, "an abandoned merge leaves the delta in place");
     }
 
     #[cfg(feature = "fault-inject")]

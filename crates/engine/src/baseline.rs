@@ -29,7 +29,7 @@ pub const DEFAULT_TUPLE_LIMIT: usize = 50_000_000;
 /// against the budget's tuple counter and the inner loops are metered, so
 /// deadlines and cancellation interrupt even the pathological blow-up
 /// cases this engine exists to exhibit.
-pub fn baseline_grouped_governed(
+pub(crate) fn baseline_grouped_governed(
     ig: &IndexedGraph,
     query: &ExplorationQuery,
     tuple_limit: usize,

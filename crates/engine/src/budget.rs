@@ -253,7 +253,7 @@ impl ExecBudget {
     /// Fault hook — governed trie seek (no-op unless `fault-inject` is on
     /// and a plan with `fail_seek_at` is installed).
     #[inline]
-    pub fn fault_seek(&self) -> Result<(), BudgetExceeded> {
+    pub(crate) fn fault_seek(&self) -> Result<(), BudgetExceeded> {
         #[cfg(feature = "fault-inject")]
         {
             if let Some(faults) = self.inner.as_ref().and_then(|i| i.faults.as_ref()) {

@@ -18,9 +18,9 @@
 //! into a multiplier, what the memo key is and where the budget meter
 //! ticks. One memoized recursion serves three "semirings", because Audit
 //! Join needs all of them (§IV-D):
-//! - **count** ([`CtjCounter::count_from`]): `u64` number of completions
+//! - **count** (`CtjCounter::count_from`): `u64` number of completions
 //!   (`|Γ_δ|`),
-//! - **exists** ([`CtjCounter::exists_from`]): early-exiting boolean
+//! - **exists** (`CtjCounter::exists_from`): early-exiting boolean
 //!   (distinct counting),
 //! - **mass** ([`CtjCounter::mass_from`]): `f64` probability that a random
 //!   walk continuing from here completes (`Σ_extensions Π 1/dᵢ`), used by
@@ -224,14 +224,14 @@ impl<'g> CtjCounter<'g> {
     /// Variables bound before `step` that the suffix from `step` still
     /// reads (sorted). This is the suffix's memo key; the value `1` means
     /// the suffix is a function of one earlier binding.
-    pub fn suffix_dep_vars(&self, step: usize) -> &[Var] {
+    pub(crate) fn suffix_dep_vars(&self, step: usize) -> &[Var] {
         &self.dep_vars[step]
     }
 
     /// True when no later step reads `step`'s out-variables: all rows of
     /// `step`'s candidate range lead to the *same* suffix, so aggregates
     /// multiply by the fan-out instead of enumerating it.
-    pub fn suffix_collapses(&self, step: usize) -> bool {
+    pub(crate) fn suffix_collapses(&self, step: usize) -> bool {
         self.collapse[step]
     }
 
@@ -254,7 +254,7 @@ impl<'g> CtjCounter<'g> {
     /// prefix themselves (e.g. [`crate::CtjEngine`]'s distinct recursion)
     /// call this so their rows land in the same per-step counters as the
     /// memoized suffix work.
-    pub fn note_row(&mut self, step: usize) {
+    pub(crate) fn note_row(&mut self, step: usize) {
         self.step_stats[step].rows += 1;
     }
 
@@ -291,7 +291,7 @@ impl<'g> CtjCounter<'g> {
 
     /// Number of completions of the suffix starting at `step`, given the
     /// bindings in `assignment` (`|Γ_δ|` where δ bound steps `0..step`).
-    pub fn count_from(
+    pub(crate) fn count_from(
         &mut self,
         step: usize,
         assignment: &mut [u32],
@@ -301,7 +301,7 @@ impl<'g> CtjCounter<'g> {
     }
 
     /// True if the suffix starting at `step` has at least one completion.
-    pub fn exists_from(
+    pub(crate) fn exists_from(
         &mut self,
         step: usize,
         assignment: &mut [u32],
@@ -370,7 +370,7 @@ impl<'g> CtjCounter<'g> {
 
     /// Exact per-group completion counts of the suffix starting at `step`:
     /// enumerate until `head` is bound, then close each branch with
-    /// [`CtjCounter::count_from`] and call `emit(assignment, n)` with its
+    /// `CtjCounter::count_from` and call `emit(assignment, n)` with its
     /// count `n > 0`. Rows that neither the head nor a later step reads
     /// are multiplied instead of enumerated, and the last step is
     /// inlined. `first` is `step`'s range when the caller has already

@@ -20,11 +20,10 @@ use crate::error::EngineError;
 
 /// Per-variable operator counters for one LFTJ execution, indexed by the
 /// variable's rank in the plan order. Plain `u64`s bumped unconditionally
-/// (an increment next to a trie seek is noise); read them back with
-/// [`LftjExec::op_stats`] or let [`LftjExec::run_governed`] attribute
-/// them to the active [`kgoa_obs::profile`] scope.
+/// (an increment next to a trie seek is noise); [`LftjExec::run_governed`]
+/// attributes them to the active [`kgoa_obs::profile`] scope.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LftjVarStats {
+pub(crate) struct LftjVarStats {
     /// Leapfrog alignment rounds at this variable's level.
     pub probes: u64,
     /// Trie `seek` calls issued for this variable (navigation + leapfrog).
@@ -93,15 +92,9 @@ impl<'g> LftjExec<'g> {
         Ok(LftjExec { plan, cursors, assignment, op_stats, empty })
     }
 
-    /// Per-variable operator counters accumulated so far, indexed by plan
-    /// rank (same order as `plan.var_order()`).
-    pub fn op_stats(&self) -> &[LftjVarStats] {
-        &self.op_stats
-    }
-
     /// Emit one attribution leaf per plan variable into the active
     /// profile scope (no-op when none). Called after a run.
-    pub fn profile_emit(&self) {
+    fn profile_emit(&self) {
         if !kgoa_obs::profile::active() {
             return;
         }
@@ -371,7 +364,7 @@ mod tests {
         let plan = JoinPlan::canonical(&query, &kgoa_index::IndexOrder::PAPER_DEFAULT).unwrap();
         let mut exec = LftjExec::new(&ig, &query, plan).unwrap();
         exec.run(|_| {});
-        let stats = exec.op_stats();
+        let stats = &exec.op_stats;
         assert_eq!(stats.len(), 3);
         // Every variable level ran at least one leapfrog round, and the
         // join did real work somewhere.

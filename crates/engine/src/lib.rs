@@ -30,13 +30,13 @@ pub mod lftj;
 pub mod result;
 pub mod yannakakis;
 
-pub use baseline::{baseline_grouped_governed, DEFAULT_TUPLE_LIMIT};
+pub use baseline::DEFAULT_TUPLE_LIMIT;
 #[cfg(feature = "fault-inject")]
 pub use budget::FaultPlan;
 pub use budget::{BudgetExceeded, BudgetMeter, BudgetReason, ExecBudget, ExecBudgetBuilder};
 pub use ctj::{ctj_count, CacheStats, CtjCounter, StepCacheStats};
 pub use engines::{BaselineEngine, CountEngine, CtjEngine, LftjEngine, YannakakisEngine};
 pub use error::EngineError;
-pub use lftj::{lftj_count, LftjExec, LftjVarStats};
+pub use lftj::{lftj_count, LftjExec};
 pub use result::{mean_absolute_error, mean_ci_width, GroupedCounts, GroupedEstimates};
-pub use yannakakis::{count_distinct_values, yannakakis_grouped_distinct_governed};
+pub use yannakakis::count_distinct_values;

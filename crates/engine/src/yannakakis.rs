@@ -184,7 +184,7 @@ pub fn count_distinct_values(
 ///
 /// Returns [`EngineError::Unsupported`] if α and β do not co-occur in any
 /// pattern (the generic engines handle that case).
-pub fn yannakakis_grouped_distinct_governed(
+pub(crate) fn yannakakis_grouped_distinct_governed(
     ig: &IndexedGraph,
     query: &ExplorationQuery,
     budget: &ExecBudget,

@@ -13,11 +13,9 @@
 pub mod chart;
 pub mod error;
 pub mod generator;
-pub mod history;
 pub mod session;
 
 pub use chart::{short_label, Bar, Chart, ChartKind};
 pub use error::ExploreError;
 pub use generator::{generate_explorations, GeneratedQuery, GeneratorConfig};
-pub use history::{History, HistoryStep};
 pub use session::{Expansion, GovernedChart, Session};

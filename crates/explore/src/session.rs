@@ -20,7 +20,6 @@ use kgoa_rdf::TermId;
 
 use crate::chart::{Chart, ChartKind};
 use crate::error::ExploreError;
-use crate::history::History;
 
 /// A chart produced under the supervisor's degradation ladder, together
 /// with how it was obtained. Exactly one of the three shapes holds:
@@ -127,7 +126,6 @@ pub struct Session<'g> {
     next_var: u16,
     state: BarState,
     pending: Option<Pending>,
-    history: History,
     /// Whether expansion queries count distinct members (the system always
     /// does; disable only for experiments).
     pub distinct: bool,
@@ -147,8 +145,8 @@ impl<'g> Session<'g> {
 
     /// Start a root session pinned to the manager's current epoch: every
     /// expansion and selection reads that one consistent snapshot while
-    /// writers keep appending. Call [`Session::repin`] between
-    /// interactions to observe newer epochs.
+    /// writers keep appending. A session pinned later observes newer
+    /// epochs.
     pub fn root_pinned(mgr: &EpochManager) -> Session<'static> {
         let guard = mgr.pin();
         let class = guard.vocab().owl_thing;
@@ -170,7 +168,6 @@ impl<'g> Session<'g> {
             next_var: 2,
             state: BarState::Class { closure_idx: 1, class },
             pending: None,
-            history: History::new(),
             distinct: true,
         }
     }
@@ -188,18 +185,6 @@ impl<'g> Session<'g> {
         }
     }
 
-    /// Re-pin the session to the manager's current epoch (interaction
-    /// boundaries are the natural place: mid-expansion reads stay on one
-    /// snapshot, but the next chart reflects the latest data). The
-    /// session's accumulated focus constraints carry over — term ids are
-    /// stable across epochs. Returns the newly pinned epoch id.
-    pub fn repin(&mut self, mgr: &EpochManager) -> u64 {
-        let guard = mgr.pin();
-        let epoch = guard.epoch();
-        self.graph = GraphRef::Pinned(guard);
-        epoch
-    }
-
     /// The patterns constraining the current focus set.
     pub fn patterns(&self) -> &[TriplePattern] {
         &self.patterns
@@ -208,11 +193,6 @@ impl<'g> Session<'g> {
     /// The focus variable.
     pub fn focus(&self) -> Var {
         self.focus
-    }
-
-    /// The breadcrumb trail of this session.
-    pub fn history(&self) -> &History {
-        &self.history
     }
 
     /// The expansions valid for the current bar (the out-edges of the
@@ -316,7 +296,6 @@ impl<'g> Session<'g> {
         let _span = kgoa_obs::profile::span("explore.expand");
         let query = self.expansion_query(exp)?;
         let counts = engine.evaluate(self.graph(), &query).map_err(ExploreError::Engine)?;
-        self.history.expanded(exp);
         Ok(Chart::from_counts(exp.produces(), &counts))
     }
 
@@ -354,7 +333,6 @@ impl<'g> Session<'g> {
                 error: Some(e),
             },
         };
-        self.history.expanded(exp);
         Ok(outcome)
     }
 
@@ -384,7 +362,6 @@ impl<'g> Session<'g> {
     pub fn select(&mut self, category: TermId) -> Result<(), ExploreError> {
         let vocab = self.graph().vocab();
         let pending = self.pending.take().ok_or(ExploreError::NothingPending)?;
-        self.history.selected(category);
         match pending {
             Pending::Subclass { closure_idx } => {
                 let tvar = self.patterns[closure_idx]
@@ -608,13 +585,13 @@ mod tests {
         assert!(s.graph().contains(victim), "pinned epoch must be immutable");
         assert_eq!(s.epoch(), Some(0));
 
-        // Re-pinning at an interaction boundary observes the new epoch,
-        // with the session's focus constraints intact.
-        let epoch = s.repin(&mgr);
-        assert_eq!(epoch, 1);
-        assert!(!s.graph().contains(victim));
+        // The pinned session keeps working on its epoch; a session pinned
+        // after the write observes the new one.
         s.select(chart.bars[0].category).unwrap();
         assert!(s.focus_size().is_ok());
+        let fresh = Session::root_pinned(&mgr);
+        assert_eq!(fresh.epoch(), Some(1));
+        assert!(!fresh.graph().contains(victim));
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! level's arrays, so a seek scans a contiguous `&[u32]` (4-byte stride, 16
 //! keys per cache line) and `next` is `pos + 1` — no run recomputation.
 //! Leaf positions coincide with positions in the sorted row array, so a
-//! bound prefix is a contiguous [`RowRange`] of leaves. [`ColumnarTrie::find0`]
+//! bound prefix is a contiguous [`RowRange`] of leaves. `ColumnarTrie::find0`
 //! reaches a level-0 node in O(1) through the rank directory `l0_rank`
 //! (term ids are dense dictionary ids, so the level-0 key space is
-//! addressed, not searched), [`ColumnarTrie::find1`] by binary search of
+//! addressed, not searched), `ColumnarTrie::find1` by binary search of
 //! the node's child window (O(log fan-out)); there is no hash table, and
 //! sampling inside the range stays O(1). The reverse maps `l1_of` (leaf →
 //! level-1 node) and `l0_of` (level-1 node → level-0 node) make full-row
@@ -165,7 +165,7 @@ impl ColumnarTrie {
     /// permuted layout. One linear pass; the arrays whose length it
     /// discovers are then shrunk to fit, so every array's capacity equals
     /// its length.
-    pub fn from_sorted_rows(rows: &[[u32; 3]]) -> Self {
+    pub(crate) fn from_sorted_rows(rows: &[[u32; 3]]) -> Self {
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be sorted+distinct");
         let n = rows.len();
         let mut t = ColumnarTrie {
@@ -221,50 +221,50 @@ impl ColumnarTrie {
 
     /// Number of level-0 nodes (distinct first attributes).
     #[inline]
-    pub fn l0_len(&self) -> usize {
+    pub(crate) fn l0_len(&self) -> usize {
         self.l0_keys.len()
     }
 
     /// Key of level-0 node `i`.
     #[inline]
-    pub fn key0(&self, i: u32) -> u32 {
+    pub(crate) fn key0(&self, i: u32) -> u32 {
         self.l0_keys[i as usize]
     }
 
     /// Level-1 node window (child ids) of level-0 node `i`.
     #[inline]
-    pub fn l0_children(&self, i: u32) -> (u32, u32) {
+    pub(crate) fn l0_children(&self, i: u32) -> (u32, u32) {
         (self.l0_offsets[i as usize], self.l0_offsets[i as usize + 1])
     }
 
     /// Leaf window of level-1 node `j`.
     #[inline]
-    pub fn l1_children(&self, j: u32) -> (u32, u32) {
+    pub(crate) fn l1_children(&self, j: u32) -> (u32, u32) {
         (self.l1_offsets[j as usize], self.l1_offsets[j as usize + 1])
     }
 
     /// The level-1 node containing leaf `pos`.
     #[inline]
-    pub fn l1_node_of(&self, pos: u32) -> u32 {
+    pub(crate) fn l1_node_of(&self, pos: u32) -> u32 {
         self.l1_of[pos as usize]
     }
 
     /// The level-0 node containing level-1 node `j`.
     #[inline]
-    pub fn l0_node_of(&self, j: u32) -> u32 {
+    pub(crate) fn l0_node_of(&self, j: u32) -> u32 {
         self.l0_of[j as usize]
     }
 
     /// Leaf range under level-0 node `i`.
     #[inline]
-    pub fn l0_leaf_range(&self, i: u32) -> RowRange {
+    pub(crate) fn l0_leaf_range(&self, i: u32) -> RowRange {
         let (c0, c1) = self.l0_children(i);
         RowRange { start: self.l1_offsets[c0 as usize], end: self.l1_offsets[c1 as usize] }
     }
 
     /// Leaf range under level-1 node `j`.
     #[inline]
-    pub fn l1_leaf_range(&self, j: u32) -> RowRange {
+    pub(crate) fn l1_leaf_range(&self, j: u32) -> RowRange {
         let (lo, hi) = self.l1_children(j);
         RowRange { start: lo, end: hi }
     }
@@ -273,7 +273,7 @@ impl ColumnarTrie {
     /// block and a popcount when `a` falls inside the directory, else a
     /// binary search over the level-0 keys past it.
     #[inline]
-    pub fn find0(&self, a: u32) -> Option<u32> {
+    pub(crate) fn find0(&self, a: u32) -> Option<u32> {
         if let Some(b) = self.l0_rank.get((a >> 6) as usize) {
             let bit = 1u64 << (a & 63);
             return (b.bits & bit != 0).then(|| b.rank + (b.bits & (bit - 1)).count_ones());
@@ -286,7 +286,7 @@ impl ColumnarTrie {
     /// The level-1 node with key `b` under level-0 node `l0`, if present:
     /// a binary search confined to that node's child window.
     #[inline]
-    pub fn find1(&self, l0: u32, b: u32) -> Option<u32> {
+    pub(crate) fn find1(&self, l0: u32, b: u32) -> Option<u32> {
         let (lo, hi) = self.l0_children(l0);
         let window = &self.l1_keys[lo as usize..hi as usize];
         window.binary_search(&b).ok().map(|i| lo + i as u32)
@@ -295,7 +295,7 @@ impl ColumnarTrie {
     /// The leaf keys of a contiguous leaf range — the hot suffix slice CTJ
     /// enumeration and `contains` scan.
     #[inline]
-    pub fn l2_slice(&self, r: RowRange) -> &[u32] {
+    pub(crate) fn l2_slice(&self, r: RowRange) -> &[u32] {
         &self.l2_keys[r.as_usize()]
     }
 
@@ -343,7 +343,7 @@ impl ColumnarTrie {
     }
 
     /// Heap memory held by the level arrays and the rank directory, in
-    /// bytes — their capacities, which [`ColumnarTrie::from_sorted_rows`]
+    /// bytes — their capacities, which `ColumnarTrie::from_sorted_rows`
     /// keeps equal to their lengths.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<RankBlock>() * self.l0_rank.capacity()

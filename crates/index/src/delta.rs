@@ -25,7 +25,6 @@
 //! reading one consistent snapshot while writers append.
 
 use kgoa_rdf::Triple;
-use rand::Rng;
 
 use crate::store::{RowRange, TrieIndex};
 
@@ -92,7 +91,7 @@ impl LiveRange {
 
     /// Number of live rows contributed by the main part.
     #[inline]
-    pub fn live_main(self) -> u32 {
+    pub(crate) fn live_main(self) -> u32 {
         (self.main.len() - self.dead as usize) as u32
     }
 }
@@ -159,7 +158,7 @@ impl TrieIndex {
 
     /// True if the main position `pos` is tombstoned.
     #[inline]
-    pub fn is_tombstoned(&self, pos: u32) -> bool {
+    pub(crate) fn is_tombstoned(&self, pos: u32) -> bool {
         self.delta_part().is_some_and(|d| d.tomb.binary_search(&pos).is_ok())
     }
 
@@ -169,7 +168,7 @@ impl TrieIndex {
     /// main are ignored (a delete of a pending insert must be cancelled by
     /// the caller *before* building the overlay — the epoch manager's
     /// cumulative bookkeeping does exactly that).
-    pub fn with_delta(&self, inserts: &[Triple], deletes: &[Triple]) -> TrieIndex {
+    pub(crate) fn with_delta(&self, inserts: &[Triple], deletes: &[Triple]) -> TrieIndex {
         assert!(!self.has_delta(), "with_delta() on an index that already has one");
         let order = self.order();
         let mut add_rows: Vec<[u32; 3]> =
@@ -282,8 +281,8 @@ impl TrieIndex {
     }
 
     /// Map one pre-drawn uniform `u64` onto a logical position of a
-    /// (non-empty) live range — the keyed twin of
-    /// [`TrieIndex::pick_live`], consuming exactly the raw word that
+    /// (non-empty) live range — the keyed twin of the test oracle
+    /// `TrieIndex::pick_live`, consuming exactly the raw word that
     /// `pick_live` would have drawn so a batched sampler reproduces the
     /// per-walk RNG stream bit-for-bit. Callers handle empty ranges (and
     /// the draw metric) themselves.
@@ -305,9 +304,10 @@ impl TrieIndex {
 
     /// Uniformly sample a logical position from a live range. Identical to
     /// [`RowRange::pick`] (same RNG draw sequence) when the index carries
-    /// no overlay; O(log |tomb|) rank-select otherwise.
-    #[inline]
-    pub fn pick_live<R: Rng + ?Sized>(&self, r: LiveRange, rng: &mut R) -> Option<u32> {
+    /// no overlay; O(log |tomb|) rank-select otherwise. The test oracle
+    /// for [`TrieIndex::pick_live_keyed`].
+    #[cfg(test)]
+    fn pick_live<R: rand::Rng + ?Sized>(&self, r: LiveRange, rng: &mut R) -> Option<u32> {
         if r.is_empty() {
             return None;
         }

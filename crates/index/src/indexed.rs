@@ -13,7 +13,7 @@ use crate::store::{Layout, TrieIndex};
 ///
 /// [`IndexedGraph::build`] builds the four paper orders (SPO, OPS, PSO,
 /// POS); §V-A notes these "are sufficient to support our exploration
-/// queries". [`IndexedGraph::from_parts`] accepts any superset of them.
+/// queries". `IndexedGraph::from_parts` accepts any superset of them.
 /// The triples themselves are kept only as the orders' rows: the SPO order
 /// is the sorted triple list. The dictionary is `Arc`-shared and each
 /// [`TrieIndex`] is internally `Arc`-cored, so cloning an `IndexedGraph` —
@@ -64,7 +64,7 @@ impl IndexedGraph {
     /// (incremental update path: epoch managers hand the same dictionary
     /// to successive mains). The four paper-default orders must be
     /// present; statistics are recomputed from the indexes.
-    pub fn from_parts(dict: Arc<Dictionary>, vocab: VocabIds, prebuilt: Vec<TrieIndex>) -> Self {
+    pub(crate) fn from_parts(dict: Arc<Dictionary>, vocab: VocabIds, prebuilt: Vec<TrieIndex>) -> Self {
         let mut indexes: [Option<TrieIndex>; 6] = Default::default();
         for idx in prebuilt {
             let s = slot(idx.order());
@@ -83,7 +83,7 @@ impl IndexedGraph {
     }
 
     /// The orders with a built index.
-    pub fn built_orders(&self) -> Vec<IndexOrder> {
+    pub(crate) fn built_orders(&self) -> Vec<IndexOrder> {
         IndexOrder::ALL.into_iter().filter(|o| self.indexes[slot(*o)].is_some()).collect()
     }
 

@@ -40,7 +40,7 @@ impl GraphStats {
     /// Derive statistics from the four paper-default indexes. `spo`/`ops`
     /// provide global distinct counts; `pso`/`pos` provide per-predicate
     /// distinct subject/object counts.
-    pub fn from_indexes(
+    pub(crate) fn from_indexes(
         spo: &TrieIndex,
         ops: &TrieIndex,
         pso: &TrieIndex,

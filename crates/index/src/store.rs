@@ -72,7 +72,7 @@ impl RowRange {
     /// bit-for-bit. Callers handle empty ranges (and the draw metric)
     /// themselves.
     #[inline]
-    pub fn pick_keyed(self, raw: u64) -> u32 {
+    pub(crate) fn pick_keyed(self, raw: u64) -> u32 {
         debug_assert!(!self.is_empty(), "pick_keyed on empty range");
         let span = (self.end - self.start) as u64;
         self.start + ((raw as u128 * span as u128) >> 64) as u32
@@ -136,7 +136,7 @@ impl TrieIndex {
     /// Build from rows already sorted in this order's layout (used by the
     /// incremental merge path) — one linear pass into the level arrays
     /// (which debug-assert sortedness).
-    pub fn from_sorted_rows(order: IndexOrder, rows: Vec<[u32; 3]>) -> Self {
+    pub(crate) fn from_sorted_rows(order: IndexOrder, rows: Vec<[u32; 3]>) -> Self {
         let trie = ColumnarTrie::from_sorted_rows(&rows);
         TrieIndex {
             core: Arc::new(IndexCore { order, len: rows.len() as u32, trie }),
@@ -158,7 +158,7 @@ impl TrieIndex {
     }
 
     /// Drop the delta overlay, exposing the shared main part only.
-    pub fn main_only(&self) -> TrieIndex {
+    pub(crate) fn main_only(&self) -> TrieIndex {
         TrieIndex { core: Arc::clone(&self.core), delta: None }
     }
 

@@ -85,7 +85,7 @@ impl<'a> TrieCursor<'a> {
 
     /// Number of levels this cursor can expose.
     #[inline]
-    pub fn max_depth(&self) -> usize {
+    pub(crate) fn max_depth(&self) -> usize {
         3 - self.prefix_len
     }
 

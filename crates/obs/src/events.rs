@@ -9,8 +9,7 @@
 //! retained in the process: the per-query record of what happened is the
 //! [profile](crate::profile).
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Once;
+use std::sync::OnceLock;
 
 /// Event severity, ordered `Debug < Info < Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -37,7 +36,7 @@ impl Level {
     }
 
     /// Parse a level name, case-insensitively.
-    pub fn parse(s: &str) -> Option<Level> {
+    fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "debug" => Some(Level::Debug),
             "info" => Some(Level::Info),
@@ -48,34 +47,32 @@ impl Level {
     }
 }
 
-/// Stderr threshold encoding: level as u8, 255 = never print.
-static STDERR_LEVEL: AtomicU8 = AtomicU8::new(Level::Warn as u8);
-
-/// One-time `KGOA_LOG` environment lookup. Guarded by a `Once` so an
-/// explicit [`set_stderr_level`] call always wins regardless of whether
-/// it runs before or after the first emit: both paths force the env
-/// read first, and the env value is applied at most once.
-static ENV_INIT: Once = Once::new();
-
-fn init_from_env() {
+/// The stderr threshold, encoded by [`encode`]: events at or above
+/// [`Level::Warn`] by default, or what the `KGOA_LOG` environment
+/// variable (`error`/`warn`/`info`/`debug`/`off`) names, read once.
+fn stderr_threshold() -> u8 {
+    static THRESHOLD: OnceLock<u8> = OnceLock::new();
     // Init-order caveat: the unrecognised-value warning cannot be
-    // emitted from inside the `call_once` closure — `emit_with` calls
-    // back into `init_from_env`, and re-entering an in-flight `Once`
-    // deadlocks. So the closure only captures the bad value; the event
-    // is emitted after `call_once` returns, when the `Once` is complete
-    // and the nested `init_from_env` is a no-op.
+    // emitted from inside `get_or_init` — `emit_with` calls back into
+    // this function, and re-entering an in-flight `OnceLock` deadlocks.
+    // So the closure only captures the bad value; the event is emitted
+    // after `get_or_init` returns, when the nested call finds the
+    // threshold set.
     let mut unrecognised = None;
-    ENV_INIT.call_once(|| {
-        if let Ok(v) = std::env::var("KGOA_LOG") {
-            match parse_stderr_level(&v) {
-                Some(level) => STDERR_LEVEL.store(encode(level), Ordering::Relaxed),
-                None => unrecognised = Some(v),
-            }
-        }
+    let threshold = *THRESHOLD.get_or_init(|| {
+        let level = match std::env::var("KGOA_LOG") {
+            Ok(v) => parse_stderr_level(&v).unwrap_or_else(|| {
+                unrecognised = Some(v);
+                Some(Level::Warn)
+            }),
+            Err(_) => Some(Level::Warn),
+        };
+        encode(level)
     });
     if let Some(v) = unrecognised {
         warn_unrecognised(&v);
     }
+    threshold
 }
 
 /// Report an unrecognised `KGOA_LOG` value as a structured Warn event
@@ -93,26 +90,16 @@ fn warn_unrecognised(value: &str) {
 /// Parse a `KGOA_LOG` value: a [`Level`] name routes that level and
 /// above to stderr, `off`/`none`/`silent` silences stderr
 /// (`Some(None)`), anything else is unrecognised (`None`).
-pub fn parse_stderr_level(value: &str) -> Option<Option<Level>> {
+fn parse_stderr_level(value: &str) -> Option<Option<Level>> {
     match value.trim().to_ascii_lowercase().as_str() {
         "off" | "none" | "silent" => Some(None),
         other => Level::parse(other).map(Some),
     }
 }
 
+/// Threshold encoding: level as u8, 255 = never print.
 fn encode(level: Option<Level>) -> u8 {
     level.map_or(255, |l| l as u8)
-}
-
-/// Route events at or above `level` to stderr (`None` silences stderr
-/// entirely — used by benchmarks and tests). The default is
-/// [`Level::Warn`] — which preserves the visibility the old
-/// `eprintln!` calls had — overridable at startup with the `KGOA_LOG`
-/// environment variable (`error`/`warn`/`info`/`debug`/`off`). An
-/// explicit call to this function always beats the environment.
-pub fn set_stderr_level(level: Option<Level>) {
-    ENV_INIT.call_once(|| {}); // consume the env slot: explicit wins
-    STDERR_LEVEL.store(encode(level), Ordering::Relaxed);
 }
 
 /// Emit an event with structured fields: printed to stderr when `level`
@@ -123,8 +110,7 @@ pub fn emit_with(
     message: impl Into<String>,
     fields: Vec<(&'static str, String)>,
 ) {
-    init_from_env();
-    if level as u8 >= STDERR_LEVEL.load(Ordering::Relaxed) {
+    if level as u8 >= stderr_threshold() {
         eprintln!("{}", line(level, target, &message.into(), &fields));
     }
 }
@@ -146,11 +132,6 @@ pub fn emit(level: Level, target: &'static str, message: impl Into<String>) {
 /// Emit at [`Level::Debug`].
 pub fn debug(target: &'static str, message: impl Into<String>) {
     emit(Level::Debug, target, message);
-}
-
-/// Emit at [`Level::Info`].
-pub fn info(target: &'static str, message: impl Into<String>) {
-    emit(Level::Info, target, message);
 }
 
 /// Emit at [`Level::Warn`].
@@ -180,24 +161,6 @@ mod tests {
         assert_eq!(parse_stderr_level(""), None);
         assert_eq!(Level::parse("Error"), Some(Level::Error));
         assert_eq!(Level::parse("trace"), None);
-    }
-
-    /// The only test in this crate that moves the global threshold, so
-    /// parallel tests cannot race it.
-    #[test]
-    fn explicit_stderr_level_beats_environment_and_off_silences() {
-        // After an explicit set, the env slot is consumed: emitting
-        // must not re-apply KGOA_LOG over the explicit choice.
-        set_stderr_level(None);
-        emit(Level::Error, "test", "silenced");
-        assert_eq!(STDERR_LEVEL.load(Ordering::Relaxed), 255);
-        // `KGOA_LOG=off` parses to `Some(None)`, which encodes to the
-        // never-print threshold (255): no level can reach it.
-        let parsed = parse_stderr_level("off").expect("off is recognised");
-        assert_eq!(encode(parsed), 255);
-        assert!((Level::Error as u8) < 255);
-        set_stderr_level(Some(Level::Warn));
-        assert_eq!(STDERR_LEVEL.load(Ordering::Relaxed), Level::Warn as u8);
     }
 
     #[test]
@@ -231,5 +194,10 @@ mod tests {
         assert!(Level::Info < Level::Warn);
         assert!(Level::Warn < Level::Error);
         assert_eq!(Level::Error.as_str(), "error");
+        // `KGOA_LOG=off` parses to `Some(None)`, which encodes to the
+        // never-print threshold (255): no level can reach it.
+        let parsed = parse_stderr_level("off").expect("off is recognised");
+        assert_eq!(encode(parsed), 255);
+        assert!((Level::Error as u8) < 255);
     }
 }

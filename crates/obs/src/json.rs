@@ -1,21 +1,18 @@
-//! A minimal JSON document model with a writer and a strict
-//! recursive-descent parser — just enough to emit profile documents and to
-//! validate them in tests and CI without any external dependency.
+//! A minimal JSON document model and pretty-printer — just enough to
+//! emit profile documents without any external dependency. Nothing in
+//! the workspace reads JSON back: CI checks the written documents'
+//! syntax with `python3 -m json.tool`.
 //!
 //! Objects preserve insertion order (they are `Vec<(String, Json)>`,
-//! not maps), so a parse → serialise round trip is byte-identical for
-//! documents this crate produced. Non-finite numbers serialise as
-//! `null` (JSON has no NaN/Infinity).
-
-use std::fmt;
+//! not maps), so a document renders its fields in the order they were
+//! built. Non-finite numbers serialise as `null` (JSON has no
+//! NaN/Infinity).
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
     Null,
-    /// `true` / `false`
-    Bool(bool),
     /// Any number (stored as `f64`; integers up to 2^53 are exact).
     Num(f64),
     /// A string.
@@ -32,83 +29,30 @@ impl Json {
         Json::Str(s.into())
     }
 
-    /// Look up a key in an object (`None` for other variants).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The key/value pairs, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
-    /// Serialise compactly (no whitespace).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Serialise with newlines and `indent`-space nesting.
     pub fn pretty(&self, indent: usize) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(indent), 0);
+        self.write(&mut out, indent, 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
+    fn write(&self, out: &mut String, indent: usize, depth: usize) {
+        let pad = " ".repeat(indent * depth);
+        let pad_in = " ".repeat(indent * (depth + 1));
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(out, *n),
             Json::Str(s) => write_str(out, s),
             Json::Arr(items) if items.is_empty() => out.push_str("[]"),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { nl } else { "," });
-                    if i > 0 {
-                        out.push_str(nl);
-                    }
+                    out.push_str(if i == 0 { "\n" } else { ",\n" });
                     out.push_str(&pad_in);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
+                out.push('\n');
                 out.push_str(&pad);
                 out.push(']');
             }
@@ -116,42 +60,17 @@ impl Json {
             Json::Obj(pairs) => {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(if i == 0 { nl } else { "," });
-                    if i > 0 {
-                        out.push_str(nl);
-                    }
+                    out.push_str(if i == 0 { "\n" } else { ",\n" });
                     out.push_str(&pad_in);
                     write_str(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
+                    out.push_str(": ");
                     v.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
+                out.push('\n');
                 out.push_str(&pad);
                 out.push('}');
             }
         }
-    }
-
-    /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(v)
-    }
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
     }
 }
 
@@ -181,277 +100,44 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// A parse failure: byte offset plus message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the failure.
-    pub at: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: impl Into<String>) -> JsonError {
-        JsonError { at: self.pos, msg: msg.into() }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(format!("expected {word:?}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let start = self.pos;
-            // Fast-forward over the unescaped run.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 1; // land on 'u' for hex4
-                                    let lo = self.hex4()?;
-                                    if (0xDC00..0xE000).contains(&lo) {
-                                        char::from_u32(
-                                            0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00),
-                                        )
-                                    } else {
-                                        None
-                                    }
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            s.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                _ => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        // self.pos is at 'u'; consume it plus 4 hex digits.
-        self.pos += 1;
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end;
-        Ok(cp)
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError { at: start, msg: format!("invalid number {text:?}") })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_a_document() {
+    fn renders_a_document() {
         let doc = Json::Obj(vec![
             ("schema".into(), Json::str("kgoa-obs/v2")),
             ("n".into(), Json::Num(42.0)),
             ("pi".into(), Json::Num(3.5)),
             ("neg".into(), Json::Num(-7.0)),
-            ("ok".into(), Json::Bool(true)),
             ("none".into(), Json::Null),
-            ("items".into(), Json::Arr(vec![Json::Num(1.0), Json::str("a\n\"b\"")])),
+            ("items".into(), Json::Arr(vec![Json::Num(1.0), Json::str("a\n\"b\"\t\u{1}")])),
             ("empty_arr".into(), Json::Arr(vec![])),
             ("empty_obj".into(), Json::Obj(vec![])),
         ]);
-        let compact = doc.render();
-        assert_eq!(Json::parse(&compact).unwrap(), doc);
-        // Pretty output parses back to the same value too, and a second
-        // render of the parse is byte-identical (order preserved).
-        let pretty = doc.pretty(2);
-        let reparsed = Json::parse(&pretty).unwrap();
-        assert_eq!(reparsed, doc);
-        assert_eq!(reparsed.render(), compact);
-    }
-
-    #[test]
-    fn parses_escapes_and_unicode() {
-        let v = Json::parse(r#""a\u0041\t\\\" \u00e9 \ud83d\ude00""#).unwrap();
-        assert_eq!(v.as_str().unwrap(), "aA\t\\\" \u{e9} \u{1F600}");
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in [
-            "", "{", "[1,", "{\"a\":}", "tru", "1 2", "{\"a\" 1}", "\"unterminated",
-            "nul", "[1,]x", "\"\\u12\"",
-        ] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
-        }
+        let expected = r#"{
+  "schema": "kgoa-obs/v2",
+  "n": 42,
+  "pi": 3.5,
+  "neg": -7,
+  "none": null,
+  "items": [
+    1,
+    "a\n\"b\"\t\u0001"
+  ],
+  "empty_arr": [],
+  "empty_obj": {}
+}
+"#;
+        assert_eq!(doc.pretty(2), expected);
     }
 
     #[test]
     fn integers_render_without_exponent() {
-        assert_eq!(Json::Num(1e9).render(), "1000000000");
-        assert_eq!(Json::Num(0.25).render(), "0.25");
-        assert_eq!(Json::Num(f64::NAN).render(), "null");
-        assert_eq!(Json::Num(f64::INFINITY).render(), "null");
-    }
-
-    #[test]
-    fn get_and_accessors() {
-        let doc = Json::parse(r#"{"a": 1, "b": [true, null]}"#).unwrap();
-        assert_eq!(doc.get("a").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(doc.get("b").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
-        assert!(doc.get("missing").is_none());
-        assert!(Json::Null.get("a").is_none());
+        assert_eq!(Json::Num(1e9).pretty(2), "1000000000\n");
+        assert_eq!(Json::Num(0.25).pretty(2), "0.25\n");
+        assert_eq!(Json::Num(f64::NAN).pretty(2), "null\n");
+        assert_eq!(Json::Num(f64::INFINITY).pretty(2), "null\n");
     }
 }

@@ -7,7 +7,9 @@
 //! annotated text tree, collapsed flamegraph stacks, or a JSON document
 //! of schema [`profile::PROFILE_SCHEMA`]. Beside it, a leveled
 //! [event log](events) prints rung transitions, fallbacks and panics to
-//! stderr, and a small [`Json`] model writes and validates the documents.
+//! stderr, and a small [`Json`] model writes the documents. Telemetry is
+//! emit-only: nothing here reads a document back, and a finished report
+//! checks its own span tree ([`ProfileReport::check_tree`]).
 //!
 //! ## Cost model
 //!
@@ -26,11 +28,11 @@
 #![forbid(unsafe_code)]
 
 pub mod events;
-pub mod json;
+mod json;
 pub mod profile;
 
 pub use events::Level;
-pub use json::{Json, JsonError};
+pub use json::Json;
 pub use profile::{ProfileHandle, ProfileReport, QueryProfile, SpanNode, PROFILE_SCHEMA};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -18,7 +18,7 @@
 //! let report = profile.finish();                // -> ProfileReport
 //! report.to_text();    // EXPLAIN ANALYZE-style annotated tree
 //! report.to_folded();  // collapsed stacks for flamegraph tooling
-//! report.to_json();    // schema "kgoa-obs/v2", parses with crate::Json
+//! report.to_json();    // schema "kgoa-obs/v2" document (emit-only)
 //! ```
 //!
 //! Worker threads join the same tree by capturing a [`ProfileHandle`]
@@ -61,7 +61,7 @@ static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
 /// atomic load — the fast path instrumented code takes when no query is
 /// being profiled.
 #[inline(always)]
-pub fn profiling_possible() -> bool {
+pub(crate) fn profiling_possible() -> bool {
     LIVE_PROFILES.load(Ordering::Relaxed) != 0
 }
 
@@ -180,12 +180,14 @@ impl QueryProfile {
         let duration_us = inner.started.elapsed().as_micros() as u64;
         let mut spans = std::mem::take(&mut *lock(&inner.done));
         spans.sort_by_key(|n| n.id);
-        ProfileReport {
+        let report = ProfileReport {
             trace_id: inner.trace_id,
             query: inner.query.clone(),
             duration_us,
             spans,
-        }
+        };
+        debug_assert_eq!(report.check_tree(), Ok(()));
+        report
     }
 }
 
@@ -369,7 +371,8 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 // ---------------------------------------------------------------------
 
 /// A finished profile: the span tree plus scope metadata. Produced by
-/// [`QueryProfile::finish`] and by [`ProfileReport::from_json`].
+/// [`QueryProfile::finish`]; [`check_tree`](Self::check_tree) states
+/// the invariant every finished report holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Process-unique trace id.
@@ -435,83 +438,6 @@ impl ProfileReport {
             ("duration_us".into(), Json::Num(self.duration_us as f64)),
             ("spans".into(), Json::Arr(spans)),
         ])
-    }
-
-    /// Parse a document produced by [`to_json`](Self::to_json). The
-    /// derived `self_ns` field is recomputed, not trusted. Used for
-    /// schema validation in `repro profile` and tests.
-    ///
-    /// Ids are allocated at open, so `to_json` writes them strictly
-    /// increasing and every parent id is smaller than its child's. A
-    /// document that breaks either rule is rejected: a self-parented
-    /// span or a reused id would make the renderers walk a cycle. A
-    /// parent that is absent is allowed (the renderers tolerate it).
-    pub fn from_json(doc: &Json) -> Result<ProfileReport, String> {
-        fn num(doc: &Json, key: &str) -> Result<u64, String> {
-            doc.get(key)
-                .and_then(Json::as_f64)
-                .map(|f| f as u64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        }
-        fn s(doc: &Json, key: &str) -> Result<String, String> {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        }
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(PROFILE_SCHEMA) => {}
-            other => return Err(format!("schema mismatch: {other:?}")),
-        }
-        let spans = doc
-            .get("spans")
-            .and_then(Json::as_arr)
-            .ok_or("missing spans array")?
-            .iter()
-            .map(|n| {
-                let parent = match n.get("parent") {
-                    Some(Json::Null) | None => None,
-                    Some(v) => Some(
-                        v.as_f64().map(|f| f as u64).ok_or("parent must be null or a number")?,
-                    ),
-                };
-                let counters = n
-                    .get("counters")
-                    .and_then(Json::as_obj)
-                    .ok_or("missing counters object")?
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_f64()
-                            .map(|f| (k.clone(), f as u64))
-                            .ok_or_else(|| format!("counter {k:?} must be a number"))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(SpanNode {
-                    id: num(n, "id")?,
-                    parent,
-                    thread: s(n, "thread")?,
-                    name: s(n, "name")?,
-                    start_us: num(n, "start_us")?,
-                    total_ns: num(n, "total_ns")?,
-                    counters,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        for (i, n) in spans.iter().enumerate() {
-            if i > 0 && n.id <= spans[i - 1].id {
-                let prev = spans[i - 1].id;
-                return Err(format!("span ids must strictly increase: {} after {prev}", n.id));
-            }
-            if n.parent.is_some_and(|p| p >= n.id) {
-                return Err(format!("span {} must have a parent with a smaller id", n.id));
-            }
-        }
-        Ok(ProfileReport {
-            trace_id: num(doc, "trace_id")?,
-            query: s(doc, "query")?,
-            duration_us: num(doc, "duration_us")?,
-            spans,
-        })
     }
 
     /// Render an `EXPLAIN ANALYZE`-style annotated tree: one line per
@@ -589,6 +515,28 @@ impl ProfileReport {
             out.push('\n');
         }
         out
+    }
+
+    /// Check the span-tree invariant the renderers rely on. Ids are
+    /// allocated at open, so a finished report lists them strictly
+    /// increasing and every parent id is smaller than its child's. A
+    /// tree that breaks either rule is rejected: a self-parented span or
+    /// a reused id would make [`to_text`](Self::to_text) and
+    /// [`to_folded`](Self::to_folded) walk a cycle. A parent that is
+    /// absent is allowed (the renderers tolerate it). Used by
+    /// [`QueryProfile::finish`] (as a debug assertion), `repro profile`
+    /// self-validation and tests.
+    pub fn check_tree(&self) -> Result<(), String> {
+        for (i, n) in self.spans.iter().enumerate() {
+            if i > 0 && n.id <= self.spans[i - 1].id {
+                let prev = self.spans[i - 1].id;
+                return Err(format!("span ids must strictly increase: {} after {prev}", n.id));
+            }
+            if n.parent.is_some_and(|p| p >= n.id) {
+                return Err(format!("span {} must have a parent with a smaller id", n.id));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -704,49 +652,104 @@ mod tests {
         assert!(text.contains("seeks=7"), "{text}");
     }
 
-    #[test]
-    fn json_round_trips() {
-        let p = QueryProfile::begin("round/trip");
-        let g = p.attach("main");
-        {
-            let _a = span("a");
-            let _b = span("b");
-            add("k", 42);
+    /// A fixed two-thread tree: a `main` root with one child, and a
+    /// `worker-0` root.
+    fn fixed_report() -> ProfileReport {
+        let node = |id, parent, thread: &str, name: &str, total_ns, counters: &[(&str, u64)]| {
+            SpanNode {
+                id,
+                parent,
+                thread: thread.into(),
+                name: name.into(),
+                start_us: id * 5,
+                total_ns,
+                counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            }
+        };
+        ProfileReport {
+            trace_id: 7,
+            query: "golden \"q\"".into(),
+            duration_us: 40,
+            spans: vec![
+                node(1, None, "main", "supervisor", 30_000, &[]),
+                node(2, Some(1), "main", "aj.walks", 12_000, &[("walks", 128)]),
+                node(3, None, "worker-0", "parallel.worker", 9_000, &[("walks", 64), ("full", 60)]),
+            ],
         }
-        drop(g);
-        let report = p.finish();
-        let doc = report.to_json();
-        let text = doc.pretty(2);
-        let reparsed = Json::parse(&text).expect("profile JSON parses");
-        let back = ProfileReport::from_json(&reparsed).expect("schema validates");
-        assert_eq!(back, report);
     }
 
     #[test]
-    fn from_json_rejects_cyclic_span_trees() {
-        let doc = |spans: &str| {
-            Json::parse(&format!(
-                r#"{{"schema":"{PROFILE_SCHEMA}","trace_id":1,"query":"q","duration_us":1,"spans":[{spans}]}}"#
-            ))
-            .unwrap()
+    fn json_rendering_is_golden() {
+        let report = fixed_report();
+        assert_eq!(report.check_tree(), Ok(()));
+        let expected = r#"{
+  "schema": "kgoa-obs/v2",
+  "trace_id": 7,
+  "query": "golden \"q\"",
+  "duration_us": 40,
+  "spans": [
+    {
+      "id": 1,
+      "parent": null,
+      "thread": "main",
+      "name": "supervisor",
+      "start_us": 5,
+      "total_ns": 30000,
+      "self_ns": 18000,
+      "counters": {}
+    },
+    {
+      "id": 2,
+      "parent": 1,
+      "thread": "main",
+      "name": "aj.walks",
+      "start_us": 10,
+      "total_ns": 12000,
+      "self_ns": 12000,
+      "counters": {
+        "walks": 128
+      }
+    },
+    {
+      "id": 3,
+      "parent": null,
+      "thread": "worker-0",
+      "name": "parallel.worker",
+      "start_us": 15,
+      "total_ns": 9000,
+      "self_ns": 9000,
+      "counters": {
+        "walks": 64,
+        "full": 60
+      }
+    }
+  ]
+}
+"#;
+        assert_eq!(report.to_json().pretty(2), expected);
+    }
+
+    #[test]
+    fn check_tree_rejects_cyclic_span_trees() {
+        let with = |links: &[(u64, Option<u64>)]| {
+            let mut report = fixed_report();
+            let template = report.spans[0].clone();
+            report.spans = links
+                .iter()
+                .map(|&(id, parent)| SpanNode { id, parent, ..template.clone() })
+                .collect();
+            report
         };
-        let node = |id: u64, parent: &str| {
-            format!(
-                r#"{{"id":{id},"parent":{parent},"thread":"main","name":"s","start_us":0,"total_ns":5,"counters":{{}}}}"#
-            )
-        };
-        // A parent that is absent from the document is tolerated.
-        let ok = doc(&[node(1, "null"), node(3, "2")].join(","));
-        assert!(ProfileReport::from_json(&ok).is_ok());
+        // The well-formed tree passes, and so does a parent that is
+        // absent from the tree.
+        assert_eq!(fixed_report().check_tree(), Ok(()));
+        assert!(with(&[(1, None), (3, Some(2))]).check_tree().is_ok());
         // Self-parented: `to_folded` would walk the parent chain forever.
-        let self_parent = doc(&node(1, "1"));
-        assert!(ProfileReport::from_json(&self_parent).is_err());
+        assert!(with(&[(1, Some(1))]).check_tree().is_err());
         // A reused root id: `to_text` would recurse until the stack overflows.
-        let dup = doc(&[node(1, "null"), node(1, "null")].join(","));
-        assert!(ProfileReport::from_json(&dup).is_err());
+        assert!(with(&[(1, None), (1, None)]).check_tree().is_err());
         // A forward parent link could close a longer cycle.
-        let forward = doc(&[node(1, "2"), node(2, "1")].join(","));
-        assert!(ProfileReport::from_json(&forward).is_err());
+        assert!(with(&[(1, Some(2)), (2, Some(1))]).check_tree().is_err());
     }
 
     #[test]

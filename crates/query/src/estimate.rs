@@ -139,7 +139,7 @@ impl SuffixEstimator {
     /// estimated remaining completions (`suffix_from[i]`, taking an average
     /// fan-out of 1 at the tipping check) fall below `threshold`. Returns
     /// `plan.len()` when no step is expected to tip (walks run full).
-    pub fn expected_tip_step(&self, threshold: f64) -> usize {
+    pub(crate) fn expected_tip_step(&self, threshold: f64) -> usize {
         let n = self.suffix_from.len() - 1;
         (1..=n).find(|&i| self.suffix_from[i] < threshold).unwrap_or(n)
     }

@@ -34,13 +34,6 @@ pub struct JoinAccess {
     pub levels: [JoinLevel; 3],
 }
 
-impl JoinAccess {
-    /// The level index of a variable within this access, if present.
-    pub fn level_of(&self, v: Var) -> Option<usize> {
-        self.levels.iter().position(|l| *l == JoinLevel::Var(v))
-    }
-}
-
 /// A complete plan for evaluating a query with LFTJ/CTJ.
 #[derive(Debug, Clone)]
 pub struct JoinPlan {
@@ -244,14 +237,6 @@ mod tests {
         assert!(matches!(a1.levels[0], JoinLevel::Const(_)));
         assert!(matches!(a1.levels[1], JoinLevel::Const(_)));
         assert_eq!(a1.levels[2], JoinLevel::Var(v(0)));
-    }
-
-    #[test]
-    fn level_of_lookup() {
-        let q = path_query();
-        let plan = JoinPlan::canonical(&q, &IndexOrder::PAPER_DEFAULT).unwrap();
-        assert_eq!(plan.accesses()[0].level_of(v(1)), Some(2));
-        assert_eq!(plan.accesses()[0].level_of(v(2)), None);
     }
 
     #[test]

@@ -32,4 +32,4 @@ pub use join_plan::{JoinAccess, JoinLevel, JoinPlan};
 pub use pattern::{PatternTerm, TriplePattern, Var};
 pub use query::ExplorationQuery;
 pub use sparql::to_sparql;
-pub use walk::{walk_order_from, walk_orders, PrefixComp, WalkAccess, WalkPlan, WalkStep};
+pub use walk::{walk_orders, PrefixComp, WalkAccess, WalkPlan, WalkStep};

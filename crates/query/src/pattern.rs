@@ -42,7 +42,7 @@ impl PatternTerm {
 
     /// The constant, if this slot is one.
     #[inline]
-    pub fn as_const(self) -> Option<TermId> {
+    pub(crate) fn as_const(self) -> Option<TermId> {
         match self {
             PatternTerm::Const(c) => Some(c),
             PatternTerm::Var(_) => None,
@@ -51,7 +51,7 @@ impl PatternTerm {
 
     /// True if this slot is a variable.
     #[inline]
-    pub fn is_var(self) -> bool {
+    pub(crate) fn is_var(self) -> bool {
         matches!(self, PatternTerm::Var(_))
     }
 }
@@ -112,7 +112,7 @@ impl TriplePattern {
     }
 
     /// Iterate the constants of this pattern with their positions.
-    pub fn consts(&self) -> impl Iterator<Item = (TermId, Position)> + '_ {
+    pub(crate) fn consts(&self) -> impl Iterator<Item = (TermId, Position)> + '_ {
         Position::ALL
             .into_iter()
             .filter_map(|pos| self.get(pos).as_const().map(|c| (c, pos)))

@@ -321,7 +321,7 @@ impl WalkPlan {
 /// The greedy connected walk order starting from `start`: repeatedly append
 /// the lowest-index unused pattern sharing a variable with the bound set.
 /// Returns `None` if the query is disconnected (validation prevents this).
-pub fn walk_order_from(query: &ExplorationQuery, start: usize) -> Option<Vec<usize>> {
+pub(crate) fn walk_order_from(query: &ExplorationQuery, start: usize) -> Option<Vec<usize>> {
     let n = query.patterns().len();
     let mut order = vec![start];
     let mut used = vec![false; n];

@@ -150,7 +150,7 @@ impl GraphBuilder {
     }
 
     /// Intern three terms and add the resulting triple.
-    pub fn add_terms(&mut self, s: Term, p: Term, o: Term) -> Triple {
+    pub(crate) fn add_terms(&mut self, s: Term, p: Term, o: Term) -> Triple {
         let mut id = |t: Term| self.dict.intern(t.kind, &t.lexical);
         let t = Triple::new(id(s), id(p), id(o));
         self.add(t);

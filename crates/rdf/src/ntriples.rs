@@ -114,7 +114,7 @@ fn utf8_len(first_byte: u8) -> usize {
 
 /// Parse one N-Triples line into three terms, or `None` for blank/comment
 /// lines.
-pub fn parse_line(line_text: &str, line: usize) -> Result<Option<(Term, Term, Term)>, RdfError> {
+pub(crate) fn parse_line(line_text: &str, line: usize) -> Result<Option<(Term, Term, Term)>, RdfError> {
     let trimmed = line_text.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return Ok(None);
@@ -156,7 +156,7 @@ pub fn read_ntriples_str(text: &str, builder: &mut GraphBuilder) -> Result<usize
 
 /// Serialize a term in N-Triples syntax (literals are written with their
 /// folded lexical form; escaping covers quotes, backslashes and newlines).
-pub fn write_term<W: Write>(w: &mut W, term: TermRef<'_>) -> std::io::Result<()> {
+pub(crate) fn write_term<W: Write>(w: &mut W, term: TermRef<'_>) -> std::io::Result<()> {
     match term.kind {
         TermKind::Iri => write!(w, "<{}>", term.lexical),
         TermKind::Literal => {
@@ -221,7 +221,7 @@ mod tests {
         let (_, _, o) =
             parse_line(r#"<u:a> <u:p> "he said \"hi\"\n" ."#, 1).unwrap().unwrap();
         assert_eq!(o.lexical, "he said \"hi\"\n");
-        assert!(o.is_literal());
+        assert_eq!(o.kind, TermKind::Literal);
     }
 
     #[test]

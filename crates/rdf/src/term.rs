@@ -26,12 +26,6 @@ impl TermId {
         self.0
     }
 
-    /// Construct from a raw `u32`.
-    #[inline]
-    pub const fn from_raw(raw: u32) -> Self {
-        TermId(raw)
-    }
-
     /// Use as an index into a slice.
     #[inline]
     pub const fn index(self) -> usize {
@@ -95,11 +89,6 @@ impl Term {
     pub fn literal(value: impl Into<String>) -> Self {
         Term { lexical: value.into(), kind: TermKind::Literal }
     }
-
-    /// True if the term is a literal.
-    pub fn is_literal(&self) -> bool {
-        self.kind == TermKind::Literal
-    }
 }
 
 impl fmt::Display for Term {
@@ -141,7 +130,7 @@ mod tests {
 
     #[test]
     fn term_id_roundtrip() {
-        let id = TermId::from_raw(42);
+        let id = TermId(42);
         assert_eq!(id.raw(), 42);
         assert_eq!(id.index(), 42);
         assert_eq!(u32::from(id), 42);
@@ -158,9 +147,7 @@ mod tests {
     fn term_constructors() {
         let i = Term::iri("http://example.org/a");
         assert_eq!(i.kind, TermKind::Iri);
-        assert!(!i.is_literal());
         let l = Term::literal("42");
-        assert!(l.is_literal());
         assert_eq!(l.kind, TermKind::Literal);
     }
 

@@ -1,15 +1,15 @@
 //! Integration test for the per-query profile (`kgoa-obs`) as wired
 //! through the whole stack: a parallel run's workers join the caller's
-//! span tree from their own threads, and the tree round-trips through
-//! its JSON schema and folded-stack rendering.
+//! span tree from their own threads, and the tree passes its own
+//! invariant check and renders well-formed folded stacks.
 
-use kgoa::obs::{self, Json};
+use kgoa::obs;
 use kgoa::online::{run_parallel, Budget, ParallelAlgo};
 use kgoa::prelude::*;
 use kgoa::query::WalkPlan;
 
 #[test]
-fn profile_collects_multi_thread_spans_and_round_trips_through_json() {
+fn profile_collects_multi_thread_spans_into_a_well_formed_tree() {
     let graph = kgoa::datagen::generate(&KgConfig::dbpedia_like(Scale::Tiny));
     let ig = IndexedGraph::build(graph);
     let query = {
@@ -50,11 +50,8 @@ fn profile_collects_multi_thread_spans_and_round_trips_through_json() {
         "worker walk attribution missing"
     );
 
-    // Both machine renderings validate with the in-tree tooling.
-    let json = report.to_json().pretty(2);
-    let reparsed = Json::parse(&json).expect("profile JSON parses");
-    let round = obs::ProfileReport::from_json(&reparsed).expect("schema round-trip");
-    assert_eq!(round.spans.len(), report.spans.len());
-    assert_eq!(round.trace_id, report.trace_id);
+    // Spans from four threads interleave in one id sequence: the tree
+    // still holds its invariant, and the folded rendering is well-formed.
+    report.check_tree().expect("multi-thread span tree well-formed");
     obs::profile::check_folded(&report.to_folded()).expect("folded stacks well-formed");
 }
